@@ -225,6 +225,4 @@ def witness_ideal(phi, ext, budget=DEFAULT_PAIR_BUDGET):
         for i in range(1, ext.n):
             if not layers[i].is_zero():
                 gens.append(layers[i])
-    if not gens:
-        return [], res.delta
     return saturate(gens, res.delta, budget), res.delta

@@ -27,6 +27,10 @@ class ExpressionError(ValueError):
 
 _OPS = set("+-*/^()")
 
+# Cap on (degree of the base) * exponent for one eagerly expanded `^`;
+# a constant base counts as degree one.
+MAX_POWER_DEGREE = 64
+
 
 def tokenize(s):
     out = []
@@ -147,6 +151,9 @@ class _Parser:
                 self.fail("expected an integer exponent")
             self.advance()
             k = int(etok[1])
+            base = max(num.total_degree(), den.total_degree(), 1)
+            if base * k > MAX_POWER_DEGREE:
+                self.fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
             return num ** k, den ** k
         return num, den
 
@@ -313,4 +320,7 @@ def build_problem(curve):
     minpoly = parse_polynomial(curve.minpoly, "x")
     tower = make_extension(QQ, minpoly, "a")
     comps = [parse_component(s, tower) for s in curve.components]
+    if all(max(c.num.degree(), c.den.degree()) <= 0 for c in comps):
+        raise ValueError("constant parametrization: no component "
+                         "depends on t")
     return Parametrization.from_components(comps), Extension(tower)

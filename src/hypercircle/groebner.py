@@ -4,6 +4,10 @@ Deterministic throughout: normal pair selection (smallest lcm first),
 coprime and chain criteria, monic reduced bases sorted ascending by
 leading monomial.  A hard S-pair budget turns runaway computations into
 an error instead of a wrong answer.
+
+Every basis computed here is a GroebnerBasis, which records its order.
+Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
+requested order unchanged: each ideal's basis is computed once.
 """
 
 from . import kernel
@@ -11,6 +15,16 @@ from .mpoly import GREVLEX, LEX, MultiPoly, block_order
 from .upoly import UniPoly
 
 DEFAULT_PAIR_BUDGET = 100000
+
+
+class GroebnerBasis(list):
+    """A reduced Groebner basis and the monomial order it is reduced in."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, polys, order):
+        super().__init__(polys)
+        self.order = order
 
 
 class PairBudgetExceededError(RuntimeError):
@@ -39,8 +53,7 @@ def _reduce_full(terms, basis_terms, basis_lms, order, K):
     return rem
 
 
-def normal_form(f: MultiPoly, basis, order=GREVLEX,
-                budget=DEFAULT_PAIR_BUDGET):
+def normal_form(f: MultiPoly, basis, order=GREVLEX):
     """Unique remainder of f modulo the given polynomials.
 
     The basis is made monic internally; pass a Groebner basis if you rely
@@ -68,9 +81,12 @@ def spoly(f: MultiPoly, g: MultiPoly, order=GREVLEX):
 def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     """Reduced Groebner basis, monic, sorted ascending by leading monomial.
 
+    A GroebnerBasis already reduced in `order` is returned as it is.
     Raises PairBudgetExceededError when more than `budget` S-pairs would
     be examined.
     """
+    if isinstance(gens, GroebnerBasis) and gens.order == order:
+        return gens
     K = kernel.impl()
     kind, split = order.kind, order.split
     field = None
@@ -83,12 +99,12 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         arity = g.arity
         basis.append(g.monic(order).terms)
     if field is None:
-        return []
+        return GroebnerBasis((), order)
     lms = [K.leading_exponent(t, kind, split) for t in basis]
 
     def lcm_key(i, j):
         lcm = K.exp_lcm(lms[i], lms[j])
-        return (sum(lcm), _order_key(lcm, order), i, j)
+        return (sum(lcm), order.key(lcm), i, j)
 
     pairs = {}
     for i in range(len(basis)):
@@ -132,10 +148,6 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     return _interreduce(polys, order, K)
 
 
-def _order_key(e, order):
-    return order.key(e)
-
-
 def _chain_criterion(i, j, lcm, lms, done, K):
     for k in range(len(lms)):
         if k == i or k == j:
@@ -175,7 +187,7 @@ def _interreduce(polys, order, K):
             rem = K.scale_terms(rem, p.field.one / c)
         out.append(MultiPoly(p.field, p.arity, rem, _clean=True))
     out.sort(key=lambda p: order.key(p.leading(order)[0]))
-    return out
+    return GroebnerBasis(out, order)
 
 
 def is_groebner_unit(gb):
@@ -183,23 +195,13 @@ def is_groebner_unit(gb):
 
 
 def ideal_equal(gens1, gens2, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
-    """Two generator lists span the same ideal."""
-    g1 = buchberger(gens1, order, budget)
-    g2 = buchberger(gens2, order, budget)
-    for f in gens1:
-        if not normal_form(f, g2, order).is_zero():
-            return False
-    for f in gens2:
-        if not normal_form(f, g1, order).is_zero():
-            return False
-    return True
+    """Two generator lists span the same ideal: their reduced bases agree."""
+    return buchberger(gens1, order, budget) == buchberger(gens2, order, budget)
 
 
 def eliminate(gens, k, budget=DEFAULT_PAIR_BUDGET):
-    """Groebner basis of the elimination ideal without the first k
-    variables, under grevlex on the surviving block."""
-    if k == 0:
-        return buchberger(gens, GREVLEX, budget)
+    """Reduced grevlex basis of the elimination ideal without the first k
+    variables: the k-free part of the reduced block-order basis."""
     gb = buchberger(gens, block_order(k), budget)
     out = []
     for g in gb:
@@ -208,7 +210,7 @@ def eliminate(gens, k, budget=DEFAULT_PAIR_BUDGET):
             continue
         out.append(g.drop_vars(range(k)))
     out.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]))
-    return out
+    return GroebnerBasis(out, GREVLEX)
 
 
 def saturate(gens, f, budget=DEFAULT_PAIR_BUDGET):
@@ -217,18 +219,13 @@ def saturate(gens, f, budget=DEFAULT_PAIR_BUDGET):
     Adds z with 1 - z*f and eliminates it; the output lives back in the
     original variables.
     """
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return []
-    field = live[0].field
-    arity = live[0].arity
     if f.is_zero():
         raise ValueError("saturation by zero")
-    shifted = [g.insert_vars(0, 1) for g in live]
-    fz = f.insert_vars(0, 1)
+    field, arity = f.field, f.arity
+    shifted = [g.insert_vars(0, 1) for g in gens]
     z = MultiPoly.var(field, arity + 1, 0)
     one = MultiPoly.const(field, arity + 1, field.one)
-    shifted.append(one - z * fz)
+    shifted.append(one - z * f.insert_vars(0, 1))
     return eliminate(shifted, 1, budget)
 
 
@@ -239,16 +236,13 @@ def dimension(gens, budget=DEFAULT_PAIR_BUDGET):
     leading term ideal; the unit ideal gives -1, the zero ideal the full
     ambient dimension.
     """
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
+    gb = buchberger(gens, GREVLEX, budget)
+    if not gb:
         first = next(iter(gens), None)
         if first is None:
             raise ValueError("dimension of an ideal with no generators")
         return first.arity
-    n = live[0].arity
-    gb = buchberger(live, GREVLEX, budget)
-    if not gb:
-        return n
+    n = gb[0].arity
     lms = [g.leading(GREVLEX)[0] for g in gb]
     supports = [frozenset(i for i, v in enumerate(lm) if v) for lm in lms]
     if frozenset() in supports:
@@ -270,14 +264,11 @@ def linear_part(gens, budget=DEFAULT_PAIR_BUDGET):
     grevlex basis; degree-compatible orders keep those normal forms
     inside the affine-linear span.
     """
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return []
-    field = live[0].field
-    n = live[0].arity
-    gb = buchberger(live, GREVLEX, budget)
+    gb = buchberger(gens, GREVLEX, budget)
     if not gb:
         return []
+    field = gb[0].field
+    n = gb[0].arity
     basis_vecs = []
     zero_e = (0,) * n
     for idx in range(n + 1):
@@ -285,7 +276,7 @@ def linear_part(gens, budget=DEFAULT_PAIR_BUDGET):
             probe = MultiPoly.var(field, n, idx)
         else:
             probe = MultiPoly.const(field, n, field.one)
-        nf = normal_form(probe, gb, GREVLEX, budget)
+        nf = normal_form(probe, gb, GREVLEX)
         if nf.total_degree() > 1:
             raise ArithmeticError("normal form left the linear span")
         vec = []
@@ -339,15 +330,12 @@ def triangular_solve(gens, nvars, field, target, coerce, root_finder,
     Lex triangularization then back substitution; solutions are tuples of
     target elements in variable order, canonically sorted.
     """
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
+    gb = buchberger(gens, LEX, budget)
+    if not gb:
         if nvars == 0:
             return [()]
         raise PositiveDimensionalError("zero ideal has no isolated points")
-    if nvars == 0:
-        return []
-    gb = buchberger(live, LEX, budget)
-    if is_groebner_unit(gb):
+    if nvars == 0 or is_groebner_unit(gb):
         return []
     # zero-dimensionality: every variable needs a pure power leading term
     lms = [g.leading(LEX)[0] for g in gb]

@@ -119,14 +119,13 @@ def points_at_infinity(gens, ext, budget=DEFAULT_PAIR_BUDGET):
     affine chart of the highest-index coordinate that yields solutions,
     and solves the zero-dimensional remainder exactly.
     """
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
+    gb = buchberger(gens, GREVLEX, budget)
+    if not gb:
         raise InternalInconsistencyError(
             "unexpected positive-dimensional infinity")
     base = ext.base
     tower = ext.tower
-    m = live[0].arity
-    gb = buchberger(live, GREVLEX, budget)
+    m = gb[0].arity
     if is_groebner_unit(gb):
         return []
     sliced = []

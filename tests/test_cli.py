@@ -62,6 +62,15 @@ def test_reducible_minpoly_is_input_error(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_constant_parametrization_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.curve"
+    bad.write_text("minpoly = x^2 + 1\nx1 = a\nx2 = 3\n")
+    code, out, err = run_cli(capsys, "reparam", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
 def test_budget_exhaustion_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "reparam",
                              str(input_path("quartic.curve")),

@@ -17,8 +17,9 @@ from hypercircle.descent import (
     witness_ideal,
 )
 from hypercircle.fields import QQ, make_extension
-from hypercircle.groebner import dimension, ideal_equal
-from hypercircle.mpoly import MultiPoly
+from hypercircle.groebner import (GroebnerBasis, buchberger, dimension,
+                                  ideal_equal)
+from hypercircle.mpoly import GREVLEX, MultiPoly
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
@@ -176,6 +177,26 @@ def test_witness_ideal_of_constant_is_empty(qi, qi_ext):
     phi0 = Parametrization.from_components([_rf(qi, (qi.coerce(5),), (qi.one,))])
     gb, delta = witness_ideal(phi0, qi_ext)
     assert gb == []
+
+
+def _is_reduced_grevlex_basis(gb):
+    return (isinstance(gb, GroebnerBasis) and gb.order == GREVLEX
+            and gb == buchberger(list(gb), GREVLEX))
+
+
+@pytest.mark.parametrize("curve", ["gaussian_cusp", "gaussian_twist",
+                                   "quartic"])
+def test_witness_ideal_is_its_reduced_grevlex_basis(request, curve):
+    phi, ext = request.getfixturevalue(curve)
+    gb, _ = witness_ideal(phi, ext)
+    assert gb
+    assert _is_reduced_grevlex_basis(gb)
+
+
+def test_second_witness_is_its_reduced_grevlex_basis(quartic_report):
+    report, _ = quartic_report
+    assert report.second_witness
+    assert _is_reduced_grevlex_basis(report.second_witness)
 
 
 def test_parametrization_normalizes():

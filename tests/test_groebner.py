@@ -9,6 +9,7 @@ from helpers import mp_vars, parse_gens
 
 from hypercircle.fields import QQ, canonical_key, make_extension, roots_in_field
 from hypercircle.groebner import (
+    GroebnerBasis,
     PairBudgetExceededError,
     PositiveDimensionalError,
     buchberger,
@@ -163,6 +164,17 @@ def test_triangular_solve_over_tower():
     assert len(sols) == 2
     assert set(sols) == {(-i, -i), (i, i)}
     assert sols == sorted(sols, key=lambda s: [canonical_key(c) for c in s])
+
+
+def test_buchberger_returns_a_basis_in_its_order_unchanged():
+    x, y, z = mp_vars(QQ, 3)
+    one = MultiPoly.const(QQ, 3, Fraction(1))
+    gb = buchberger([x * x + y * z - one, y * y - x * z, x * y + z], GREVLEX)
+    assert isinstance(gb, GroebnerBasis) and gb.order == GREVLEX
+    assert buchberger(gb, GREVLEX) is gb
+    lex = buchberger(gb, LEX)
+    assert lex.order == LEX
+    assert lex == buchberger(list(gb), LEX)
 
 
 def test_budget_exhaustion_raises():

@@ -45,6 +45,7 @@ def test_tokenize_positions():
     ("t +\n@", "unexpected character '@'", 2, 1),
     ("", "unexpected end of expression", 1, 1),
     ("2 2", "unexpected token '2'", 1, 3),
+    ("t^99999999", "power of degree above 64", 1, 3),
 ])
 def test_expression_errors_carry_positions(src, reason, line, col):
     with pytest.raises(ExpressionError) as exc:
