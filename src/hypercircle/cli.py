@@ -211,7 +211,7 @@ def _build_argparser():
     def with_file(p):
         p.add_argument("file", help="curve description file")
         p.add_argument("--budget", type=int, default=None,
-                       help="Groebner pair budget")
+                       help="S-pairs one Groebner basis may reduce")
         common(p)
 
     p = sub.add_parser("reparam",

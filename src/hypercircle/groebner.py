@@ -1,9 +1,12 @@
 """Buchberger engine and ideal operations over exact fields.
 
-Deterministic throughout: normal pair selection (smallest lcm first),
-coprime and chain criteria, monic reduced bases sorted ascending by
-leading monomial.  A hard S-pair budget turns runaway computations into
-an error instead of a wrong answer.
+Deterministic throughout.  Pending S-pairs sit in a heap and are chosen
+by sugar (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC 1991), ties
+broken by lcm; the Gebauer-Moeller update (JSC 6, 1988) prunes them as
+each polynomial joins the basis.  Bases are monic, reduced and sorted
+ascending by leading monomial.  A hard budget on the S-pairs actually
+reduced turns runaway computations into an error instead of a wrong
+answer.
 
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
@@ -31,8 +34,9 @@ class PairBudgetExceededError(RuntimeError):
     """The S-pair budget ran out before the basis stabilized."""
 
 
-class PositiveDimensionalError(ValueError):
-    """A system expected to be zero-dimensional is not."""
+class PositiveDimensionalError(ArithmeticError):
+    """A system expected to be zero-dimensional is not: an internal
+    failure, not bad input."""
 
 
 def _reduce_full(terms, basis_terms, basis_lms, order, K):
@@ -82,83 +86,84 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     """Reduced Groebner basis, monic, sorted ascending by leading monomial.
 
     A GroebnerBasis already reduced in `order` is returned as it is.
-    Raises PairBudgetExceededError when more than `budget` S-pairs would
-    be examined.
+    `budget` bounds the S-pairs actually reduced; pairs that the
+    Gebauer-Moeller criteria discard cost nothing.  Raises
+    PairBudgetExceededError when one more reduction would exceed it.
     """
     if isinstance(gens, GroebnerBasis) and gens.order == order:
         return gens
+    # imported here, so that commands without Groebner work do not load it
+    from heapq import heappop, heappush
+
     K = kernel.impl()
     kind, split = order.kind, order.split
-    field = None
-    arity = None
-    basis = []
+    field = arity = None
+    basis, lms, sugars = [], [], []
+    active = []  # indices that still take part in new pairs
+    pairs = {}  # pending pair (i, j) -> lcm of its leading monomials
+    queue = []  # heap of (sugar, deg lcm, order key, i, j); an entry
+    # whose pair has left `pairs` is skipped
+
+    def add(terms, sugar):
+        """Make `terms` monic and join it to the basis: the
+        Gebauer-Moeller update of the pending pairs."""
+        lh = K.leading_exponent(terms, kind, split)
+        if terms[lh] != field.one:
+            terms = K.scale_terms(terms, field.one / terms[lh])
+        h = len(basis)
+        # a pending pair whose lcm lm(h) divides, and which shares its lcm
+        # with neither pair (i, h) nor (j, h), is redundant
+        for (i, j), lcm in list(pairs.items()):
+            if (K.exp_divides(lh, lcm) and K.exp_lcm(lms[i], lh) != lcm
+                    and K.exp_lcm(lms[j], lh) != lcm):
+                del pairs[i, j]
+        # one new pair per lcm; none for an lcm shared by a coprime pair
+        new = {}
+        for g in active:
+            lcm = K.exp_lcm(lms[g], lh)
+            if sum(lcm) == sum(lms[g]) + sum(lh):
+                new[lcm] = None
+            else:
+                new.setdefault(lcm, g)
+        for lcm, g in new.items():
+            if g is None or any(m != lcm and K.exp_divides(m, lcm)
+                                for m in new):
+                continue
+            d = sum(lcm)
+            s = max(sugars[g] + d - sum(lms[g]), sugar + d - sum(lh))
+            pairs[g, h] = lcm
+            heappush(queue, (s, d, order.key(lcm), g, h))
+        active[:] = [g for g in active if not K.exp_divides(lh, lms[g])]
+        active.append(h)
+        basis.append(terms)
+        lms.append(lh)
+        sugars.append(sugar)
+
     for g in gens:
-        if g.is_zero():
-            continue
-        field = g.field
-        arity = g.arity
-        basis.append(g.monic(order).terms)
+        if not g.is_zero():
+            field, arity = g.field, g.arity
+            add(g.terms, g.total_degree())
     if field is None:
         return GroebnerBasis((), order)
-    lms = [K.leading_exponent(t, kind, split) for t in basis]
-
-    def lcm_key(i, j):
-        lcm = K.exp_lcm(lms[i], lms[j])
-        return (sum(lcm), order.key(lcm), i, j)
-
-    pairs = {}
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs[(j, i)] = lcm_key(j, i)
-    done = set()
     count = 0
-    while pairs:
-        ij = min(pairs, key=pairs.get)
-        del pairs[ij]
+    while queue:
+        sugar, _, _, i, j = heappop(queue)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue
         count += 1
         if count > budget:
             raise PairBudgetExceededError(
-                f"S-pair budget of {budget} exceeded")
-        i, j = ij
-        done.add(ij)
-        li, lj = lms[i], lms[j]
-        lcm = K.exp_lcm(li, lj)
-        # coprime leading monomials reduce to zero
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
-            continue
-        if _chain_criterion(i, j, lcm, lms, done, K):
-            continue
+                f"S-pair budget of {budget} exceeded with {len(basis)} "
+                f"polynomials in the basis")
         s = {}
-        ci = basis[i][li]
-        cj = basis[j][lj]
-        K.addmul_terms(s, field.one / ci, K.exp_div(lcm, li), basis[i])
-        K.addmul_terms(s, -(field.one / cj), K.exp_div(lcm, lj), basis[j])
+        K.addmul_terms(s, field.one, K.exp_div(lcm, lms[i]), basis[i])
+        K.addmul_terms(s, -field.one, K.exp_div(lcm, lms[j]), basis[j])
         rem = _reduce_full(s, basis, lms, order, K)
         if rem:
-            e = K.leading_exponent(rem, kind, split)
-            c = rem[e]
-            if c != field.one:
-                rem = K.scale_terms(rem, field.one / c)
-            new = len(basis)
-            basis.append(rem)
-            lms.append(e)
-            for k in range(new):
-                pairs[(k, new)] = lcm_key(k, new)
-    polys = [MultiPoly(field, arity, t, _clean=True) for t in basis]
+            add(rem, sugar)
+    polys = [MultiPoly(field, arity, basis[g], _clean=True) for g in active]
     return _interreduce(polys, order, K)
-
-
-def _chain_criterion(i, j, lcm, lms, done, K):
-    for k in range(len(lms)):
-        if k == i or k == j:
-            continue
-        if not K.exp_divides(lms[k], lcm):
-            continue
-        a = (min(i, k), max(i, k))
-        b = (min(j, k), max(j, k))
-        if a in done and b in done:
-            return True
-    return False
 
 
 def _interreduce(polys, order, K):

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .descent import Extension, Parametrization, witness_ideal
 from .fields import (QQ, RationalField, TowerContext, primitive_element,
                      relative_min_poly, roots_in_field, trivial_embedding)
-from .groebner import DEFAULT_PAIR_BUDGET, dimension, linear_part
-from .groebner import triangular_solve
+from .groebner import (DEFAULT_PAIR_BUDGET, PositiveDimensionalError,
+                       dimension, linear_part, triangular_solve)
 from .hypercircles import (InternalInconsistencyError, hypercircle_degree_field,
                            points_at_infinity)
 from .linalg import rref
@@ -150,8 +150,12 @@ def parametrize_line(gens, m, field, directions=(),
         else:
             def finder(f):
                 return roots_in_field(f, field)
-        sols = triangular_solve(sliced, m, field, field, lambda c: c,
-                                finder, budget)
+        try:
+            sols = triangular_solve(sliced, m, field, field, lambda c: c,
+                                    finder, budget)
+        except PositiveDimensionalError as exc:
+            raise InternalInconsistencyError(
+                "positive-dimensional line slice") from exc
         for sol in sols:
             psi = [UniPoly(field, (sol[i], v[i])) for i in range(m)]
             if _line_in_variety(gens, psi, field):

@@ -24,7 +24,7 @@ from hypercircle.groebner import (
     spoly,
     triangular_solve,
 )
-from hypercircle.mpoly import GREVLEX, LEX, MultiPoly
+from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order
 from hypercircle.upoly import UniPoly
 
 
@@ -194,3 +194,26 @@ def test_quartic_witness_basis_facts(quartic_report):
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             assert normal_form(spoly(gb[i], gb[j], GREVLEX), gb, GREVLEX).is_zero()
+
+
+def test_budget_counts_only_reduced_pairs():
+    # every pair of leading monomials is coprime: nothing is reduced
+    x, y, z = mp_vars(QQ, 3)
+    assert buchberger([x * x, y * y, z * z], budget=1) == [z * z, y * y, x * x]
+    gens = [x * x + y * z, y * y + x * z, z * z + x * y]
+    with pytest.raises(PairBudgetExceededError,
+                       match=r"budget of 1 exceeded with \d+ polynomials"):
+        buchberger(gens, budget=1)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
+def test_reduced_basis_ignores_generator_order(order):
+    # the second and last generators share a leading monomial in GREVLEX
+    gens = parse_gens(["t0^2*t1 - t2^2 + t0", "t1^2 - t0*t2",
+                       "t0*t2^2 - t1*t2", "t1*t2 - t0*t1",
+                       "t1^2 + t1*t2 - 2*t0*t2"], 3)
+    gb = buchberger(gens, order)
+    assert len(gb) > 1
+    variants = [gens[::-1]] + [gens[k:] + gens[:k] for k in range(1, 5)]
+    for variant in variants:
+        assert buchberger(variant, order) == gb

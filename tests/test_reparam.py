@@ -10,7 +10,8 @@ from helpers import parse_gens, random_field_element
 from hypercircle.descent import Extension, Parametrization
 from hypercircle.exprparse import parse_component, parse_field_element
 from hypercircle.fields import QQ, roots_in_field, trivial_embedding
-from hypercircle.groebner import ideal_equal, linear_part
+from hypercircle.groebner import (PositiveDimensionalError, ideal_equal,
+                                  linear_part)
 from hypercircle.hypercircles import InternalInconsistencyError
 from hypercircle.reparam import (
     AffineShift,
@@ -225,6 +226,14 @@ def test_parametrize_line_failure_modes():
     point = parse_gens(["t0", "t1"], 2)
     with pytest.raises(InternalInconsistencyError):
         parametrize_line(point, 2, QQ)
+
+
+def test_parametrize_line_positive_dimensional_slice_is_internal():
+    # the zero ideal sliced by t0 = 0 leaves t1 free
+    assert not issubclass(PositiveDimensionalError, ValueError)
+    with pytest.raises(InternalInconsistencyError) as info:
+        parametrize_line([], 2, QQ, [(Fraction(1), Fraction(0))])
+    assert isinstance(info.value.__cause__, PositiveDimensionalError)
 
 
 def test_verify_reparametrization_rejects_bad_shift(quartic):
