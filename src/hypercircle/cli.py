@@ -5,8 +5,9 @@ Every command prints one JSON report to stdout and a short human summary
 The JSON stream is byte-stable across runs on identical inputs, which is
 why timings never appear in it.
 
-Exit codes: 0 success, 1 FAIL verdict or internal inconsistency, 2 bad
-input, 3 resource budget exhausted.
+Exit codes: 0 success, 1 FAIL verdict or internal inconsistency (any
+ArithmeticError a command lets escape counts as one), 2 bad input, 3
+resource budget exhausted.
 """
 
 import argparse
@@ -259,7 +260,10 @@ def main(argv=None):
     except (PairBudgetExceededError, SearchCapExceededError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, ArithmeticError) as exc:
+        # input errors, division by zero included, are ExpressionError
+        # or ValueError above; an arithmetic failure past the parser is
+        # the program's own
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_FAIL
     elapsed = time.monotonic() - start

@@ -8,10 +8,22 @@ ascending by leading monomial.  A hard budget on the S-pairs actually
 reduced turns runaway computations into an error instead of a wrong
 answer.
 
+Over QQ the computation is fraction-free: generators are cleared of
+denominators, S-polynomials and reductions use integer cofactors
+(pseudo-division), and each new basis element is made primitive with a
+positive leading coefficient.  Only the returned basis is turned into
+monic Fraction polynomials.  Scaling by a nonzero constant moves no
+leading monomial, so this reduces the same S-pairs, in the same order,
+as monic arithmetic would.  Over a FieldTower the basis stays monic over
+its field.  Leading terms are found through a per-call cache of order
+keys.
+
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
 requested order unchanged: each ideal's basis is computed once.
 """
+
+from math import gcd
 
 from . import kernel
 from .mpoly import GREVLEX, LEX, MultiPoly, block_order
@@ -39,22 +51,76 @@ class PositiveDimensionalError(ArithmeticError):
     failure, not bad input."""
 
 
-def _reduce_full(terms, basis_terms, basis_lms, order, K):
+class _OrderKeys(dict):
+    """Exponent -> order.key(exponent), filled in on a miss."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, order):
+        super().__init__()
+        self.key = order.key
+
+    def __missing__(self, e):
+        k = self[e] = self.key(e)
+        return k
+
+
+def _reduce_full(terms, basis_terms, basis_lms, keys, K):
     """Remainder of terms modulo a monic basis, fully tail-reduced."""
-    kind, split = order.kind, order.split
+    lead = keys.__getitem__
     work = dict(terms)
     rem = {}
     while work:
-        e = K.leading_exponent(work, kind, split)
-        c = work[e]
+        e = max(work, key=lead)
         i = K.find_reducer(e, basis_lms)
         if i < 0:
-            rem[e] = c
-            del work[e]
+            rem[e] = work.pop(e)
         else:
             shift = K.exp_div(e, basis_lms[i])
-            K.addmul_terms(work, -c, shift, basis_terms[i])
+            K.addmul_terms(work, -work[e], shift, basis_terms[i])
     return rem
+
+
+def _pseudo_reduce(terms, basis_terms, basis_lms, keys, K):
+    """A positive integer multiple of the remainder of integer terms
+    modulo a basis of integer polynomials with positive leading
+    coefficients, fully tail-reduced without fractions."""
+    lead = keys.__getitem__
+    work = dict(terms)
+    rem = {}
+    while work:
+        e = max(work, key=lead)
+        i = K.find_reducer(e, basis_lms)
+        if i < 0:
+            rem[e] = work.pop(e)
+            continue
+        lm = basis_lms[i]
+        c, lc = work[e], basis_terms[i][lm]
+        g = gcd(c, lc)
+        if g != lc:
+            work = K.scale_terms(work, lc // g)
+            rem = K.scale_terms(rem, lc // g)
+        K.addmul_terms(work, -(c // g), K.exp_div(e, lm), basis_terms[i])
+    return rem
+
+
+def _integer_terms(terms):
+    """Rational terms times the lcm of their denominators."""
+    den = 1
+    for c in terms.values():
+        den = den // gcd(den, c.denominator) * c.denominator
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}
+
+
+def _primitive(terms, e):
+    """Integer terms divided by their content, positive at e."""
+    g = gcd(*terms.values())
+    if terms[e] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {k: v // g for k, v in terms.items()}
 
 
 def normal_form(f: MultiPoly, basis, order=GREVLEX):
@@ -67,7 +133,7 @@ def normal_form(f: MultiPoly, basis, order=GREVLEX):
     bs = [g.monic(order) for g in basis if not g.is_zero()]
     bt = [g.terms for g in bs]
     lms = [g.leading(order)[0] for g in bs]
-    rem = _reduce_full(f.terms, bt, lms, order, K)
+    rem = _reduce_full(f.terms, bt, lms, _OrderKeys(order), K)
     return MultiPoly(f.field, f.arity, rem, _clean=True)
 
 
@@ -92,12 +158,29 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     """
     if isinstance(gens, GroebnerBasis) and gens.order == order:
         return gens
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis((), order)
     # imported here, so that commands without Groebner work do not load it
     from heapq import heappop, heappush
 
     K = kernel.impl()
-    kind, split = order.kind, order.split
-    field = arity = None
+    keys = _OrderKeys(order)
+    lead = keys.__getitem__
+    field, arity = gens[0].field, gens[0].arity
+    qq = field.height == 0  # QQ is the only field of height 0
+    if qq:
+        # primitive integer polynomials with positive leading coefficients
+        reduce, normalize = _pseudo_reduce, _primitive
+        inputs = [_integer_terms(g.terms) for g in gens]
+    else:
+        # monic polynomials over the field
+        reduce, inputs = _reduce_full, [g.terms for g in gens]
+
+        def normalize(terms, e):
+            c = terms[e]
+            return terms if c == field.one else K.scale_terms(
+                terms, field.one / c)
     basis, lms, sugars = [], [], []
     active = []  # indices that still take part in new pairs
     pairs = {}  # pending pair (i, j) -> lcm of its leading monomials
@@ -105,11 +188,10 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     # whose pair has left `pairs` is skipped
 
     def add(terms, sugar):
-        """Make `terms` monic and join it to the basis: the
+        """Normalize `terms` and join it to the basis: the
         Gebauer-Moeller update of the pending pairs."""
-        lh = K.leading_exponent(terms, kind, split)
-        if terms[lh] != field.one:
-            terms = K.scale_terms(terms, field.one / terms[lh])
+        lh = max(terms, key=lead)
+        terms = normalize(terms, lh)
         h = len(basis)
         # a pending pair whose lcm lm(h) divides, and which shares its lcm
         # with neither pair (i, h) nor (j, h), is redundant
@@ -132,19 +214,15 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
             d = sum(lcm)
             s = max(sugars[g] + d - sum(lms[g]), sugar + d - sum(lh))
             pairs[g, h] = lcm
-            heappush(queue, (s, d, order.key(lcm), g, h))
+            heappush(queue, (s, d, keys[lcm], g, h))
         active[:] = [g for g in active if not K.exp_divides(lh, lms[g])]
         active.append(h)
         basis.append(terms)
         lms.append(lh)
         sugars.append(sugar)
 
-    for g in gens:
-        if not g.is_zero():
-            field, arity = g.field, g.arity
-            add(g.terms, g.total_degree())
-    if field is None:
-        return GroebnerBasis((), order)
+    for g, terms in zip(gens, inputs):
+        add(terms, g.total_degree())
     count = 0
     while queue:
         sugar, _, _, i, j = heappop(queue)
@@ -156,43 +234,47 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
             raise PairBudgetExceededError(
                 f"S-pair budget of {budget} exceeded with {len(basis)} "
                 f"polynomials in the basis")
+        # (c_j / g) m_i f_i - (c_i / g) m_j f_j; over a field c_i = c_j = 1
+        ci, cj = basis[i][lms[i]], basis[j][lms[j]]
+        if qq:
+            g = gcd(ci, cj)
+            ci, cj = ci // g, cj // g
         s = {}
-        K.addmul_terms(s, field.one, K.exp_div(lcm, lms[i]), basis[i])
-        K.addmul_terms(s, -field.one, K.exp_div(lcm, lms[j]), basis[j])
-        rem = _reduce_full(s, basis, lms, order, K)
+        K.addmul_terms(s, cj, K.exp_div(lcm, lms[i]), basis[i])
+        K.addmul_terms(s, -ci, K.exp_div(lcm, lms[j]), basis[j])
+        rem = reduce(s, basis, lms, keys, K)
         if rem:
             add(rem, sugar)
-    polys = [MultiPoly(field, arity, basis[g], _clean=True) for g in active]
-    return _interreduce(polys, order, K)
+    reduced = _interreduce([basis[g] for g in active],
+                           [lms[g] for g in active], keys, K, reduce)
+    if qq:
+        from fractions import Fraction
+        reduced = [({e: Fraction(v, terms[lm]) for e, v in terms.items()},
+                    lm) for terms, lm in reduced]
+    return GroebnerBasis([MultiPoly(field, arity, terms, _clean=True)
+                          for terms, _ in reduced], order)
 
 
-def _interreduce(polys, order, K):
-    kind, split = order.kind, order.split
+def _interreduce(polys, leads, keys, K, reduce):
+    """(terms, leading monomial) of the reduced basis of the ideal that a
+    Groebner basis spans, ascending.  Tails are reduced with `reduce`,
+    which leaves each element monic over a field and a positive integer
+    multiple of monic over QQ."""
     # minimalize: drop polynomials whose lead is divisible by another lead
-    polys = sorted(polys, key=lambda p: order.key(p.leading(order)[0]))
-    keep = []
-    leads = []
-    for p in polys:
-        lm = p.leading(order)[0]
-        if any(K.exp_divides(l, lm) for l in leads):
+    keep, kept_leads = [], []
+    for lm, p in sorted(zip(leads, polys), key=lambda t: keys[t[0]]):
+        if any(K.exp_divides(l, lm) for l in kept_leads):
             continue
         keep.append(p)
-        leads.append(lm)
-    # tail-reduce each against the others
+        kept_leads.append(lm)
+    # tail-reduce each against the others; no lead divides another, so
+    # every remainder keeps its leading monomial
     out = []
-    for idx, p in enumerate(keep):
-        others_t = [q.terms for k, q in enumerate(keep) if k != idx]
-        others_l = [leads[k] for k in range(len(keep)) if k != idx]
-        rem = _reduce_full(p.terms, others_t, others_l, order, K)
-        if not rem:
-            continue
-        e = K.leading_exponent(rem, kind, split)
-        c = rem[e]
-        if c != p.field.one:
-            rem = K.scale_terms(rem, p.field.one / c)
-        out.append(MultiPoly(p.field, p.arity, rem, _clean=True))
-    out.sort(key=lambda p: order.key(p.leading(order)[0]))
-    return GroebnerBasis(out, order)
+    for idx, (p, lm) in enumerate(zip(keep, kept_leads)):
+        rem = reduce(p, keep[:idx] + keep[idx + 1:],
+                     kept_leads[:idx] + kept_leads[idx + 1:], keys, K)
+        out.append((rem, lm))
+    return out
 
 
 def is_groebner_unit(gb):

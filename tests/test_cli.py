@@ -6,9 +6,12 @@ import sys
 
 import pytest
 
-from helpers import input_path
+from helpers import input_path, mp_vars
 
+from hypercircle import cli
 from hypercircle.cli import main
+from hypercircle.fields import QQ
+from hypercircle.groebner import rational_solutions
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +80,49 @@ def test_budget_exhaustion_is_exit_3(capsys):
                              "--budget", "1")
     assert code == 3
     assert "budget exhausted" in err
+
+
+def _raise_positive_dimensional(args):
+    x, y = mp_vars(QQ, 2)
+    rational_solutions([x - y], 2)
+
+
+def _raiser(exc):
+    def handler(args):
+        raise exc
+    return handler
+
+
+@pytest.mark.parametrize("handler, message", [
+    (_raise_positive_dimensional, "not zero-dimensional"),
+    (_raiser(ArithmeticError("primitive element search exceeded its cap")),
+     "exceeded its cap"),
+    (_raiser(ArithmeticError("vanishing norm of a nonzero denominator")),
+     "vanishing norm"),
+    (_raiser(ZeroDivisionError("inverse of zero field element")),
+     "inverse of zero"),
+])
+def test_escaping_arithmetic_error_is_internal_inconsistency(
+        capsys, monkeypatch, handler, message):
+    monkeypatch.setattr(cli, "_cmd_witness", handler)
+    code, out, err = run_cli(capsys, "witness",
+                             str(input_path("quartic.curve")))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal inconsistency: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("component", ["1/(t - t)", "t/(a^2 + 1)"])
+def test_division_by_zero_in_input_is_input_error(capsys, tmp_path,
+                                                  component):
+    bad = tmp_path / "bad.curve"
+    bad.write_text(f"minpoly = x^2 + 1\nx1 = {component}\nx2 = t\n")
+    code, out, err = run_cli(capsys, "reparam", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
 
 
 def test_conic_fields_zero_coefficient_is_input_error(capsys):

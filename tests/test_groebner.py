@@ -7,6 +7,7 @@ import pytest
 
 from helpers import mp_vars, parse_gens
 
+from hypercircle import kernel
 from hypercircle.fields import QQ, canonical_key, make_extension, roots_in_field
 from hypercircle.groebner import (
     GroebnerBasis,
@@ -217,3 +218,141 @@ def test_reduced_basis_ignores_generator_order(order):
     variants = [gens[::-1]] + [gens[k:] + gens[:k] for k in range(1, 5)]
     for variant in variants:
         assert buchberger(variant, order) == gb
+
+
+def _wide_system():
+    """Numerators above 2^64, denominators up to 10^6 and negative
+    leading coefficients."""
+    def poly(terms):
+        return MultiPoly(QQ, 3, terms)
+
+    return [
+        poly({(2, 1, 0): Fraction(-(2**67 + 9), 999983),
+              (0, 0, 2): Fraction(3, 7),
+              (1, 0, 0): Fraction(-3**45, 10**6)}),
+        poly({(0, 2, 0): Fraction(5**30, 2**19),
+              (1, 0, 1): Fraction(-(2**65 + 1), 999999),
+              (0, 0, 0): Fraction(11)}),
+        poly({(1, 1, 1): Fraction(-7**25, 123457),
+              (0, 1, 0): Fraction(2**64 + 13, 3),
+              (0, 0, 2): Fraction(-1)}),
+    ]
+
+
+def _small_system():
+    x, y, z = mp_vars(QQ, 3)
+    return [x * x + y * z, y * y + x * z, z * z + x * y]
+
+
+def _generator_order_system():
+    return parse_gens(["t0^2*t1 - t2^2 + t0", "t1^2 - t0*t2",
+                       "t0*t2^2 - t1*t2", "t1*t2 - t0*t1",
+                       "t1^2 + t1*t2 - 2*t0*t2"], 3)
+
+
+def _assert_monic_fractions(polys, order):
+    for g in polys:
+        assert all(isinstance(c, Fraction) for c in g.terms.values())
+        assert g.leading(order)[1] == 1
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
+@pytest.mark.parametrize("system", [_small_system, _wide_system])
+def test_qq_results_have_fraction_coefficients(system, order):
+    # an int coefficient compares equal to its Fraction, so basis
+    # equality alone would not notice one leaking out
+    gens = system()
+    _assert_monic_fractions(buchberger(gens, order), order)
+    _assert_monic_fractions(eliminate(gens, 1), GREVLEX)
+    x = MultiPoly.var(QQ, 3, 0)
+    _assert_monic_fractions(saturate(gens, x), GREVLEX)
+
+
+def test_int_typed_generator_coefficients_come_out_as_fractions():
+    gens = [MultiPoly(QQ, 3, {e: 3 * c.numerator for e, c in g.terms.items()})
+            for g in _small_system()]
+    gb = buchberger(gens)
+    assert gb == buchberger(_small_system())
+    _assert_monic_fractions(gb, GREVLEX)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
+def test_wide_coefficient_point_ideal(order):
+    # the ideal of one point with wide coordinates, hidden behind
+    # wide negative cofactors
+    x, y, z = mp_vars(QQ, 3)
+
+    def const(v):
+        return MultiPoly.const(QQ, 3, v)
+
+    px = x - const(Fraction(-(2**70 + 3), 999983))
+    qy = y - const(Fraction(3**50, 10**6))
+    rz = z - const(Fraction(-(2**64 + 1), 7))
+    c = [const(v) for v in (Fraction(-(2**66 + 5), 999999),
+                            Fraction(5**40, 123456),
+                            Fraction(-(2**65 + 7), 3),
+                            Fraction(-11, 2**20))]
+    gens = [c[0] * rz, c[1] * qy + c[2] * rz * y, c[3] * px + qy * x * x]
+    gb = buchberger(gens, order)
+    assert list(gb) == sorted([px, qy, rz],
+                              key=lambda g: order.key(g.leading(order)[0]))
+    _assert_monic_fractions(gb, order)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
+def test_wide_coefficient_basis_is_a_reduced_groebner_basis(order):
+    gens = _wide_system()
+    gb = buchberger(gens, order)
+    # checked with field arithmetic: normal_form divides by monic
+    # Fraction polynomials
+    for g in gens:
+        assert normal_form(g, gb, order).is_zero()
+    for i in range(len(gb)):
+        for j in range(i + 1, len(gb)):
+            assert normal_form(spoly(gb[i], gb[j], order), gb,
+                               order).is_zero()
+    lms = [g.leading(order)[0] for g in gb]
+    for i, g in enumerate(gb):
+        for e in g.terms:
+            assert not any(j != i and all(a <= b for a, b in zip(lm, e))
+                           for j, lm in enumerate(lms))
+    # rescaling the generators by wide negative constants changes nothing
+    scales = [Fraction(-(2**70 + 1), 999983), Fraction(-3, 10**6),
+              Fraction(-(5**33), 7)]
+    assert buchberger([g.scale(s) for g, s in zip(gens, scales)],
+                      order) == gb
+
+
+@pytest.mark.parametrize("system, order, budget", [
+    (_small_system, GREVLEX, 8),
+    (_small_system, LEX, 10),
+    (_generator_order_system, GREVLEX, 13),
+    (_generator_order_system, LEX, 10),
+    (_generator_order_system, block_order(1), 10),
+    (_wide_system, GREVLEX, 16),
+    (_wide_system, LEX, 15),
+    (_wide_system, block_order(1), 11),
+])
+def test_smallest_sufficient_budget_is_pinned(system, order, budget):
+    # the S-pairs reduced do not depend on how coefficients are scaled
+    gens = system()
+    buchberger(gens, order, budget=budget)
+    with pytest.raises(PairBudgetExceededError):
+        buchberger(gens, order, budget=budget - 1)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
+def test_qq_bases_agree_across_kernel_backends(order):
+    gens = _wide_system()
+    prev = kernel.backend_name()
+    bases = {}
+    try:
+        for name in kernel.available_backends():
+            kernel.set_backend(name)
+            bases[name] = buchberger(gens, order)
+    finally:
+        kernel.set_backend(prev)
+    assert bases["python"]
+    for gb in bases.values():
+        assert gb == bases["python"]
+        _assert_monic_fractions(gb, order)

@@ -10,38 +10,74 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hypercircle.fields import QQ  # noqa: E402
-from hypercircle.groebner import buchberger  # noqa: E402
-from hypercircle.mpoly import GREVLEX, LEX, MultiPoly  # noqa: E402
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
+from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
+
+from hypercircle.fields import QQ, FieldTower, min_poly_over_q  # noqa: E402
+from hypercircle.groebner import buchberger, eliminate, saturate  # noqa: E402
+from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order  # noqa: E402
+from hypercircle.upoly import UniPoly, rational_roots, resultant  # noqa: E402
 
 NVARS = 3
 SYMS = sympy.symbols(f"x0:{NVARS}")
+X, Y, Z = sympy.symbols("x y z")
 MONOMIALS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)
              if a + b + c <= 2]
 
 
-def _random_system(rng):
+def _sympy_block_order(k):
+    """block_order(k): grevlex on the first k variables, then grevlex on
+    the rest."""
+    return ProductOrder((grevlex, lambda m: m[:k]),
+                        (grevlex, lambda m: m[k:]))
+
+
+def _small_coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+
+
+def _wide_coeff(rng):
+    """Numerator above 2^64, denominator up to 10^6, either sign."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(2**64, 2**70),
+                    rng.randint(1, 10**6))
+
+
+def _random_poly(rng, coeff=_small_coeff):
+    terms = {e: coeff(rng) for e in rng.sample(MONOMIALS, rng.randint(2, 4))}
+    return MultiPoly(QQ, NVARS, terms)
+
+
+def _random_system(rng, coeff=_small_coeff):
     """Three polynomials in three variables of degree <= 2 over QQ."""
-    gens = []
-    for _ in range(3):
-        terms = {}
-        for e in rng.sample(MONOMIALS, rng.randint(2, 4)):
-            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
-            terms[e] = c
-        gens.append(MultiPoly(QQ, NVARS, terms))
-    return gens
+    return [_random_poly(rng, coeff) for _ in range(3)]
 
 
-def _to_sympy(p):
+def _to_sympy(p, syms=SYMS):
     return sum((sympy.Rational(c.numerator, c.denominator)
-                * sympy.prod(s ** k for s, k in zip(SYMS, e))
+                * sympy.prod(s ** k for s, k in zip(syms, e))
                 for e, c in p.terms.items()), sympy.Integer(0))
 
 
-def _from_sympy(expr):
-    poly = sympy.Poly(expr, *SYMS, domain="QQ")
-    return MultiPoly(QQ, NVARS, {e: Fraction(int(c.p), int(c.q))
-                                 for e, c in poly.terms()})
+def _from_sympy(expr, syms=SYMS):
+    poly = sympy.Poly(expr, *syms, domain="QQ")
+    return MultiPoly(QQ, len(syms), {e: Fraction(int(c.p), int(c.q))
+                                     for e, c in poly.terms()})
+
+
+def _sympy_basis(exprs, syms, order, our_order):
+    """sympy's reduced basis as MultiPolys, sorted like ours."""
+    theirs = sympy.groebner(exprs, *syms, order=order, domain="QQ")
+    return sorted((_from_sympy(g, syms) for g in theirs.exprs),
+                  key=lambda p: our_order.key(p.leading(our_order)[0]))
+
+
+def _sympy_eliminate(exprs, syms, k):
+    """Reduced grevlex basis of the ideal of exprs intersected with the
+    ring of syms[k:], by sympy's own Groebner bases."""
+    block = sympy.groebner(exprs, *syms, order=_sympy_block_order(k),
+                           domain="QQ")
+    free = [g for g in block.exprs if not g.free_symbols & set(syms[:k])]
+    return _sympy_basis(free, syms[k:], "grevlex", GREVLEX)
 
 
 @pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"),
@@ -49,9 +85,115 @@ def _from_sympy(expr):
 @pytest.mark.parametrize("seed", range(20))
 def test_reduced_basis_matches_sympy(seed, order, name):
     gens = _random_system(random.Random(seed))
+    want = _sympy_basis([_to_sympy(g) for g in gens], SYMS, name, order)
+    assert list(buchberger(gens, order)) == want
+
+
+@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"),
+                                         (LEX, "lex")])
+@pytest.mark.parametrize("seed", range(10))
+def test_wide_coefficient_basis_matches_sympy(seed, order, name):
+    gens = _random_system(random.Random(f"wide:{seed}"), _wide_coeff)
+    want = _sympy_basis([_to_sympy(g) for g in gens], SYMS, name, order)
     ours = buchberger(gens, order)
-    theirs = sympy.groebner([_to_sympy(g) for g in gens], *SYMS,
-                            order=name, domain="QQ")
-    want = sorted((_from_sympy(g) for g in theirs.exprs),
-                  key=lambda p: order.key(p.leading(order)[0]))
     assert list(ours) == want
+    assert all(isinstance(c, Fraction) for g in ours for c in g.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_block_order_basis_matches_sympy(seed):
+    order = block_order(1)
+    gens = _random_system(random.Random(f"block:{seed}"))
+    want = _sympy_basis([_to_sympy(g) for g in gens], SYMS,
+                        _sympy_block_order(1), order)
+    assert list(buchberger(gens, order)) == want
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eliminate_matches_sympy(seed):
+    # two generators, so that the elimination ideal is rarely trivial
+    rng = random.Random(f"eliminate:{seed}")
+    gens = [_random_poly(rng) for _ in range(2)]
+    want = _sympy_eliminate([_to_sympy(g) for g in gens], SYMS, 1)
+    ours = eliminate(gens, 1)
+    assert ours.order == GREVLEX
+    assert list(ours) == want
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_saturate_matches_sympy(seed):
+    rng = random.Random(f"saturate:{seed}")
+    gens = [_random_poly(rng) for _ in range(2)]
+    f = _random_poly(rng)
+    syms = (Z,) + SYMS
+    exprs = [_to_sympy(g) for g in gens] + [1 - Z * _to_sympy(f)]
+    want = _sympy_eliminate(exprs, syms, 1)
+    assert list(saturate(gens, f)) == want
+
+
+def _random_unipoly(rng, degree, span):
+    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 4))
+              for _ in range(degree)]
+    coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, span),
+                           rng.randint(1, 4)))
+    return UniPoly(QQ, coeffs)
+
+
+def _unipoly_to_sympy(p, var=X):
+    return sum((sympy.Rational(c.numerator, c.denominator) * var ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_resultant_matches_sympy(seed):
+    rng = random.Random(f"resultant:{seed}")
+    f = _random_unipoly(rng, rng.randint(1, 5), 9)
+    g = _random_unipoly(rng, rng.randint(1, 5), 9)
+    if seed % 4 == 0:
+        # a common factor: the resultant vanishes
+        common = _random_unipoly(rng, 1, 3)
+        f, g = f * common, g * common
+    # the determinant of sympy's Sylvester matrix: sympy.resultant itself
+    # differs in sign on some inputs, e.g. -23 for (2x + 1, x^3 + 3)
+    want = sylvester(_unipoly_to_sympy(f), _unipoly_to_sympy(g), X).det()
+    assert resultant(f, g) == Fraction(int(want.p), int(want.q))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rational_roots_match_sympy(seed):
+    # a product of rational linear factors and a random cofactor
+    rng = random.Random(f"roots:{seed}")
+    f = _random_unipoly(rng, rng.randint(0, 3), 6)
+    for _ in range(rng.randint(0, 3)):
+        root = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        f = f * UniPoly(QQ, (-root, Fraction(1)))
+    want = sympy.Poly(_unipoly_to_sympy(f), X, domain="QQ").ground_roots()
+    assert rational_roots(f) == sorted(Fraction(int(r.p), int(r.q))
+                                       for r in want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_min_poly_over_q_matches_sympy(seed):
+    # QQ(a) with a Eisenstein minimal polynomial at a small prime
+    rng = random.Random(f"minpoly:{seed}")
+    n = rng.randint(2, 4)
+    p = rng.choice((2, 3, 5))
+    coeffs = [Fraction(p * rng.choice((-1, 1)))]
+    coeffs += [Fraction(p * rng.randint(-2, 2)) for _ in range(n - 1)]
+    coeffs.append(Fraction(1))
+    minpoly = UniPoly(QQ, coeffs)
+    K = FieldTower(QQ, "a", minpoly)
+    x = K.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(n)])
+    # sympy: the minimal polynomial is the irreducible factor of the
+    # characteristic polynomial res_y(m(y), x - h(y))
+    h = sum((sympy.Rational(c.numerator, c.denominator) * Y ** k
+             for k, c in enumerate(x.coeffs)), sympy.Integer(0))
+    charpoly = sympy.resultant(_unipoly_to_sympy(minpoly, Y), X - h, Y)
+    _, factors = sympy.factor_list(charpoly, X, domain="QQ")
+    assert len({f for f, _ in factors}) == 1
+    want = sympy.Poly(factors[0][0], X, domain="QQ").monic()
+    got = min_poly_over_q(x)
+    assert got.degree() == want.degree()
+    assert [sympy.Rational(c.numerator, c.denominator)
+            for c in reversed(got.coeffs)] == want.all_coeffs()
