@@ -6,12 +6,27 @@ coordinate functions F_i / delta over L.  The shared denominator delta is
 the norm of the substituted g, so it is independent of the component.
 The witness ideal collects the coordinate numerators for the powers
 a^1..a^(n-1) and saturates away the spurious locus delta = 0.
+
+The norm and the cofactor delta / g come from the n x n matrix M of
+multiplication by g over L, whose column j holds the layers of a^j * g:
+delta = det M, which for the monic minimal polynomial equals
+Res_x(minpoly, g written in x), and the cofactor's coordinates are the
+first column of adj M.  Both come from one memoized Laplace expansion of
+the minors of rows 1..n-1, with no division.  Each F_i is then a
+convolution of layers over L folded once through the power table of the
+generator, so no product is taken over L(a).  Over QQ every row of M and
+every numerator is first cleared of denominators, the products run on
+integers, and the coefficients become Fractions again at the end.
 """
 
+from fractions import Fraction
+from math import gcd
+
+from . import kernel
+from .fields import QQ
 from .groebner import DEFAULT_PAIR_BUDGET, saturate
 from .mpoly import MultiPoly
 from .upoly import RationalFunction, UniPoly
-from .upoly import sylvester_resultant_lists
 
 
 class Extension:
@@ -127,17 +142,21 @@ def lift_to_tower(p, tower):
     return p.map_coefficients(tower.coerce, tower)
 
 
-def alpha_layers(p, ext):
-    """The n base-field coordinates of p along powers of the generator."""
-    n = ext.n
-    layers = [dict() for _ in range(n)]
+def _layer_terms(p, ext):
+    """The term dicts of p's coordinates along powers of the generator."""
+    layers = [dict() for _ in range(ext.n)]
     for e, c in p.terms.items():
         cc = ext.tower.coerce(c)
         for k, ck in enumerate(cc.coeffs):
             if ck:
                 layers[k][e] = ck
+    return layers
+
+
+def alpha_layers(p, ext):
+    """The n base-field coordinates of p along powers of the generator."""
     return [MultiPoly(ext.base, p.arity, lay, _clean=True)
-            for lay in layers]
+            for lay in _layer_terms(p, ext)]
 
 
 def _substitute_unipoly(f, s, tower):
@@ -149,21 +168,151 @@ def _substitute_unipoly(f, s, tower):
     return acc
 
 
-def _norm_and_cofactor(den, ext):
-    """(delta, delta/den) with delta = Res_x(M(x), den written in x)."""
-    layers = alpha_layers(den, ext)
-    while len(layers) > 1 and layers[-1].is_zero():
-        layers.pop()
+def _clear(dicts, base):
+    """(L, the dicts times L) with L the lcm of every denominator over QQ.
+
+    Over any other base L is 1 and the dicts come back unchanged.
+    """
+    if base is not QQ:
+        return 1, dicts
+    L = 1
+    for d in dicts:
+        for c in d.values():
+            L = L // gcd(L, c.denominator) * c.denominator
+    return L, [{e: c.numerator * (L // c.denominator)
+                for e, c in d.items()} for d in dicts]
+
+
+def _addmul(acc, a, b, negate=False):
+    """In place acc += a * b, or acc -= a * b when negate is set."""
+    if len(a) > len(b):
+        a, b = b, a
+    for e, c in a.items():
+        kernel.addmul_terms(acc, -c if negate else c, e, b)
+
+
+def _multiplication_rows(den, ext):
+    """Rows of M, column j the layers of a^j * den, and each row's scale.
+
+    Over QQ row r comes back cleared of denominators, as integer terms
+    times its own integer L_r; over any other base every L_r is 1.
+    """
+    n = ext.n
+    mp = ext.tower.minpoly.coeffs
+    one = (0,) * den.arity
+    col = _layer_terms(den, ext)
+    cols = [col]
+    for _ in range(n - 1):
+        # times the generator: shift up and fold a^n = -sum m_i a^i
+        top = col[-1]
+        col = [{}] + col[:-1]
+        for i, m in enumerate(mp[:-1]):
+            if m and top:
+                col[i] = dict(col[i])
+                kernel.addmul_terms(col[i], -m, one, top)
+        cols.append(col)
+    scales = []
+    rows = []
+    for r in range(n):
+        L, row = _clear([c[r] for c in cols], ext.base)
+        scales.append(L)
+        rows.append(row)
+    return rows, scales
+
+
+def _adjugate_column(rows):
+    """(det M, first column of adj M) by Laplace expansion.
+
+    Entry i of the column is (-1)^i times the minor of rows 1..n-1 that
+    omits column i.  Minors are memoized by their column set, so all of
+    them cost about n * 2^(n-1) products and no division; the
+    determinant is the expansion along row 0.
+    """
+    n = len(rows)
+    minors = {}
+
+    def minor(mask, k):
+        # rows k..n-1 on the columns whose bits are set in mask
+        got = minors.get(mask)
+        if got is not None:
+            return got
+        if k == n - 1:
+            return rows[k][mask.bit_length() - 1]
+        acc = {}
+        pos = 0
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                if rows[k][j]:
+                    sub = minor(mask ^ bit, k + 1)
+                    if sub:
+                        _addmul(acc, rows[k][j], sub, pos & 1)
+                pos += 1
+        minors[mask] = acc
+        return acc
+
+    full = (1 << n) - 1
+    det = {}
+    column = []
+    for i in range(n):
+        c = minor(full ^ (1 << i), 1)
+        if i & 1:
+            c = kernel.neg_terms(c)
+        column.append(c)
+        if rows[0][i]:
+            _addmul(det, rows[0][i], c)
+    return det, column
+
+
+def _descend(den, nums, ext):
+    """(delta, [layers of num * delta / den for num in nums]).
+
+    delta and the cofactor delta / den come from the multiplication
+    matrix of den; each product with the cofactor is a convolution of
+    layers over the base, folded once through the power table.
+    """
+    base = ext.base
+    n = ext.n
     arity = den.arity
-    zero = MultiPoly.zero(ext.base, arity)
-    one = MultiPoly.const(ext.base, arity, ext.base.one)
-    mc = [MultiPoly.const(ext.base, arity, c)
-          for c in ext.tower.minpoly.coeffs]
-    delta = sylvester_resultant_lists(mc, layers, zero, one)
-    if delta.is_zero():
+    one = (0,) * arity
+    rows, scales = _multiplication_rows(den, ext)
+    delta, cof = _adjugate_column(rows)
+    if not delta:
         raise ArithmeticError("vanishing norm of a nonzero denominator")
-    cofactor = lift_to_tower(delta, ext.tower).exact_div(den)
-    return delta, cofactor
+    # the cleared rows scale delta by prod(L_r) and the cofactor by
+    # rest = prod(L_r) / L_0, since row 0 is not in its minors
+    rest = 1
+    for L in scales[1:]:
+        rest *= L
+    L_t, table = _clear([dict(enumerate(row)) for row in
+                         ext.tower._power_table()], base)
+    out = []
+    for num in nums:
+        L_p, lay = _clear(_layer_terms(num, ext), base)
+        conv = [{} for _ in range(2 * n - 1)]
+        for i, li in enumerate(lay):
+            if li:
+                for j, cj in enumerate(cof):
+                    if cj:
+                        _addmul(conv[i + j], li, cj)
+        res = conv[:n]
+        if L_t != 1:
+            res = [kernel.scale_terms(r, L_t) for r in res]
+        for k in range(n, 2 * n - 1):
+            if conv[k]:
+                for i, t in table[k - n].items():
+                    if t:
+                        kernel.addmul_terms(res[i], t, one, conv[k])
+        out.append(_unscale(res, base, arity, L_t * L_p * rest))
+    return _unscale([delta], base, arity, scales[0] * rest)[0], out
+
+
+def _unscale(dicts, base, arity, scale):
+    """Polynomials over the base from cleared dicts, divided by scale."""
+    if base is QQ:
+        dicts = [{e: Fraction(c, scale) for e, c in d.items()}
+                 for d in dicts]
+    return [MultiPoly(base, arity, d, _clean=True) for d in dicts]
 
 
 def alpha_decompose(num, den, ext):
@@ -174,8 +323,8 @@ def alpha_decompose(num, den, ext):
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    delta, cofactor = _norm_and_cofactor(den, ext)
-    return alpha_layers(num * cofactor, ext), delta
+    delta, (layers,) = _descend(den, [num], ext)
+    return layers, delta
 
 
 class DescentResult:
@@ -185,16 +334,12 @@ class DescentResult:
     the shared denominator, a base-field polynomial.
     """
 
-    __slots__ = ("extension", "numerators", "delta", "substituted_num",
-                 "substituted_den")
+    __slots__ = ("extension", "numerators", "delta")
 
-    def __init__(self, extension, numerators, delta, substituted_num,
-                 substituted_den):
+    def __init__(self, extension, numerators, delta):
         self.extension = extension
         self.numerators = numerators
         self.delta = delta
-        self.substituted_num = substituted_num
-        self.substituted_den = substituted_den
 
 
 def weil_substitute(phi, ext):
@@ -203,14 +348,10 @@ def weil_substitute(phi, ext):
         raise ValueError("parametrization field does not match extension")
     s = ext.substitution()
     sub_den = _substitute_unipoly(phi.denominator, s, ext.tower)
-    delta, cofactor = _norm_and_cofactor(sub_den, ext)
-    numerators = []
-    sub_nums = []
-    for f in phi.numerators:
-        p = _substitute_unipoly(f, s, ext.tower)
-        sub_nums.append(p)
-        numerators.append(alpha_layers(p * cofactor, ext))
-    return DescentResult(ext, numerators, delta, sub_nums, sub_den)
+    sub_nums = [_substitute_unipoly(f, s, ext.tower)
+                for f in phi.numerators]
+    delta, numerators = _descend(sub_den, sub_nums, ext)
+    return DescentResult(ext, numerators, delta)
 
 
 def witness_ideal(phi, ext, budget=DEFAULT_PAIR_BUDGET):

@@ -5,8 +5,6 @@ The coefficient field is carried explicitly (see fields.QQ and FieldTower)
 so empty polynomials still know their zero and one.
 """
 
-from fractions import Fraction
-
 from . import kernel
 
 
@@ -18,9 +16,6 @@ class Order:
     def __init__(self, kind, split=0):
         self.kind = kind
         self.split = split
-
-    def cmp(self, e1, e2):
-        return kernel.cmp_exp(e1, e2, self.kind, self.split)
 
     def key(self, e):
         """A tuple whose natural ordering agrees with the monomial order."""
@@ -322,22 +317,6 @@ class MultiPoly:
         """Set the last variable to one and drop it."""
         return self.assign_value(self.arity - 1, self.field.one)
 
-    def to_unipoly_coeffs(self, i, values):
-        """Coefficient list in variable i after evaluating all other
-        variables at the given field elements (dict index -> element)."""
-        field = self.field
-        deg = self.degree_in(i)
-        coeffs = [field.zero] * (deg + 1)
-        for e, c in self.terms.items():
-            v = c
-            for j, k in enumerate(e):
-                if j == i or not k:
-                    continue
-                v = v * (field.coerce(values[j]) ** k)
-            if v:
-                coeffs[e[i]] = coeffs[e[i]] + v
-        return coeffs
-
     def evaluate(self, values):
         """Full evaluation at field elements (list or dict by index)."""
         field = self.field
@@ -349,21 +328,6 @@ class MultiPoly:
                     v = v * (field.coerce(values[j]) ** k)
             acc = acc + v
         return acc
-
-    def content_free(self):
-        """Divide rational-coefficient polynomials by their content."""
-        if not self.terms or not isinstance(next(iter(self.terms.values())),
-                                            Fraction):
-            return self
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        if num == 0:
-            return self
-        return self.scale(Fraction(den, num))
 
     def __repr__(self):
         from .render import render_mpoly

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import parse_gens, random_rational_function
+from helpers import (parse_gens, random_field_element,
+                     random_rational_function)
 
 from hypercircle.descent import (
     Extension,
@@ -16,11 +17,14 @@ from hypercircle.descent import (
     weil_substitute,
     witness_ideal,
 )
-from hypercircle.fields import QQ, make_extension
+from hypercircle.fields import (QQ, FieldElement, FieldTower,
+                                make_extension, primitive_element,
+                                TowerContext)
 from hypercircle.groebner import (GroebnerBasis, buchberger, dimension,
                                   ideal_equal)
 from hypercircle.mpoly import GREVLEX, MultiPoly
-from hypercircle.upoly import RationalFunction, UniPoly
+from hypercircle.upoly import (RationalFunction, UniPoly,
+                               sylvester_resultant_lists)
 
 
 def _rf(field, num_coeffs, den_coeffs):
@@ -42,18 +46,22 @@ def _substituted(rf, ext):
     return horner(rf.num), horner(rf.den)
 
 
-def _reconstruction_holds(rf, ext):
-    """Sum of alpha layers over delta matches rf(t0 + a t1 + ...) exactly."""
+def _recombines(num, den, ext):
+    """Sum of alpha layers of num/den over delta equals num/den exactly."""
     tower = ext.tower
-    num_sub, den_sub = _substituted(rf, ext)
-    layers, delta = alpha_decompose(num_sub, den_sub, ext)
-    lhs = MultiPoly.zero(tower, ext.n)
+    layers, delta = alpha_decompose(num, den, ext)
+    lhs = MultiPoly.zero(tower, num.arity)
     power = tower.one
     for layer in layers:
         lhs = lhs + lift_to_tower(layer, tower).scale(power)
         power = power * tower.gen()
-    # layers / delta == num_sub / den_sub  <=>  lhs * den_sub == num_sub * delta
-    return lhs * den_sub == num_sub * lift_to_tower(delta, tower)
+    # layers / delta == num / den  <=>  lhs * den == num * delta
+    return lhs * den == num * lift_to_tower(delta, tower)
+
+
+def _reconstruction_holds(rf, ext):
+    """Sum of alpha layers over delta matches rf(t0 + a t1 + ...) exactly."""
+    return _recombines(*_substituted(rf, ext), ext)
 
 
 def test_substitution_shape(qi_ext):
@@ -246,3 +254,92 @@ def test_alpha_layers_split_coefficients(quartic):
     assert layers[0].is_zero()
     assert layers[1] == MultiPoly.const(QQ, 1, Fraction(1))
     assert layers[2].is_zero() and layers[3].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# delta against its definition as a Sylvester resultant
+
+
+def _sylvester_delta(den, ext):
+    """Res_x(minpoly, sum_k layer_k x^k) by Bareiss over MultiPoly entries."""
+    layers = alpha_layers(den, ext)
+    while len(layers) > 1 and layers[-1].is_zero():
+        layers.pop()
+    arity = den.arity
+    zero = MultiPoly.zero(ext.base, arity)
+    one = MultiPoly.const(ext.base, arity, ext.base.one)
+    mc = [MultiPoly.const(ext.base, arity, c)
+          for c in ext.tower.minpoly.coeffs]
+    return sylvester_resultant_lists(mc, layers, zero, one)
+
+
+def _all_fractions(p):
+    """Every rational inside p's coefficients is a Fraction, not an int."""
+    def ok(c):
+        if isinstance(c, FieldElement):
+            return all(ok(x) for x in c.coeffs)
+        return type(c) is Fraction
+    return all(ok(c) for c in p.terms.values())
+
+
+def _binomial_tower(n):
+    """QQ(a) with a^n = 2, irreducible by Eisenstein at 2."""
+    return FieldTower(QQ, "a", UniPoly(QQ, (-2,) + (0,) * (n - 1) + (1,)))
+
+
+def _sextic_over_subfield(k):
+    """QQ(g)(a) with a^6 = 3 and g = a^k, as the second descent builds it."""
+    ambient = make_extension(QQ, UniPoly(QQ, (-3, 0, 0, 0, 0, 0, 1)), "a")
+    return TowerContext(primitive_element(ambient, [ambient.gen() ** k])).tower
+
+
+ORACLE_TOWERS = {
+    "a^2=2": lambda: _binomial_tower(2),
+    "a^3=2": lambda: _binomial_tower(3),
+    "a^4=2": lambda: _binomial_tower(4),
+    "a^5=2": lambda: _binomial_tower(5),
+    # 15 x^3 - 5 x + 3 is Eisenstein at 5 after reversal; its fractions
+    # make the rows of the multiplication matrix clear by different L_r
+    "a^3=a/3-1/5": lambda: make_extension(
+        QQ, UniPoly(QQ, (Fraction(1, 5), Fraction(-1, 3), 0, 1)), "a"),
+    "QQ(a^2)(a),a^6=3": lambda: _sextic_over_subfield(2),
+    "QQ(a^3)(a),a^6=3": lambda: _sextic_over_subfield(3),
+}
+
+
+def _random_bivariate(rng, field, deg):
+    """A polynomial in t0, t1 of total degree deg, small coefficients."""
+    terms = {(i, j): random_field_element(rng, field, 2)
+             for i in range(deg + 1) for j in range(deg + 1 - i)}
+    terms[(deg, 0)] = field.one
+    return MultiPoly(field, 2, terms)
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+@pytest.mark.parametrize("tower", list(ORACLE_TOWERS))
+def test_delta_is_the_sylvester_resultant(tower, deg):
+    K = ORACLE_TOWERS[tower]()
+    ext = Extension(K)
+    rng = random.Random(f"{tower}:{deg}")
+    for _ in range(2):
+        num = _random_bivariate(rng, K, 2)
+        den = _random_bivariate(rng, K, deg)
+        layers, delta = alpha_decompose(num, den, ext)
+        assert delta == _sylvester_delta(den, ext)
+        assert _recombines(num, den, ext)
+        assert all(_all_fractions(p) for p in layers + [delta])
+
+
+@pytest.mark.parametrize("tower", ["a^3=2", "a^3=a/3-1/5",
+                                   "QQ(a^3)(a),a^6=3"])
+def test_substituted_delta_is_the_sylvester_resultant(tower):
+    K = ORACLE_TOWERS[tower]()
+    ext = Extension(K)
+    rng = random.Random(tower)
+    for _ in range(2):
+        rf = random_rational_function(rng, K, max_deg=2, span=2)
+        num, den = _substituted(rf, ext)
+        layers, delta = alpha_decompose(num, den, ext)
+        assert delta == _sylvester_delta(den, ext)
+        assert _reconstruction_holds(rf, ext)
+        assert all(_all_fractions(p) for p in layers + [delta])
