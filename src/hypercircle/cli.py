@@ -37,6 +37,8 @@ EXIT_BUDGET = 3
 
 
 def _read_problem(path, cli_budget):
+    if cli_budget is not None and cli_budget < 1:
+        raise ValueError("budget must be positive")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

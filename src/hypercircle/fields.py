@@ -6,6 +6,12 @@ vectors over the base level, reduced against the defining polynomial.
 Irreducibility, roots inside a field, primitive elements and subfield
 membership are all decided exactly, using linear algebra and Groebner
 bases over the rationals (no polynomial factorization routines).
+
+A subfield QQ(g) of degree r inside QQ(a) of degree n is a
+SubfieldEmbedding.  It inverts its QQ-basis g^j * a^k (j < r, k < n/r)
+once; membership and lifting into QQ(g), the minimal polynomial of a
+over QQ(g) and coordinates in the tower QQ(g)(a) are all read from that
+one inverse.
 """
 
 from fractions import Fraction
@@ -493,22 +499,24 @@ def _coerce_unipoly(f: UniPoly, field):
 
 
 def min_poly_over_q(x: FieldElement) -> UniPoly:
-    """Monic minimal polynomial over QQ of an element of QQ(a)."""
+    """Monic minimal polynomial over QQ of an element of QQ(a).
+
+    One RREF of the Krylov matrix with columns 1, x, ..., x^n.  Once x^d
+    depends on the lower powers so does every higher power, so the pivots
+    are the columns 0..d-1 and the entries of column d in the RREF are
+    the coefficients of that dependency.
+    """
     field = x.field
     n = field.qq_dim()
-    rows = [field.flatten(field.one)]
+    cols = [field.flatten(field.one)]
     power = field.one
-    for k in range(1, n + 1):
+    for _ in range(n):
         power = power * x
-        vec = field.flatten(power)
-        # is vec a combination of the previous rows?
-        A = [[rows[j][i] for j in range(len(rows))] for i in range(n)]
-        sol = linalg.solve(A, vec, QQ)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            return UniPoly(QQ, coeffs)
-        rows.append(vec)
-    raise ArithmeticError("no linear dependency found, tower is corrupt")
+        cols.append(field.flatten(power))
+    rows, pivots = linalg.rref(
+        [[col[i] for col in cols] for i in range(n)], QQ)
+    d = len(pivots)
+    return UniPoly(QQ, [-rows[i][d] for i in range(d)] + [Fraction(1)])
 
 
 class SubfieldEmbedding:
@@ -516,10 +524,13 @@ class SubfieldEmbedding:
 
     gamma generates the subfield; minpoly is its monic minimal polynomial
     over QQ of degree r.  r = 1 is normalized to gamma = 0, minpoly = x.
+    For r > 1 the products gamma^j * a^k (j < r, k < n / r) are a QQ-basis
+    of the ambient field; the inverse of that basis, computed once, gives
+    membership, the relative minimal polynomial and tower coordinates.
     """
 
     __slots__ = ("ambient", "gamma", "minpoly", "r", "subfield",
-                 "_gamma_powers", "_membership_matrix")
+                 "_gamma_powers", "_basis_inverse")
 
     def __init__(self, ambient, gamma, minpoly=None):
         self.ambient = ambient
@@ -536,7 +547,7 @@ class SubfieldEmbedding:
             self.gamma = gamma
             self.subfield = FieldTower(QQ, "g", self.minpoly)
         self._gamma_powers = None
-        self._membership_matrix = None
+        self._basis_inverse = None
 
     def gamma_powers(self):
         if self._gamma_powers is None:
@@ -546,6 +557,33 @@ class SubfieldEmbedding:
             self._gamma_powers = out
         return self._gamma_powers
 
+    def coordinates(self, x):
+        """QQ coordinates of x in the basis gamma^j * a^k, at index
+        k*r + j as in a tower's flatten."""
+        if self._basis_inverse is None:
+            ambient = self.ambient
+            n = ambient.qq_dim()
+            if n % self.r:
+                raise ArithmeticError(
+                    "subfield degree does not divide field degree")
+            alpha = ambient.gen()
+            apow = ambient.one
+            cols = []
+            for _ in range(n // self.r):
+                cols.extend(ambient.flatten(apow * g)
+                            for g in self.gamma_powers())
+                apow = apow * alpha
+            aug = [[col[i] for col in cols] +
+                   [Fraction(1) if i == c else Fraction(0)
+                    for c in range(n)] for i in range(n)]
+            rows, pivots = linalg.rref(aug, QQ)
+            if pivots != list(range(n)):
+                raise ArithmeticError("tower basis is degenerate")
+            self._basis_inverse = [row[n:] for row in rows]
+        vec = self.ambient.flatten(self.ambient.coerce(x))
+        return [sum((c * v for c, v in zip(row, vec)), Fraction(0))
+                for row in self._basis_inverse]
+
     def membership(self, x):
         """QQ coordinates of x in the gamma power basis, or None."""
         x = self.ambient.coerce(x)
@@ -553,17 +591,10 @@ class SubfieldEmbedding:
             if x.is_rational():
                 return (x.rational_value(),)
             return None
-        if self._membership_matrix is None:
-            n = self.ambient.qq_dim()
-            cols = [self.ambient.flatten(p) for p in self.gamma_powers()]
-            self._membership_matrix = [
-                [cols[j][i] for j in range(self.r)] for i in range(n)
-            ]
-        sol = linalg.solve(self._membership_matrix,
-                           self.ambient.flatten(x), QQ)
-        if sol is None:
+        coords = self.coordinates(x)
+        if any(coords[self.r:]):
             return None
-        return tuple(sol)
+        return tuple(coords[:self.r])
 
     def lift(self, x):
         """x as an element of the abstract subfield; None when outside."""
@@ -639,86 +670,36 @@ def primitive_element(ambient, gens, cap=200):
 def relative_min_poly(emb: SubfieldEmbedding) -> UniPoly:
     """Minimal polynomial of the ambient generator over QQ(gamma).
 
-    Solves a QQ-linear system in the combined basis gamma^j * a^k; the
-    result is monic of degree n / r with subfield coefficients.
+    Monic of degree m = n / r with subfield coefficients: minus the
+    coordinates of a^m in the basis gamma^j * a^k.
     """
     ambient = emb.ambient
-    n = ambient.qq_dim()
+    if emb.r == 1:
+        return ambient.minpoly
     r = emb.r
-    if n % r:
-        raise ArithmeticError("subfield degree does not divide field degree")
-    m = n // r
-    alpha = ambient.gen()
-    apow = [ambient.one]
-    for _ in range(m):
-        apow.append(apow[-1] * alpha)
-    gpow = emb.gamma_powers()
-    cols = []
-    for k in range(m):
-        for j in range(r):
-            cols.append(ambient.flatten(gpow[j] * apow[k]))
-    A = [[cols[c][i] for c in range(n)] for i in range(n)]
-    b = ambient.flatten(-apow[m])
-    sol = linalg.solve_unique(A, b, QQ)
-    coeffs = []
-    for k in range(m):
-        coords = sol[k * r:(k + 1) * r]
-        if r == 1:
-            coeffs.append(coords[0])
-        else:
-            coeffs.append(emb.subfield.element(coords))
+    m = ambient.qq_dim() // r
+    coords = emb.coordinates(ambient.gen() ** m)
     sub = emb.subfield
-    one = sub.one if r > 1 else Fraction(1)
-    coeffs.append(one)
-    return UniPoly(sub if r > 1 else QQ, coeffs)
+    coeffs = [sub.element([-c for c in coords[k * r:(k + 1) * r]])
+              for k in range(m)]
+    return UniPoly(sub, coeffs + [sub.one])
 
 
 class TowerContext:
     """QQ(g)(a) built on a subfield embedding, with maps both ways."""
 
-    __slots__ = ("emb", "tower", "_matrix_inv")
+    __slots__ = ("emb", "tower")
 
-    def __init__(self, emb: SubfieldEmbedding, rel_minpoly=None):
+    def __init__(self, emb: SubfieldEmbedding):
         if emb.r == 1:
             raise ValueError("tower over a trivial subfield is the field")
         self.emb = emb
-        if rel_minpoly is None:
-            rel_minpoly = relative_min_poly(emb)
-        self.tower = FieldTower(emb.subfield, emb.ambient.name, rel_minpoly)
-        self._matrix_inv = None
-
-    def _inverse_matrix(self):
-        if self._matrix_inv is None:
-            ambient = self.emb.ambient
-            n = ambient.qq_dim()
-            m = self.tower.degree
-            r = self.emb.r
-            alpha = ambient.gen()
-            apow = [ambient.one]
-            for _ in range(m - 1):
-                apow.append(apow[-1] * alpha)
-            gpow = self.emb.gamma_powers()
-            cols = []
-            for k in range(m):
-                for j in range(r):
-                    cols.append(ambient.flatten(apow[k] * gpow[j]))
-            aug = [[cols[c][i] for c in range(n)] +
-                   [Fraction(1) if i == c2 else Fraction(0)
-                    for c2 in range(n)] for i in range(n)]
-            rr, piv = linalg.rref(aug, QQ)
-            if piv != list(range(n)):
-                raise ArithmeticError("tower basis is degenerate")
-            self._matrix_inv = [row[n:] for row in rr]
-        return self._matrix_inv
+        self.tower = FieldTower(emb.subfield, emb.ambient.name,
+                                relative_min_poly(emb))
 
     def to_tower(self, x):
         """Rewrite an ambient element in the g, a tower coordinates."""
-        ambient = self.emb.ambient
-        vec = ambient.flatten(ambient.coerce(x))
-        inv = self._inverse_matrix()
-        coords = [sum((row[i] * vec[i] for i in range(len(vec))),
-                      Fraction(0)) for row in inv]
-        return self.tower.unflatten(coords)
+        return self.tower.unflatten(self.emb.coordinates(x))
 
     def flatten(self, y):
         """Tower element back into the ambient field QQ(a)."""

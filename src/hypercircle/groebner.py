@@ -405,11 +405,11 @@ def rational_solutions(eqs, nvars, budget=DEFAULT_PAIR_BUDGET):
     if field is None:
         from .fields import QQ as _QQ
         field = _QQ
-    return triangular_solve(eqs, nvars, field, field, lambda c: c,
-                            rational_roots, budget)
+    return triangular_solve(eqs, nvars, field, lambda c: c, rational_roots,
+                            budget)
 
 
-def triangular_solve(gens, nvars, field, target, coerce, root_finder,
+def triangular_solve(gens, nvars, target, coerce, root_finder,
                      budget=DEFAULT_PAIR_BUDGET):
     """Points of a zero-dimensional ideal with coordinates found by
     root_finder (roots of a UniPoly over the target field).

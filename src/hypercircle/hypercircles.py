@@ -141,8 +141,8 @@ def points_at_infinity(gens, ext, budget=DEFAULT_PAIR_BUDGET):
         system = [g.assign_value(k, base.one) for g in sliced]
         system = [g for g in system if not g.is_zero()]
         try:
-            sols = triangular_solve(system, m - 1, base, tower,
-                                    tower.coerce, find_roots, budget)
+            sols = triangular_solve(system, m - 1, tower, tower.coerce,
+                                    find_roots, budget)
         except PositiveDimensionalError as exc:
             raise InternalInconsistencyError(
                 "unexpected positive-dimensional infinity") from exc

@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over any of our coefficient fields.
+"""Dense exact linear algebra over any of our coefficient fields: reduced
+row echelon form and nullspace.
 
 Matrices are lists of row lists.  Entries support +, -, *, / and boolean
 zero tests; the field object supplies zero and one.
@@ -36,27 +37,6 @@ def rref(rows, field):
     return m, pivots
 
 
-def solve(A, b, field):
-    """One solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero, which keeps the output deterministic.
-    """
-    if not A:
-        return None if any(b) else []
-    n = len(A[0])
-    aug = [list(r) + [v] for r, v in zip(A, b)]
-    m, pivots = rref(aug, field)
-    for r in m:
-        if not any(r[:-1]) and r[-1]:
-            return None
-    x = [field.zero] * n
-    for r, c in zip(m, pivots):
-        if c == n:
-            return None
-        x[c] = r[-1]
-    return x
-
-
 def nullspace(A, ncols, field):
     """Basis of the kernel of A, one vector per free column, RREF style."""
     m, pivots = rref(A, field)
@@ -70,17 +50,3 @@ def nullspace(A, ncols, field):
             v[pc] = -r[fc]
         basis.append(v)
     return basis
-
-
-def solve_unique(A, b, field):
-    """Solution of a system known to have exactly one; raises otherwise."""
-    if not A:
-        raise ValueError("empty system")
-    n = len(A[0])
-    x = solve(A, b, field)
-    if x is None:
-        raise ValueError("inconsistent linear system")
-    m, pivots = rref(A, field)
-    if len(pivots) != n:
-        raise ValueError("linear system is underdetermined")
-    return x

@@ -18,7 +18,7 @@ class SearchCapExceededError(RuntimeError):
     """A bounded search ran out of candidates before finding a hit."""
 
 # Strong-pseudoprime witnesses; the set is exact for n below this bound.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BOUND = 3317044064679887385961981
 
 
@@ -26,16 +26,15 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
     Miller-Rabin with a witness set that is exact for every n below
-    ``_MR_EXACT_BOUND``; beyond that bound falls back to trial division,
-    which is fine because inputs in scope stay far smaller.
+    ``_MR_EXACT_BOUND``.  Above it a witness still proves n composite,
+    but an n that passes every witness is not proved prime, and no exact
+    test here is bounded there, so that raises SearchCapExceededError.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n >= _MR_EXACT_BOUND:
-        return _trial_division_is_prime(n)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -51,15 +50,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def _trial_division_is_prime(n):
-    f = 101
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    if n >= _MR_EXACT_BOUND:
+        raise SearchCapExceededError(
+            f"a {n.bit_length()}-bit strong probable prime is beyond the "
+            "exact Miller-Rabin bound")
     return True
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .descent import Extension, Parametrization, witness_ideal
 from .fields import (QQ, RationalField, TowerContext, primitive_element,
-                     relative_min_poly, roots_in_field, trivial_embedding)
+                     roots_in_field, trivial_embedding)
 from .groebner import (DEFAULT_PAIR_BUDGET, PositiveDimensionalError,
                        dimension, linear_part, triangular_solve)
 from .hypercircles import (InternalInconsistencyError, hypercircle_degree_field,
@@ -151,8 +151,8 @@ def parametrize_line(gens, m, field, directions=(),
             def finder(f):
                 return roots_in_field(f, field)
         try:
-            sols = triangular_solve(sliced, m, field, field, lambda c: c,
-                                    finder, budget)
+            sols = triangular_solve(sliced, m, field, lambda c: c, finder,
+                                    budget)
         except PositiveDimensionalError as exc:
             raise InternalInconsistencyError(
                 "positive-dimensional line slice") from exc
@@ -161,16 +161,6 @@ def parametrize_line(gens, m, field, directions=(),
             if _line_in_variety(gens, psi, field):
                 return psi
     raise ValueError("line extraction failed")
-
-
-def _express_over_subfield(phi, emb):
-    def down(c):
-        v = emb.lift(c)
-        if v is None:
-            raise InternalInconsistencyError(
-                "coefficient outside the computed subfield")
-        return v
-    return phi.map_coefficients(down, emb.subfield)
 
 
 def _shift_from_line(psi, tower):
@@ -191,24 +181,29 @@ def _shift_from_line(psi, tower):
 
 
 def verify_reparametrization(phi, shift, emb):
-    """Do all reduced coefficients of phi(shift) lie in the subfield?"""
+    """phi(shift) written over the subfield, or None when a coefficient
+    lies outside it.
+
+    The composed parametrization is canonical (gcd(f_1, ..., f_N, g) = 1,
+    g monic), so its stored coefficients lie in the subfield exactly when
+    those of every reduced component do.
+    """
     composed = phi.compose_affine(shift.a, shift.b)
-    for comp in composed.components():
-        for c in list(comp.num.coeffs) + list(comp.den.coeffs):
-            if emb.membership(c) is None:
-                return False
-    return True
+    polys = []
+    for f in composed.numerators + (composed.denominator,):
+        coeffs = [emb.lift(c) for c in f.coeffs]
+        if any(c is None for c in coeffs):
+            return None
+        polys.append(UniPoly(emb.subfield, coeffs))
+    return Parametrization(emb.subfield, polys[:-1], polys[-1])
 
 
 def coefficient_field_degree(phi):
-    """Degree over QQ of the field generated by the reduced coefficients."""
+    """Degree over QQ of the field generated by the coefficients of the
+    canonical form, which is the field the reduced components generate."""
     if isinstance(phi.field, RationalField):
         return 1
-    coeffs = []
-    for comp in phi.components():
-        coeffs.extend(comp.num.coeffs)
-        coeffs.extend(comp.den.coeffs)
-    return primitive_element(phi.field, coeffs).r
+    return primitive_element(phi.field, phi.coefficients()).r
 
 
 def optimal_affine_reparametrize(phi, ext, budget=DEFAULT_PAIR_BUDGET):
@@ -241,8 +236,8 @@ def optimal_affine_reparametrize(phi, ext, budget=DEFAULT_PAIR_BUDGET):
         a, b = _shift_from_line(psi, tower)
         shift = AffineShift(tower, a, b)
         return _close_report(phi, shift, emb, base_report)
-    rel = relative_min_poly(emb)
-    ctx = TowerContext(emb, rel)
+    ctx = TowerContext(emb)
+    rel = ctx.tower.minpoly
     phi2 = phi.map_coefficients(ctx.to_tower, ctx.tower)
     ext2 = Extension(ctx.tower)
     witness2, delta2 = witness_ideal(phi2, ext2, budget)
@@ -283,10 +278,9 @@ def _rational_value(c):
 
 
 def _close_report(phi, shift, emb, base_report):
-    if not verify_reparametrization(phi, shift, emb):
+    expressed = verify_reparametrization(phi, shift, emb)
+    if expressed is None:
         raise InternalInconsistencyError(
             "reparametrized coefficients left the expected subfield")
-    composed = phi.compose_affine(shift.a, shift.b)
-    expressed = _express_over_subfield(composed, emb)
     return ReparamReport(status="success", shift=shift,
                          reparametrized=expressed, **base_report)

@@ -82,6 +82,28 @@ def test_budget_exhaustion_is_exit_3(capsys):
     assert "budget exhausted" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_nonpositive_budget_is_input_error(capsys, budget):
+    code, out, err = run_cli(capsys, "reparam",
+                             str(input_path("quartic.curve")),
+                             "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "budget must be positive" in err
+
+
+def test_primality_beyond_the_exact_bound_is_exit_3():
+    # the rational root test factors the constant term 10^30 + 57, whose
+    # primality no exact test here decides in bounded time
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercircle", "hypercircle",
+         "x^2 - 1000000000000000000000000000057", "t"],
+        capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exhausted: ")
+
+
 def _raise_positive_dimensional(args):
     x, y = mp_vars(QQ, 2)
     rational_solutions([x - y], 2)

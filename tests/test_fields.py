@@ -9,7 +9,9 @@ from helpers import random_field_element
 
 from hypercircle.fields import (
     QQ,
+    FieldTower,
     ReduciblePolynomialError,
+    SubfieldEmbedding,
     TowerContext,
     canonical_key,
     field_qq_dim,
@@ -165,7 +167,7 @@ def test_relative_min_poly_fourth_root():
     g = S.gen()
     assert rel.coeffs == (-g, S.zero, S.one)  # x^2 - g
     # the relative minpoly annihilates a over the subfield tower
-    ctx = TowerContext(pe, rel)
+    ctx = TowerContext(pe)
     T = ctx.tower
     alpha = T.gen()
     lifted = rel.map_coefficients(T.coerce, T)
@@ -176,11 +178,71 @@ def test_tower_context_roundtrip():
     K = make_extension(QQ, _P(-2, 0, 0, 0, 1), "a")
     a = K.gen()
     pe = primitive_element(K, [a * a])
-    ctx = TowerContext(pe, relative_min_poly(pe))
+    ctx = TowerContext(pe)
     rng = random.Random(13)
     for _ in range(10):
         x = random_field_element(rng, K)
         assert ctx.flatten(ctx.to_tower(x)) == x
+
+
+def _subfield_cases():
+    """(ambient, gamma, r): x^4 - 2 with a^2, x^6 - 3 with a^2 (r = 3,
+    m = 2) and a^3 (r = 2, m = 3), and the quartic's gamma."""
+    k4 = FieldTower(QQ, "a", _P(-2, 0, 0, 0, 1))
+    k6 = FieldTower(QQ, "a", _P(-3, 0, 0, 0, 0, 0, 1))
+    kq = FieldTower(QQ, "a", QUARTIC_MIN)
+    a4, a6, aq = k4.gen(), k6.gen(), kq.gen()
+    return [(k4, a4 ** 2, 2), (k6, a6 ** 2, 3), (k6, a6 ** 3, 2),
+            (kq, -12 + 8 * aq - 3 * aq ** 2 + aq ** 3, 2)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_subfield_and_tower_properties(case):
+    ambient, gamma, r = _subfield_cases()[case]
+    emb = primitive_element(ambient, [gamma])
+    assert emb.r == r
+    sub = emb.subfield
+    m = ambient.degree // r
+    alpha = ambient.gen()
+    rng = random.Random(100 + case)
+    for _ in range(12):
+        # s + t * a^k lies in QQ(gamma) exactly when t = 0, since
+        # 1, a, ..., a^(m-1) are a basis over QQ(gamma)
+        s = random_field_element(rng, sub)
+        t = random_field_element(rng, sub) if rng.random() < 0.6 else sub.zero
+        x = emb.push(s) + emb.push(t) * alpha ** rng.randint(1, m - 1)
+        coords = emb.membership(x)
+        lifted = emb.lift(x)
+        assert (coords is not None) == (not t)
+        assert (lifted is not None and emb.push(lifted) == x) == (not t)
+        if not t:
+            assert lifted == s and coords == s.coeffs
+    rel = relative_min_poly(emb)
+    assert rel.field is sub and rel.degree() == m and rel.is_monic()
+    acc = ambient.zero
+    for c in reversed(rel.coeffs):
+        acc = acc * alpha + emb.push(c)
+    assert not acc
+    ctx = TowerContext(emb)
+    tower = ctx.tower
+    assert tower.minpoly == rel
+    lifted_rel = rel.map_coefficients(tower.coerce, tower)
+    assert lifted_rel.evaluate(tower.gen()) == tower.zero
+    for _ in range(6):
+        x = random_field_element(rng, ambient)
+        y = random_field_element(rng, ambient)
+        assert ctx.flatten(ctx.to_tower(x)) == x
+        assert ctx.to_tower(x * y) == ctx.to_tower(x) * ctx.to_tower(y)
+
+
+def test_degenerate_tower_basis_is_arithmetic_error():
+    k4 = FieldTower(QQ, "a", _P(-2, 0, 0, 0, 1))
+    # a is not of degree 2, so the products g^j * a^k repeat a
+    emb = SubfieldEmbedding(k4, k4.gen(), _P(-2, 0, 1))
+    for build in (relative_min_poly, TowerContext):
+        with pytest.raises(ArithmeticError) as info:
+            build(emb)
+        assert not isinstance(info.value, ValueError)
 
 
 def test_trivial_embedding_is_the_rational_subfield(qi):

@@ -161,7 +161,7 @@ def test_triangular_solve_over_tower():
     one = MultiPoly.const(QQ, 2, Fraction(1))
     gens = [x * x + one, y - x]
     finder = partial(roots_in_field, field=K)
-    sols = triangular_solve(gens, 2, QQ, K, K.coerce, finder)
+    sols = triangular_solve(gens, 2, K, K.coerce, finder)
     assert len(sols) == 2
     assert set(sols) == {(-i, -i), (i, i)}
     assert sols == sorted(sols, key=lambda s: [canonical_key(c) for c in s])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from hypercircle.fields import QQ, make_extension
-from hypercircle.linalg import nullspace, rref, solve, solve_unique
+from hypercircle.linalg import nullspace, rref
 from hypercircle.upoly import UniPoly
 
 
@@ -21,24 +21,6 @@ def test_rref_with_free_column():
     m, pivots = rref(_F([[1, 2, 3], [2, 4, 8]]), QQ)
     assert pivots == [0, 2]
     assert m == _F([[1, 2, 0], [0, 0, 1]])
-
-
-def test_solve_unique():
-    # x + y = 3, x - y = 1
-    sol = solve_unique(_F([[1, 1], [1, -1]]), [Fraction(3), Fraction(1)], QQ)
-    assert sol == [Fraction(2), Fraction(1)]
-
-
-def test_solve_reports_inconsistency():
-    assert solve(_F([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)], QQ) is None
-
-
-def test_solve_underdetermined_particular_solution():
-    a = _F([[1, 1, 0]])
-    b = [Fraction(5)]
-    sol = solve(a, b, QQ)
-    assert sol is not None
-    assert sum(Fraction(c) * x for c, x in zip(a[0], sol)) == 5
 
 
 def test_nullspace_dimension_and_membership():
@@ -61,6 +43,9 @@ def test_linalg_over_tower():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + i * v[1] == K.zero
-    sol = solve_unique([[K.one, i], [i, K.one]], [K.coerce(2), K.zero], K)
+    # x + i y = 2, i x + y = 0 has the unique solution in the last column
+    m, pivots = rref([[K.one, i, K.coerce(2)], [i, K.one, K.zero]], K)
+    assert pivots == [0, 1]
+    sol = [row[2] for row in m]
     assert sol[0] + i * sol[1] == K.coerce(2)
     assert i * sol[0] + sol[1] == K.zero

@@ -50,6 +50,22 @@ def test_is_prime_carmichael_and_large():
     assert is_prime(2**61 - 1)
 
 
+def test_strong_pseudoprime_to_bases_up_to_37():
+    # below the exact bound of the witnesses 2..41, but a strong
+    # pseudoprime to every base up to 37
+    n = 318665857834031151167461
+    assert not is_prime(n)
+    assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
+def test_is_prime_beyond_the_exact_bound():
+    # a witness still proves compositeness there; a probable prime raises
+    assert not is_prime(3 * 10**30)
+    assert not is_prime((10**30 + 57) * 1000003)
+    with pytest.raises(SearchCapExceededError):
+        is_prime(10**30 + 57)
+
+
 def test_egcd_bezout():
     g, x, y = egcd(240, 46)
     assert g == 2 and 240 * x + 46 * y == 2

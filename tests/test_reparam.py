@@ -241,3 +241,37 @@ def test_verify_reparametrization_rejects_bad_shift(quartic):
     K = ext.tower
     emb = trivial_embedding(K)
     assert not verify_reparametrization(phi, AffineShift.identity(K), emb)
+
+
+@pytest.mark.parametrize("name", ["quartic", "gaussian_cusp",
+                                  "gaussian_twist"])
+def test_verify_reparametrization_matches_component_membership(request,
+                                                               name):
+    phi, ext = request.getfixturevalue(name)
+    K = ext.tower
+    report = optimal_affine_reparametrize(phi, ext)
+    embs = [trivial_embedding(K)]
+    if report.succeeded:
+        embs.append(report.embedding)
+    base = report.shift if report.succeeded else AffineShift.identity(K)
+    rng = random.Random(31)
+    for emb in embs:
+        for _ in range(8):
+            # precomposing a good shift with c*t + d over the subfield
+            # keeps it good; a random shift almost never is
+            c = emb.push(random_field_element(rng, emb.subfield))
+            d = emb.push(random_field_element(rng, emb.subfield))
+            if rng.random() < 0.5:
+                c = c + random_field_element(rng, K)
+            if not c:
+                continue
+            shift = AffineShift(K, base.a * c, base.a * d + base.b)
+            composed = phi.compose_affine(shift.a, shift.b)
+            expected = all(emb.membership(x) is not None
+                           for comp in composed.components()
+                           for x in comp.num.coeffs + comp.den.coeffs)
+            got = verify_reparametrization(phi, shift, emb)
+            assert bool(got) == expected
+            if got:
+                assert got.field is emb.subfield
+                assert got.map_coefficients(emb.push, K) == composed
