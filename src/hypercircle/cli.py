@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .descent import Extension, witness_ideal
+from .descent import witness_ideal
 from .exprparse import (ExpressionError, build_problem, parse_component,
                         parse_curve_file, parse_polynomial)
 from .fields import QQ, ReduciblePolynomialError, make_extension
@@ -45,9 +45,9 @@ def _read_problem(path, cli_budget):
     except OSError as exc:
         raise ValueError(f"cannot read '{path}': {exc.strerror}") from exc
     curve = parse_curve_file(text)
-    phi, ext = build_problem(curve)
+    phi = build_problem(curve)
     budget = cli_budget or curve.budget or DEFAULT_PAIR_BUDGET
-    return phi, ext, budget
+    return phi, budget
 
 
 def _points_json(points):
@@ -63,13 +63,13 @@ def _parametrization_json(phi):
 
 
 def _cmd_reparam(args):
-    phi, ext, budget = _read_problem(args.file, args.budget)
-    rep = optimal_affine_reparametrize(phi, ext, budget)
+    phi, budget = _read_problem(args.file, args.budget)
+    rep = optimal_affine_reparametrize(phi, budget)
     report = {
         "command": "reparam",
         "status": rep.status,
-        "n": ext.n,
-        "minpoly": render_unipoly(ext.tower.minpoly, "x"),
+        "n": phi.field.degree,
+        "minpoly": render_unipoly(phi.field.minpoly, "x"),
         "witness_ideal": _ideal_json(rep.witness),
         "infinity_points": _points_json(rep.infinity_points),
     }
@@ -103,14 +103,15 @@ def _cmd_reparam(args):
 
 
 def _cmd_witness(args):
-    phi, ext, budget = _read_problem(args.file, args.budget)
-    gens, delta = witness_ideal(phi, ext, budget)
-    dim = ext.n if not gens else dimension(gens, budget)
+    phi, budget = _read_problem(args.file, args.budget)
+    tower = phi.field
+    gens, delta = witness_ideal(phi, budget)
+    dim = tower.degree if not gens else dimension(gens, budget)
     report = {
         "command": "witness",
         "status": "success",
-        "n": ext.n,
-        "minpoly": render_unipoly(ext.tower.minpoly, "x"),
+        "n": tower.degree,
+        "minpoly": render_unipoly(tower.minpoly, "x"),
         "witness_ideal": _ideal_json(gens),
         "delta": render_mpoly(delta),
         "dimension": dim,
@@ -121,13 +122,14 @@ def _cmd_witness(args):
 
 
 def _cmd_infinity(args):
-    phi, ext, budget = _read_problem(args.file, args.budget)
-    gens, delta = witness_ideal(phi, ext, budget)
+    phi, budget = _read_problem(args.file, args.budget)
+    tower = phi.field
+    gens, delta = witness_ideal(phi, budget)
     report = {
         "command": "infinity",
         "status": "success",
-        "n": ext.n,
-        "minpoly": render_unipoly(ext.tower.minpoly, "x"),
+        "n": tower.degree,
+        "minpoly": render_unipoly(tower.minpoly, "x"),
         "witness_ideal": _ideal_json(gens),
         "delta": render_mpoly(delta),
     }
@@ -135,10 +137,10 @@ def _cmd_infinity(args):
         report["infinity_points"] = []
         report["note"] = "witness ideal is zero; already over the base"
         return report, "witness ideal is zero", EXIT_OK
-    points = points_at_infinity(gens, ext, budget)
+    points = points_at_infinity(gens, tower, budget)
     report["infinity_points"] = _points_json(points)
     if points:
-        emb = hypercircle_degree_field(points, ext)
+        emb = hypercircle_degree_field(points)
         report["r"] = emb.r
         report["gamma_minpoly"] = render_unipoly(emb.minpoly, "x")
         report["gamma_in_alpha"] = render_field_element(emb.gamma)
@@ -158,14 +160,13 @@ def _linear_fraction_from(rf, tower):
 def _cmd_hypercircle(args):
     minpoly = parse_polynomial(args.minpoly, "x")
     tower = make_extension(QQ, minpoly, "a")
-    ext = Extension(tower)
     unit = _linear_fraction_from(parse_component(args.unit, tower), tower)
-    psi = unit_to_hypercircle(unit, ext)
-    point = primitive_infinity_point(ext)
+    psi = unit_to_hypercircle(unit)
+    point = primitive_infinity_point(tower)
     report = {
         "command": "hypercircle",
         "status": "success",
-        "n": ext.n,
+        "n": tower.degree,
         "minpoly": render_unipoly(minpoly, "x"),
         "components": [render_rational(c, "t") for c in psi],
         "primitive_infinity_point": [render_field_element(c)

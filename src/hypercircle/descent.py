@@ -17,6 +17,11 @@ convolution of layers over L folded once through the power table of the
 generator, so no product is taken over L(a).  Over QQ every row of M and
 every numerator is first cleared of denominators, the products run on
 integers, and the coefficients become Fractions again at the end.
+
+The extension L(a) is always the FieldTower the data lives over: the
+field of a Parametrization, or the coefficient field of a polynomial.
+Nothing else describes it, so a descent over another field, such as
+QQ(g)(a) over a subfield, needs only data over that tower.
 """
 
 from fractions import Fraction
@@ -29,39 +34,15 @@ from .mpoly import MultiPoly
 from .upoly import RationalFunction, UniPoly
 
 
-class Extension:
-    """A base field together with a simple extension of degree n >= 2.
-
-    Descent introduces one fresh variable per power of the generator, so
-    the descent ring always has arity n.
-    """
-
-    __slots__ = ("tower", "base", "n")
-
-    def __init__(self, tower):
-        self.tower = tower
-        self.base = tower.base
-        self.n = tower.degree
-
-    def substitution(self):
-        """t0 + a*t1 + ... + a^(n-1)*t_{n-1} in the descent ring."""
-        gen = self.tower.gen()
-        acc = MultiPoly.zero(self.tower, self.n)
-        power = self.tower.one
-        for i in range(self.n):
-            acc = acc + MultiPoly.var(self.tower, self.n, i).scale(power)
-            power = power * gen
-        return acc
-
-    def __repr__(self):
-        return f"Extension(n={self.n}, top={self.tower!r})"
-
-
 class Parametrization:
     """Rational curve components sharing one denominator.
 
     Stored with gcd(f_1, ..., f_N, g) = 1 and g monic, so the coefficient
-    set is canonical.
+    set is canonical.  The constructor only makes g monic: every caller
+    passes coprime polynomials.  from_components merges reduced
+    components over the lcm of their denominators, and an affine change
+    with a unit slope or a map through a field embedding keeps the gcd
+    at 1.
     """
 
     __slots__ = ("field", "numerators", "denominator")
@@ -71,12 +52,6 @@ class Parametrization:
             raise ZeroDivisionError("zero common denominator")
         if not numerators:
             raise ValueError("parametrization needs at least one component")
-        common = denominator
-        for f in numerators:
-            common = common.gcd(f)
-        if common.degree() > 0:
-            numerators = [f // common for f in numerators]
-            denominator = denominator // common
         lc = denominator.leading()
         if lc != field.one:
             inv = field.one / lc
@@ -142,21 +117,34 @@ def lift_to_tower(p, tower):
     return p.map_coefficients(tower.coerce, tower)
 
 
-def _layer_terms(p, ext):
+def substitution(tower):
+    """t0 + a*t1 + ... + a^(n-1)*t_{n-1} in the descent ring of arity n."""
+    n = tower.degree
+    gen = tower.gen()
+    acc = MultiPoly.zero(tower, n)
+    power = tower.one
+    for i in range(n):
+        acc = acc + MultiPoly.var(tower, n, i).scale(power)
+        power = power * gen
+    return acc
+
+
+def _layer_terms(p, tower):
     """The term dicts of p's coordinates along powers of the generator."""
-    layers = [dict() for _ in range(ext.n)]
+    layers = [dict() for _ in range(tower.degree)]
     for e, c in p.terms.items():
-        cc = ext.tower.coerce(c)
+        cc = tower.coerce(c)
         for k, ck in enumerate(cc.coeffs):
             if ck:
                 layers[k][e] = ck
     return layers
 
 
-def alpha_layers(p, ext):
-    """The n base-field coordinates of p along powers of the generator."""
-    return [MultiPoly(ext.base, p.arity, lay, _clean=True)
-            for lay in _layer_terms(p, ext)]
+def alpha_layers(p):
+    """The n base-field coordinates of p along powers of the generator
+    of its coefficient field."""
+    return [MultiPoly(p.field.base, p.arity, lay, _clean=True)
+            for lay in _layer_terms(p, p.field)]
 
 
 def _substitute_unipoly(f, s, tower):
@@ -191,16 +179,17 @@ def _addmul(acc, a, b, negate=False):
         kernel.addmul_terms(acc, -c if negate else c, e, b)
 
 
-def _multiplication_rows(den, ext):
+def _multiplication_rows(den):
     """Rows of M, column j the layers of a^j * den, and each row's scale.
 
     Over QQ row r comes back cleared of denominators, as integer terms
     times its own integer L_r; over any other base every L_r is 1.
     """
-    n = ext.n
-    mp = ext.tower.minpoly.coeffs
+    tower = den.field
+    n = tower.degree
+    mp = tower.minpoly.coeffs
     one = (0,) * den.arity
-    col = _layer_terms(den, ext)
+    col = _layer_terms(den, tower)
     cols = [col]
     for _ in range(n - 1):
         # times the generator: shift up and fold a^n = -sum m_i a^i
@@ -214,7 +203,7 @@ def _multiplication_rows(den, ext):
     scales = []
     rows = []
     for r in range(n):
-        L, row = _clear([c[r] for c in cols], ext.base)
+        L, row = _clear([c[r] for c in cols], tower.base)
         scales.append(L)
         rows.append(row)
     return rows, scales
@@ -264,18 +253,19 @@ def _adjugate_column(rows):
     return det, column
 
 
-def _descend(den, nums, ext):
+def _descend(den, nums):
     """(delta, [layers of num * delta / den for num in nums]).
 
     delta and the cofactor delta / den come from the multiplication
     matrix of den; each product with the cofactor is a convolution of
     layers over the base, folded once through the power table.
     """
-    base = ext.base
-    n = ext.n
+    tower = den.field
+    base = tower.base
+    n = tower.degree
     arity = den.arity
     one = (0,) * arity
-    rows, scales = _multiplication_rows(den, ext)
+    rows, scales = _multiplication_rows(den)
     delta, cof = _adjugate_column(rows)
     if not delta:
         raise ArithmeticError("vanishing norm of a nonzero denominator")
@@ -285,10 +275,10 @@ def _descend(den, nums, ext):
     for L in scales[1:]:
         rest *= L
     L_t, table = _clear([dict(enumerate(row)) for row in
-                         ext.tower._power_table()], base)
+                         tower._power_table()], base)
     out = []
     for num in nums:
-        L_p, lay = _clear(_layer_terms(num, ext), base)
+        L_p, lay = _clear(_layer_terms(num, tower), base)
         conv = [{} for _ in range(2 * n - 1)]
         for i, li in enumerate(lay):
             if li:
@@ -315,55 +305,43 @@ def _unscale(dicts, base, arity, scale):
     return [MultiPoly(base, arity, d, _clean=True) for d in dicts]
 
 
-def alpha_decompose(num, den, ext):
+def alpha_decompose(num, den):
     """Coordinates of num/den along generator powers, over the base.
 
-    Returns (components, delta) with sum_i a^i * components[i] equal to
-    num * (delta / den) identically, so num/den = sum_i a^i comp_i/delta.
+    den carries the extension.  Returns (components, delta) with
+    sum_i a^i * components[i] equal to num * (delta / den) identically,
+    so num/den = sum_i a^i comp_i/delta.
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    delta, (layers,) = _descend(den, [num], ext)
+    delta, (layers,) = _descend(den, [num])
     return layers, delta
 
 
-class DescentResult:
-    """Coordinate numerators of every component over one denominator.
+def weil_substitute(phi):
+    """Descend every component of phi along the generator of phi.field.
 
-    numerators[j][i] is the coefficient of a^i in component j; delta is
-    the shared denominator, a base-field polynomial.
+    Returns (delta, numerators): numerators[j][i] is the coefficient of
+    a^i in component j, and delta, a base-field polynomial, is the
+    shared denominator.
     """
-
-    __slots__ = ("extension", "numerators", "delta")
-
-    def __init__(self, extension, numerators, delta):
-        self.extension = extension
-        self.numerators = numerators
-        self.delta = delta
+    tower = phi.field
+    s = substitution(tower)
+    sub_den = _substitute_unipoly(phi.denominator, s, tower)
+    sub_nums = [_substitute_unipoly(f, s, tower) for f in phi.numerators]
+    return _descend(sub_den, sub_nums)
 
 
-def weil_substitute(phi, ext):
-    """Descend every component of phi along the extension's generator."""
-    if phi.field is not ext.tower:
-        raise ValueError("parametrization field does not match extension")
-    s = ext.substitution()
-    sub_den = _substitute_unipoly(phi.denominator, s, ext.tower)
-    sub_nums = [_substitute_unipoly(f, s, ext.tower)
-                for f in phi.numerators]
-    delta, numerators = _descend(sub_den, sub_nums, ext)
-    return DescentResult(ext, numerators, delta)
-
-
-def witness_ideal(phi, ext, budget=DEFAULT_PAIR_BUDGET):
+def witness_ideal(phi, budget=DEFAULT_PAIR_BUDGET):
     """Reduced basis of the witness ideal, plus the descent denominator.
 
     The ideal of the closure of V(F_ij : i >= 1) minus V(delta); the
     zero ideal (no constraints) comes back as an empty basis.
     """
-    res = weil_substitute(phi, ext)
+    delta, numerators = weil_substitute(phi)
     gens = []
-    for layers in res.numerators:
-        for i in range(1, ext.n):
-            if not layers[i].is_zero():
-                gens.append(layers[i])
-    return saturate(gens, res.delta, budget), res.delta
+    for layers in numerators:
+        for layer in layers[1:]:
+            if not layer.is_zero():
+                gens.append(layer)
+    return saturate(gens, delta, budget), delta

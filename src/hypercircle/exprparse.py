@@ -9,7 +9,7 @@ error carries a line and column.
 
 from fractions import Fraction
 
-from .descent import Extension, Parametrization
+from .descent import Parametrization
 from .fields import QQ, make_extension
 from .mpoly import MultiPoly
 from .upoly import RationalFunction, UniPoly
@@ -191,17 +191,10 @@ def parse_fraction(s, var_names):
     return num, den
 
 
-def _to_unipoly(p):
-    coeffs = [QQ.zero] * (p.total_degree() + 1)
-    for e, c in p.terms.items():
-        coeffs[e[0]] = c
-    return UniPoly(QQ, coeffs)
-
-
 def parse_polynomial(s, var_name="x"):
     """Univariate polynomial over QQ; division must cancel."""
     num, den = parse_fraction(s, (var_name,))
-    rf = RationalFunction(_to_unipoly(num), _to_unipoly(den))
+    rf = RationalFunction(UniPoly.from_mpoly(num), UniPoly.from_mpoly(den))
     if rf.den.degree() > 0:
         raise ValueError(f"'{s}' is not a polynomial in {var_name}")
     return rf.num
@@ -230,7 +223,7 @@ def parse_component(s, field, var="t"):
     """Rational function in the parameter over QQ or an extension."""
     if field is QQ:
         num, den = parse_fraction(s, (var,))
-        nump, denp = _to_unipoly(num), _to_unipoly(den)
+        nump, denp = UniPoly.from_mpoly(num), UniPoly.from_mpoly(den)
     else:
         num, den = parse_fraction(s, (var, field.name))
         nump = _collapse_generator(num, field, 1)
@@ -316,11 +309,11 @@ def parse_curve_file(text):
 
 
 def build_problem(curve):
-    """CurveFile -> (Parametrization, Extension) over QQ(a)."""
+    """CurveFile -> Parametrization over QQ(a); phi.field is QQ(a)."""
     minpoly = parse_polynomial(curve.minpoly, "x")
     tower = make_extension(QQ, minpoly, "a")
     comps = [parse_component(s, tower) for s in curve.components]
     if all(max(c.num.degree(), c.den.degree()) <= 0 for c in comps):
         raise ValueError("constant parametrization: no component "
                          "depends on t")
-    return Parametrization.from_components(comps), Extension(tower)
+    return Parametrization.from_components(comps)

@@ -5,7 +5,12 @@ irreducible polynomial over the level below.  Elements are coefficient
 vectors over the base level, reduced against the defining polynomial.
 Irreducibility, roots inside a field, primitive elements and subfield
 membership are all decided exactly, using linear algebra and Groebner
-bases over the rationals (no polynomial factorization routines).
+bases over the rationals (no polynomial factorization routines).  A root
+or a factor is sought as a generic element sum_i u_i * b_i over the
+QQ-basis b_i of the field, with the u_i unknown; the polynomial
+condition on it, computed over the field, is split along flatten into
+equations over QQ.  A FieldTower is the only model of an extension:
+every routine that works over one reads it from the data it is given.
 
 A subfield QQ(g) of degree r inside QQ(a) of degree n is a
 SubfieldEmbedding.  It inverts its QQ-basis g^j * a^k (j < r, k < n/r)
@@ -150,15 +155,6 @@ class FieldTower:
         for k in range(self.degree):
             coeffs.append(self.base.unflatten(vec[k * r:(k + 1) * r]))
         return FieldElement(self, tuple(coeffs))
-
-    def qq_basis(self):
-        dim = self.qq_dim()
-        out = []
-        for i in range(dim):
-            vec = [Fraction(0)] * dim
-            vec[i] = Fraction(1)
-            out.append(self.unflatten(vec))
-        return out
 
     def __repr__(self):
         return f"{self.base!r}({self.name})"
@@ -341,118 +337,58 @@ def is_irreducible(f: UniPoly):
 def _find_split(f: UniPoly, d1):
     """A monic degree-d1 factor of monic f, or None.
 
-    Unknown factor coefficients are written in QQ coordinates of the
-    coefficient field and matched against f, giving a zero-dimensional
-    system over QQ.
+    The unknown coefficients of the factor g and the cofactor h are
+    generic elements of the coefficient field, and g * h = f is split
+    into a zero-dimensional system over QQ.
     """
     field = f.field
     d = f.degree()
-    d2 = d - d1
-    sym = SymbolicElements(field, (d1 + d2) * field_qq_dim(field))
-    gvec = [sym.unknown(k) for k in range(d1)] + [sym.one_elem()]
-    hvec = [sym.unknown(d1 + k) for k in range(d2)] + [sym.one_elem()]
-    prod = [sym.zero_elem() for _ in range(d + 1)]
-    for i, gi in enumerate(gvec):
-        for j, hj in enumerate(hvec):
-            prod[i + j] = sym.add(prod[i + j], sym.mul(gi, hj))
+    dim = field.qq_dim()
+    nvars = d * dim
+    one = MultiPoly.const(field, nvars, field.one)
+    g = [_generic_element(field, nvars, k * dim) for k in range(d1)]
+    h = [_generic_element(field, nvars, (d1 + k) * dim)
+         for k in range(d - d1)]
+    prod = [MultiPoly.const(field, nvars, -c) for c in f.coeffs]
+    for i, gi in enumerate(g + [one]):
+        for j, hj in enumerate(h + [one]):
+            prod[i + j] = prod[i + j] + gi * hj
     eqs = []
-    for k in range(d + 1):
-        target = sym.constant(f[k])
-        diff = sym.sub(prod[k], target)
-        eqs.extend(p for p in diff if not p.is_zero())
-    sols = rational_solutions(eqs, sym.nvars)
+    for p in prod:
+        eqs.extend(_qq_equations(p))
+    sols = rational_solutions(eqs, nvars)
     if not sols:
         return None
     sol = sols[0]
-    coeffs = []
-    for k in range(d1):
-        coeffs.append(sym.element_from_solution(sol, k))
-    coeffs.append(field.one)
-    return UniPoly(field, coeffs)
+    coeffs = [field.unflatten(list(sol[k * dim:(k + 1) * dim]))
+              for k in range(d1)]
+    return UniPoly(field, coeffs + [field.one])
 
 
-def field_qq_dim(field):
-    return 1 if isinstance(field, RationalField) else field.qq_dim()
+def _generic_element(field, nvars, start):
+    """sum_i u_(start+i) * b_i over the QQ-basis b_i of field: an
+    element with unknown QQ coordinates, as a MultiPoly over field."""
+    dim = field.qq_dim()
+    terms = {}
+    for i in range(dim):
+        unit = [Fraction(0)] * dim
+        unit[i] = Fraction(1)
+        e = [0] * nvars
+        e[start + i] = 1
+        terms[tuple(e)] = field.unflatten(unit)
+    return MultiPoly(field, nvars, terms, _clean=True)
 
 
-class SymbolicElements:
-    """Field elements whose QQ coordinates are polynomial unknowns.
-
-    An element is a list of MultiPoly over QQ, one per QQ-basis vector of
-    the field; multiplication goes through precomputed structure constants.
-    """
-
-    def __init__(self, field, nvars):
-        self.field = field
-        self.nvars = nvars
-        self.dim = field_qq_dim(field)
-        if isinstance(field, RationalField):
-            self._table = [[[Fraction(1)]]]
-            self._basis = [Fraction(1)]
-        else:
-            self._basis = field.qq_basis()
-            self._table = [
-                [field.flatten(bi * bj) for bj in self._basis]
-                for bi in self._basis
-            ]
-
-    def zero_elem(self):
-        return [MultiPoly.zero(QQ, self.nvars) for _ in range(self.dim)]
-
-    def one_elem(self):
-        out = self.zero_elem()
-        out[0] = MultiPoly.const(QQ, self.nvars, 1)
-        return out
-
-    def constant(self, x):
-        if isinstance(self.field, RationalField):
-            flat = [Fraction(x)]
-        else:
-            flat = self.field.flatten(self.field.coerce(x))
-        return [MultiPoly.const(QQ, self.nvars, c) for c in flat]
-
-    def unknown(self, start_index):
-        """Element whose coordinates are fresh variables starting there."""
-        out = []
-        for i in range(self.dim):
-            out.append(MultiPoly.var(QQ, self.nvars,
-                                     start_index * self.dim + i))
-        return out
-
-    def add(self, u, v):
-        return [a + b for a, b in zip(u, v)]
-
-    def sub(self, u, v):
-        return [a - b for a, b in zip(u, v)]
-
-    def mul(self, u, v):
-        out = [MultiPoly.zero(QQ, self.nvars) for _ in range(self.dim)]
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                uv = ui * vj
-                row = self._table[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] = out[k] + uv.scale(row[k])
-        return out
-
-    def eval_unipoly(self, f: UniPoly, u):
-        acc = self.constant(f[f.degree()])
-        for k in range(f.degree() - 1, -1, -1):
-            acc = self.add(self.mul(acc, u), self.constant(f[k]))
-        return acc
-
-    def element_from_solution(self, sol, slot):
-        """Rebuild the field element in the given unknown slot from a
-        rational solution vector."""
-        vec = [sol[slot * self.dim + i] for i in range(self.dim)]
-        if isinstance(self.field, RationalField):
-            return vec[0]
-        return self.field.unflatten(vec)
+def _qq_equations(p):
+    """The nonzero QQ coordinates of the MultiPoly p over a field, each
+    a MultiPoly over QQ; p vanishes exactly where they all do."""
+    field = p.field
+    coords = [{} for _ in range(field.qq_dim())]
+    for e, c in p.terms.items():
+        for k, ck in enumerate(field.flatten(c)):
+            if ck:
+                coords[k][e] = ck
+    return [MultiPoly(QQ, p.arity, t, _clean=True) for t in coords if t]
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +398,26 @@ class SymbolicElements:
 def roots_in_field(f: UniPoly, field):
     """All roots of f lying in the given field, canonically sorted.
 
-    Over QQ this is the rational root theorem; over an extension the root
-    is written in unknown QQ coordinates and the resulting restriction of
+    Over QQ this is the rational root theorem; over an extension f is
+    evaluated at a generic element and the resulting restriction of
     scalars system is solved over QQ.
     """
     if f.is_zero():
         raise ValueError("every element is a root of the zero polynomial")
-    if isinstance(field, RationalField):
-        g = f.map_coefficients(lambda c: Fraction(c), QQ)
-        return rational_roots(g)
     f = _coerce_unipoly(f, field)
+    if isinstance(field, RationalField):
+        return rational_roots(f)
     d = f.degree()
     if d <= 0:
         return []
     if d == 1:
         return [-f[0] / f[1]]
     dim = field.qq_dim()
-    sym = SymbolicElements(field, dim)
-    u = [MultiPoly.var(QQ, dim, i) for i in range(dim)]
-    val = sym.eval_unipoly(f, u)
-    eqs = [p for p in val if not p.is_zero()]
-    sols = rational_solutions(eqs, dim)
+    u = _generic_element(field, dim, 0)
+    val = MultiPoly.zero(field, dim)
+    for c in reversed(f.coeffs):
+        val = val * u + c
+    sols = rational_solutions(_qq_equations(val), dim)
     roots = [field.unflatten(list(sol)) for sol in sols]
     roots.sort(key=lambda x: x.canonical_key())
     return roots

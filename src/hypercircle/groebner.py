@@ -396,27 +396,20 @@ def linear_part(gens, budget=DEFAULT_PAIR_BUDGET):
 
 def rational_solutions(eqs, nvars, budget=DEFAULT_PAIR_BUDGET):
     """All rational points of a zero-dimensional system over QQ, sorted."""
-    from .upoly import rational_roots
-
-    field = None
-    for e in eqs:
-        field = e.field
-        break
-    if field is None:
-        from .fields import QQ as _QQ
-        field = _QQ
-    return triangular_solve(eqs, nvars, field, lambda c: c, rational_roots,
-                            budget)
+    from .fields import QQ
+    return triangular_solve(eqs, nvars, QQ, budget)
 
 
-def triangular_solve(gens, nvars, target, coerce, root_finder,
-                     budget=DEFAULT_PAIR_BUDGET):
-    """Points of a zero-dimensional ideal with coordinates found by
-    root_finder (roots of a UniPoly over the target field).
+def triangular_solve(gens, nvars, target, budget=DEFAULT_PAIR_BUDGET):
+    """Points of a zero-dimensional ideal with coordinates in target.
 
-    Lex triangularization then back substitution; solutions are tuples of
-    target elements in variable order, canonically sorted.
+    The generators' coefficients must coerce into target.  Lex
+    triangularization then back substitution, each level solved by
+    roots_in_field over target; solutions are tuples of target elements
+    in variable order, canonically sorted.
     """
+    from .fields import roots_in_field
+
     gb = buchberger(gens, LEX, budget)
     if not gb:
         if nvars == 0:
@@ -443,7 +436,7 @@ def triangular_solve(gens, nvars, target, coerce, root_finder,
             values = {v + 1 + i: part[i] for i in range(len(part))}
             gpoly = None
             for g in levels[v]:
-                coeffs = _eval_to_unipoly(g, v, values, target, coerce)
+                coeffs = _eval_to_unipoly(g, v, values, target)
                 poly = UniPoly(target, coeffs)
                 if poly.is_zero():
                     continue
@@ -455,7 +448,7 @@ def triangular_solve(gens, nvars, target, coerce, root_finder,
                     "free variable in a supposedly zero-dimensional system")
             if gpoly.degree() == 0:
                 continue
-            for root in root_finder(gpoly):
+            for root in roots_in_field(gpoly, target):
                 new_partials.append((root,) + part)
         partials = new_partials
         if not partials:
@@ -470,13 +463,13 @@ def _solution_key(sol):
     return tuple(canonical_key(c) for c in sol)
 
 
-def _eval_to_unipoly(g: MultiPoly, v, values, target, coerce):
+def _eval_to_unipoly(g: MultiPoly, v, values, target):
     """Coefficient list of g in variable v after substituting the known
     higher variables with target-field values."""
     deg = g.degree_in(v)
     coeffs = [target.zero] * (deg + 1)
     for e, c in g.terms.items():
-        val = coerce(c)
+        val = target.coerce(c)
         for j, k in enumerate(e):
             if j == v or not k:
                 continue

@@ -8,7 +8,7 @@ coefficient field downstream.
 """
 
 from .descent import alpha_decompose
-from .fields import canonical_key, primitive_element, roots_in_field
+from .fields import canonical_key, primitive_element
 from .groebner import (DEFAULT_PAIR_BUDGET, PositiveDimensionalError,
                        GREVLEX, buchberger, is_groebner_unit,
                        triangular_solve)
@@ -75,33 +75,23 @@ class ProjectivePoint:
         return f"ProjectivePoint([{inner}])"
 
 
-def _mp1_to_unipoly(p, field):
-    coeffs = [field.zero] * (p.total_degree() + 1)
-    for e, c in p.terms.items():
-        coeffs[e[0]] = c
-    return UniPoly(field, coeffs)
-
-
-def unit_to_hypercircle(unit, ext):
-    """The n reduced coordinate functions traced by the unit."""
-    tower = ext.tower
-    if unit.field is not tower:
-        raise ValueError("unit field does not match the extension")
+def unit_to_hypercircle(unit):
+    """The n reduced coordinate functions traced by the unit over the
+    base of its field."""
+    tower = unit.field
     num = MultiPoly(tower, 1, {(0,): unit.b, (1,): unit.a})
     den = MultiPoly(tower, 1, {(0,): unit.d, (1,): unit.c})
-    comps, delta = alpha_decompose(num, den, ext)
-    dpoly = _mp1_to_unipoly(delta, ext.base)
-    return [RationalFunction(_mp1_to_unipoly(c, ext.base), dpoly)
-            for c in comps]
+    comps, delta = alpha_decompose(num, den)
+    dpoly = UniPoly.from_mpoly(delta)
+    return [RationalFunction(UniPoly.from_mpoly(c), dpoly) for c in comps]
 
 
-def primitive_infinity_point(ext):
+def primitive_infinity_point(tower):
     """The common point at infinity [l_0 : ... : l_{n-1} : 0].
 
     The l_i are the coefficients of M(t) / (t - a), by synthetic
     division, so l_{n-1} is always one.
     """
-    tower = ext.tower
     alpha = tower.gen()
     m = tower.minpoly
     n = m.degree()
@@ -112,8 +102,8 @@ def primitive_infinity_point(ext):
     return ProjectivePoint(tower, q + [tower.zero])
 
 
-def points_at_infinity(gens, ext, budget=DEFAULT_PAIR_BUDGET):
-    """Infinity points of the ideal with coordinates in the top field.
+def points_at_infinity(gens, tower, budget=DEFAULT_PAIR_BUDGET):
+    """Infinity points of the ideal with coordinates in the tower.
 
     Homogenizes a degree-compatible basis, slices the h = 0 locus by the
     affine chart of the highest-index coordinate that yields solutions,
@@ -123,8 +113,7 @@ def points_at_infinity(gens, ext, budget=DEFAULT_PAIR_BUDGET):
     if not gb:
         raise InternalInconsistencyError(
             "unexpected positive-dimensional infinity")
-    base = ext.base
-    tower = ext.tower
+    base = tower.base
     m = gb[0].arity
     if is_groebner_unit(gb):
         return []
@@ -133,16 +122,11 @@ def points_at_infinity(gens, ext, budget=DEFAULT_PAIR_BUDGET):
         gh = g.homogenize().assign_value(m, base.zero)
         if not gh.is_zero():
             sliced.append(gh)
-
-    def find_roots(f):
-        return roots_in_field(f, tower)
-
     for k in range(m - 1, -1, -1):
         system = [g.assign_value(k, base.one) for g in sliced]
         system = [g for g in system if not g.is_zero()]
         try:
-            sols = triangular_solve(system, m - 1, tower, tower.coerce,
-                                    find_roots, budget)
+            sols = triangular_solve(system, m - 1, tower, budget)
         except PositiveDimensionalError as exc:
             raise InternalInconsistencyError(
                 "unexpected positive-dimensional infinity") from exc
@@ -158,9 +142,9 @@ def points_at_infinity(gens, ext, budget=DEFAULT_PAIR_BUDGET):
     return []
 
 
-def hypercircle_degree_field(points, ext):
+def hypercircle_degree_field(points):
     """Embedding of the field generated by the first point's coordinates."""
     if not points:
         raise ValueError("no points at infinity to measure")
     first = points[0]
-    return primitive_element(ext.tower, list(first.coords[:-1]))
+    return primitive_element(first.field, list(first.coords[:-1]))

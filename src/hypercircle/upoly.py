@@ -6,6 +6,7 @@ works when the entries are themselves polynomials (exact division only).
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .numtheory import factorize
 
@@ -31,6 +32,14 @@ class UniPoly:
     @classmethod
     def x(cls, field):
         return cls(field, (field.zero, field.one))
+
+    @classmethod
+    def from_mpoly(cls, p):
+        """The polynomial in the only variable of the MultiPoly p."""
+        coeffs = [p.field.zero] * (p.total_degree() + 1)
+        for (k,), c in p.terms.items():
+            coeffs[k] = c
+        return cls(p.field, coeffs)
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -307,7 +316,7 @@ def rational_roots(f: UniPoly):
     den = 1
     for c in f.coeffs:
         c = Fraction(c)
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(Fraction(c) * den) for c in f.coeffs]
     roots = set()
     k = 0
@@ -327,12 +336,6 @@ def rational_roots(f: UniPoly):
                     if _eval_int_poly(ints, cand) == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -4,7 +4,6 @@ import pytest
 
 from helpers import input_path
 
-from hypercircle.descent import Extension
 from hypercircle.exprparse import build_problem, parse_curve_file
 from hypercircle.fields import QQ, make_extension
 from hypercircle.reparam import optimal_affine_reparametrize
@@ -22,22 +21,16 @@ def qi():
 
 
 @pytest.fixture(scope="session")
-def qi_ext(qi):
-    return Extension(qi)
-
-
-@pytest.fixture(scope="session")
 def quartic():
-    """(phi, ext) for the degree-4 worked example."""
+    """phi over QQ(a), a of degree 4, for the worked example."""
     return _load("quartic.curve")
 
 
 @pytest.fixture(scope="session")
 def quartic_report(quartic):
     """(report, elapsed seconds) for one full run on the quartic input."""
-    phi, ext = quartic
     start = time.monotonic()
-    report = optimal_affine_reparametrize(phi, ext)
+    report = optimal_affine_reparametrize(quartic)
     return report, time.monotonic() - start
 
 

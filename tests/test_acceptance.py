@@ -17,8 +17,9 @@ from fractions import Fraction
 from helpers import gen_hom, parse_gens, random_field_element, \
     random_rational_function, random_unipoly
 
-from hypercircle.descent import (Extension, Parametrization, alpha_decompose,
-                                 alpha_layers, lift_to_tower, witness_ideal)
+from hypercircle.descent import (Parametrization, alpha_decompose,
+                                 alpha_layers, lift_to_tower, substitution,
+                                 witness_ideal)
 from hypercircle.exprparse import parse_component
 from hypercircle.fields import QQ, make_extension, roots_in_field
 from hypercircle.groebner import (GREVLEX, buchberger, ideal_equal,
@@ -61,9 +62,9 @@ def test_criterion_1a_quartic_witness_ideal(quartic_report):
 
 
 def test_criterion_1b_quartic_infinity_points(quartic, quartic_report):
-    phi, ext = quartic
+    phi = quartic
     report, _ = quartic_report
-    K = ext.tower
+    K = phi.field
     gammas = roots_in_field(GAMMA_MINPOLY, K)
     assert len(gammas) == 2
     expected = {
@@ -105,7 +106,7 @@ def test_criterion_1e_quartic_second_witness_line(quartic_report):
 
 
 def test_criterion_1f_quartic_final_parametrization(quartic, quartic_report):
-    phi, ext = quartic
+    phi = quartic
     report, elapsed = quartic_report
     assert report.succeeded
     assert verify_reparametrization(phi, report.shift, report.embedding)
@@ -177,13 +178,13 @@ def test_criterion_3_conic_crt_set():
     assert elapsed < 5
 
 
-def test_criterion_4_gaussian_positive(qi, qi_ext):
+def test_criterion_4_gaussian_positive(qi):
     phi = Parametrization.from_components([
         parse_component("(t - a)^2", qi),
         parse_component("(t - a)^3", qi),
     ])
     start = time.monotonic()
-    report = optimal_affine_reparametrize(phi, qi_ext)
+    report = optimal_affine_reparametrize(phi)
     elapsed = time.monotonic() - start
     assert report.succeeded
     assert report.r == 1
@@ -195,33 +196,33 @@ def test_criterion_4_gaussian_positive(qi, qi_ext):
     assert elapsed < 1
 
 
-def test_criterion_5_gaussian_negative(qi, qi_ext):
+def test_criterion_5_gaussian_negative(qi):
     phi = Parametrization.from_components([
         parse_component("t + a", qi),
         parse_component("t^2", qi),
     ])
     start = time.monotonic()
-    report = optimal_affine_reparametrize(phi, qi_ext)
+    report = optimal_affine_reparametrize(phi)
     elapsed = time.monotonic() - start
     assert report.status == "fail"
     assert report.dimension == 0
     assert elapsed < 1
 
 
-def _reconstructs(rf, ext):
+def _reconstructs(rf, tower):
     """Layers over delta recombine to rf(t0 + a t1 + ...) exactly."""
-    tower = ext.tower
-    sub = ext.substitution()
+    sub = substitution(tower)
+    n = tower.degree
 
     def horner(p):
-        acc = MultiPoly.zero(tower, ext.n)
+        acc = MultiPoly.zero(tower, n)
         for c in reversed(p.coeffs):
-            acc = acc * sub + MultiPoly.const(tower, ext.n, c)
+            acc = acc * sub + MultiPoly.const(tower, n, c)
         return acc
 
     num_sub, den_sub = horner(rf.num), horner(rf.den)
-    layers, delta = alpha_decompose(num_sub, den_sub, ext)
-    lhs = MultiPoly.zero(tower, ext.n)
+    layers, delta = alpha_decompose(num_sub, den_sub)
+    lhs = MultiPoly.zero(tower, n)
     power = tower.one
     for layer in layers:
         lhs = lhs + lift_to_tower(layer, tower).scale(power)
@@ -229,26 +230,25 @@ def _reconstructs(rf, ext):
     return lhs * den_sub == num_sub * lift_to_tower(delta, tower)
 
 
-def test_criterion_6a_alpha_reconstruction(qi, qi_ext, quartic):
-    phi, ext = quartic
+def test_criterion_6a_alpha_reconstruction(qi, quartic):
+    phi = quartic
     rng = random.Random(20260814)
     with _timed("6a"):
         for _ in range(50):
             assert _reconstructs(
-                random_rational_function(rng, qi, max_deg=2), qi_ext)
+                random_rational_function(rng, qi, max_deg=2), qi)
         for _ in range(50):
             assert _reconstructs(
-                random_rational_function(rng, ext.tower, max_deg=2, span=2),
-                ext)
+                random_rational_function(rng, phi.field, max_deg=2, span=2),
+                phi.field)
 
 
 def _corpus(quartic, gaussian_cusp, gaussian_twist, quartic_report):
     report, _ = quartic_report
-    phi_q, ext_q = quartic
     out = []
-    for phi, ext in (quartic, gaussian_cusp, gaussian_twist):
-        gens, _ = witness_ideal(phi, ext)
-        out.append((gens, ext.base))
+    for phi in (quartic, gaussian_cusp, gaussian_twist):
+        gens, _ = witness_ideal(phi)
+        out.append((gens, phi.field.base))
     out.append((parse_gens(["t0^2 + t1^2 + t1"], 2), QQ))
     out.append((report.second_witness, report.embedding.subfield))
     return out
@@ -270,30 +270,31 @@ def test_criterion_6b_groebner_invariants(quartic, gaussian_cusp,
             assert ideal_equal(once, twice)
 
 
-def _restriction_roots(f, ext):
-    """Roots of f in the tower by solving the descended QQ system."""
-    tower = ext.tower
-    sub = ext.substitution()
-    acc = MultiPoly.zero(tower, ext.n)
+def _restriction_roots(f):
+    """Roots of f in its tower by solving the descended QQ system."""
+    tower = f.field
+    n = tower.degree
+    sub = substitution(tower)
+    acc = MultiPoly.zero(tower, n)
     for c in reversed(f.coeffs):
-        acc = acc * sub + MultiPoly.const(tower, ext.n, c)
-    system = [l for l in alpha_layers(acc, ext) if not l.is_zero()]
+        acc = acc * sub + MultiPoly.const(tower, n, c)
+    system = [l for l in alpha_layers(acc) if not l.is_zero()]
     assert system, "zero polynomial has no restriction system"
-    sols = rational_solutions(system, ext.n)
+    sols = rational_solutions(system, n)
     return {tower.element(tuple(s)) for s in sols}
 
 
-def _check_roots_agree(f, ext):
-    found = roots_in_field(f, ext.tower)
+def _check_roots_agree(f):
+    found = roots_in_field(f, f.field)
     assert len(set(found)) == len(found)
     for r in found:
         assert not f.evaluate(r)  # soundness
-    assert set(found) == _restriction_roots(f, ext)  # completeness
+    assert set(found) == _restriction_roots(f)  # completeness
 
 
-def test_criterion_6c_roots_in_field_vs_restriction(qi, qi_ext, quartic):
-    phi, ext = quartic
-    K = ext.tower
+def test_criterion_6c_roots_in_field_vs_restriction(qi, quartic):
+    phi = quartic
+    K = phi.field
     rng = random.Random(20260814)
     with _timed("6c"):
         # degree-2 tower: random dense inputs plus planted split roots
@@ -301,29 +302,29 @@ def test_criterion_6c_roots_in_field_vs_restriction(qi, qi_ext, quartic):
             f = random_unipoly(rng, qi, max_deg=2, span=2)
             while f.is_zero() or f.degree() == 0:
                 f = random_unipoly(rng, qi, max_deg=2, span=2)
-            _check_roots_agree(f, qi_ext)
+            _check_roots_agree(f)
         t = UniPoly(qi, (qi.zero, qi.one))
         r1 = random_field_element(rng, qi)
         r2 = random_field_element(rng, qi)
         split = (t - UniPoly(qi, (r1,))) * (t - UniPoly(qi, (r2,)))
-        _check_roots_agree(split, qi_ext)
+        _check_roots_agree(split)
         # degree-4 tower: generic distinct-root quadratics make the
         # descended system infeasible for the brute-force side, so stick
         # to inputs it can enumerate while covering 0, 1 and 2 roots
         for coeffs in ((10, 6, 1), (1, 0, 1), (-3, 0, 1), (2, -1, 1)):
             _check_roots_agree(
-                UniPoly(K, [K.coerce(c) for c in coeffs]), ext)
+                UniPoly(K, [K.coerce(c) for c in coeffs]))
         tq = UniPoly(K, (K.zero, K.one))
         for _ in range(3):
             r = random_field_element(rng, K, span=2)
             lin = tq - UniPoly(K, (r,))
-            _check_roots_agree(lin, ext)
-            _check_roots_agree(lin * lin, ext)
+            _check_roots_agree(lin)
+            _check_roots_agree(lin * lin)
 
 
 def test_criterion_6d_shift_degree_floor(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    phi = quartic
+    K = phi.field
     rng = random.Random(20260814)
     with _timed("6d"):
         for _ in range(20):

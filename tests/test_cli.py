@@ -104,6 +104,19 @@ def test_primality_beyond_the_exact_bound_is_exit_3():
     assert proc.stderr.startswith("budget exhausted: ")
 
 
+def test_pollard_rho_cap_is_exit_3():
+    # the rational root test factors the constant term
+    # (10^14 + 31) * (3*10^14 + 89); Pollard rho needs millions of steps
+    # to split it, past its cap for one factorize call
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercircle", "hypercircle",
+         "x^2 - 30000000000018200000000002759", "t"],
+        capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exhausted: Pollard rho")
+
+
 def _raise_positive_dimensional(args):
     x, y = mp_vars(QQ, 2)
     rational_solutions([x - y], 2)

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (parse_gens, random_field_element,
+from helpers import (gen_hom, parse_gens, random_field_element,
                      random_rational_function)
 
 from hypercircle.descent import (
-    Extension,
     Parametrization,
     alpha_decompose,
     alpha_layers,
     lift_to_tower,
+    substitution,
     weil_substitute,
     witness_ideal,
 )
@@ -23,6 +23,7 @@ from hypercircle.fields import (QQ, FieldElement, FieldTower,
 from hypercircle.groebner import (GroebnerBasis, buchberger, dimension,
                                   ideal_equal)
 from hypercircle.mpoly import GREVLEX, MultiPoly
+from hypercircle.reparam import AffineShift, verify_reparametrization
 from hypercircle.upoly import (RationalFunction, UniPoly,
                                sylvester_resultant_lists)
 
@@ -31,11 +32,10 @@ def _rf(field, num_coeffs, den_coeffs):
     return RationalFunction(UniPoly(field, num_coeffs), UniPoly(field, den_coeffs))
 
 
-def _substituted(rf, ext):
+def _substituted(rf, tower):
     """Numerator and denominator of rf(t0 + a t1 + ...) over the tower."""
-    sub = ext.substitution()
-    tower = ext.tower
-    n = ext.n
+    sub = substitution(tower)
+    n = tower.degree
 
     def horner(p):
         acc = MultiPoly.zero(tower, n)
@@ -46,10 +46,10 @@ def _substituted(rf, ext):
     return horner(rf.num), horner(rf.den)
 
 
-def _recombines(num, den, ext):
+def _recombines(num, den):
     """Sum of alpha layers of num/den over delta equals num/den exactly."""
-    tower = ext.tower
-    layers, delta = alpha_decompose(num, den, ext)
+    tower = den.field
+    layers, delta = alpha_decompose(num, den)
     lhs = MultiPoly.zero(tower, num.arity)
     power = tower.one
     for layer in layers:
@@ -59,30 +59,30 @@ def _recombines(num, den, ext):
     return lhs * den == num * lift_to_tower(delta, tower)
 
 
-def _reconstruction_holds(rf, ext):
+def _reconstruction_holds(rf, tower):
     """Sum of alpha layers over delta matches rf(t0 + a t1 + ...) exactly."""
-    return _recombines(*_substituted(rf, ext), ext)
+    return _recombines(*_substituted(rf, tower))
 
 
-def test_substitution_shape(qi_ext):
-    sub = qi_ext.substitution()
-    i = qi_ext.tower.gen()
-    assert sub.terms == {(1, 0): qi_ext.tower.one, (0, 1): i}
+def test_substitution_shape(qi):
+    sub = substitution(qi)
+    i = qi.gen()
+    assert sub.terms == {(1, 0): qi.one, (0, 1): i}
 
 
-def test_alpha_decompose_linear(qi, qi_ext):
-    num, den = _substituted(_rf(qi, (qi.gen(), qi.one), (qi.one,)), qi_ext)
-    layers, delta = alpha_decompose(num, den, qi_ext)
+def test_alpha_decompose_linear(qi):
+    num, den = _substituted(_rf(qi, (qi.gen(), qi.one), (qi.one,)), qi)
+    layers, delta = alpha_decompose(num, den)
     t0, t1 = MultiPoly.var(QQ, 2, 0), MultiPoly.var(QQ, 2, 1)
     one = MultiPoly.const(QQ, 2, Fraction(1))
     assert delta == one
     assert layers[0] == t0 and layers[1] == t1 + one
 
 
-def test_alpha_decompose_reciprocal(qi, qi_ext):
+def test_alpha_decompose_reciprocal(qi):
     # 1/(t + a): delta is the norm t0^2 + (t1+1)^2, layers the conjugate parts
-    num, den = _substituted(_rf(qi, (qi.one,), (qi.gen(), qi.one)), qi_ext)
-    layers, delta = alpha_decompose(num, den, qi_ext)
+    num, den = _substituted(_rf(qi, (qi.one,), (qi.gen(), qi.one)), qi)
+    layers, delta = alpha_decompose(num, den)
     t0, t1 = MultiPoly.var(QQ, 2, 0), MultiPoly.var(QQ, 2, 1)
     one = MultiPoly.const(QQ, 2, Fraction(1))
     assert delta == t0 * t0 + (t1 + one) * (t1 + one)
@@ -90,51 +90,45 @@ def test_alpha_decompose_reciprocal(qi, qi_ext):
     assert layers[1] == -(t1 + one)
 
 
-def test_alpha_decompose_square(qi, qi_ext):
+def test_alpha_decompose_square(qi):
     # t^2 under t -> t0 + a t1 splits into t0^2 - t1^2 and 2 t0 t1
-    num, den = _substituted(_rf(qi, (qi.zero, qi.zero, qi.one), (qi.one,)), qi_ext)
-    layers, delta = alpha_decompose(num, den, qi_ext)
+    num, den = _substituted(_rf(qi, (qi.zero, qi.zero, qi.one), (qi.one,)), qi)
+    layers, delta = alpha_decompose(num, den)
     t0, t1 = MultiPoly.var(QQ, 2, 0), MultiPoly.var(QQ, 2, 1)
     assert delta.is_constant()
     assert layers[0] == t0 * t0 - t1 * t1
     assert layers[1] == 2 * t0 * t1
 
 
-def test_reconstruction_identity_samples(qi, qi_ext):
+def test_reconstruction_identity_samples(qi):
     rng = random.Random(42)
     for _ in range(8):
         rf = random_rational_function(rng, qi, max_deg=2)
-        assert _reconstruction_holds(rf, qi_ext)
+        assert _reconstruction_holds(rf, qi)
 
 
 def test_reconstruction_identity_quartic(quartic):
-    phi, ext = quartic
+    phi = quartic
     rng = random.Random(43)
     for _ in range(4):
-        rf = random_rational_function(rng, ext.tower, max_deg=2, span=2)
-        assert _reconstruction_holds(rf, ext)
+        rf = random_rational_function(rng, phi.field, max_deg=2, span=2)
+        assert _reconstruction_holds(rf, phi.field)
     for comp in phi.components():
-        assert _reconstruction_holds(comp, ext)
+        assert _reconstruction_holds(comp, phi.field)
 
 
 def test_weil_substitute_shares_denominator(quartic):
-    phi, ext = quartic
-    res = weil_substitute(phi, ext)
-    assert res.extension is ext
-    assert len(res.numerators) == len(phi.numerators)
-    assert all(len(layers) == ext.n for layers in res.numerators)
-    assert not res.delta.is_zero()
-
-
-def test_weil_substitute_rejects_foreign_field(qi, quartic):
-    phi, ext = quartic
-    with pytest.raises(ValueError):
-        weil_substitute(phi, Extension(qi))
+    phi = quartic
+    delta, numerators = weil_substitute(phi)
+    assert len(numerators) == len(phi.numerators)
+    assert all(len(layers) == phi.field.degree for layers in numerators)
+    assert not delta.is_zero()
+    assert delta.field is phi.field.base
 
 
 def test_witness_ideal_gaussian_positive(gaussian_cusp):
-    phi, ext = gaussian_cusp
-    gb, delta = witness_ideal(phi, ext)
+    phi = gaussian_cusp
+    gb, delta = witness_ideal(phi)
     expected = parse_gens(["t0*t1 - t0", "t1^3 - 3*t1^2 + 3*t1 - 1"], 2)
     assert gb == expected
     assert dimension(gb) == 1
@@ -146,15 +140,15 @@ def test_witness_ideal_gaussian_positive(gaussian_cusp):
 
 
 def test_witness_ideal_gaussian_negative(gaussian_twist):
-    phi, ext = gaussian_twist
-    gb, delta = witness_ideal(phi, ext)
+    phi = gaussian_twist
+    gb, delta = witness_ideal(phi)
     assert ideal_equal(gb, parse_gens(["t1 + 1", "t0"], 2))
     assert dimension(gb) == 0
 
 
 def test_witness_ideal_quartic_matches_reference(quartic):
-    phi, ext = quartic
-    gb, delta = witness_ideal(phi, ext)
+    phi = quartic
+    gb, delta = witness_ideal(phi)
     reference = parse_gens(
         [
             "4*t2 + 12*t3 - 3",
@@ -168,22 +162,22 @@ def test_witness_ideal_quartic_matches_reference(quartic):
     assert not delta.is_zero()
 
 
-def test_witness_ideal_of_rational_coefficient_square(qi, qi_ext):
+def test_witness_ideal_of_rational_coefficient_square(qi):
     # t^2 has rational coefficients but its witness is the two axes t0 t1 = 0
     phi = Parametrization.from_components(
         [_rf(qi, (qi.zero, qi.zero, qi.one), (qi.one,))]
     )
-    gb, delta = witness_ideal(phi, qi_ext)
+    gb, delta = witness_ideal(phi)
     t0, t1 = MultiPoly.var(QQ, 2, 0), MultiPoly.var(QQ, 2, 1)
     assert gb == [t0 * t1]
     assert dimension(gb) == 1
 
 
-def test_witness_ideal_of_constant_is_empty(qi, qi_ext):
+def test_witness_ideal_of_constant_is_empty(qi):
     phi = Parametrization.from_components([_rf(qi, (qi.coerce(5), qi.one), (qi.one,))])
     # t + 5 keeps layer 1 equal to t1, so take a truly layer-free input instead
     phi0 = Parametrization.from_components([_rf(qi, (qi.coerce(5),), (qi.one,))])
-    gb, delta = witness_ideal(phi0, qi_ext)
+    gb, delta = witness_ideal(phi0)
     assert gb == []
 
 
@@ -195,8 +189,8 @@ def _is_reduced_grevlex_basis(gb):
 @pytest.mark.parametrize("curve", ["gaussian_cusp", "gaussian_twist",
                                    "quartic"])
 def test_witness_ideal_is_its_reduced_grevlex_basis(request, curve):
-    phi, ext = request.getfixturevalue(curve)
-    gb, _ = witness_ideal(phi, ext)
+    phi = request.getfixturevalue(curve)
+    gb, _ = witness_ideal(phi)
     assert gb
     assert _is_reduced_grevlex_basis(gb)
 
@@ -205,6 +199,68 @@ def test_second_witness_is_its_reduced_grevlex_basis(quartic_report):
     report, _ = quartic_report
     assert report.second_witness
     assert _is_reduced_grevlex_basis(report.second_witness)
+
+
+def _reference_canonical(field, numerators, denominator):
+    """The canonical (numerators, denominator), from scratch: the gcd of
+    every polynomial divided out, then the denominator made monic."""
+    common = denominator
+    for f in numerators:
+        common = common.gcd(f)
+    nums = [f // common for f in numerators]
+    den = denominator // common
+    inv = field.one / den.leading()
+    return tuple(f.scale(inv) for f in nums), den.scale(inv)
+
+
+def _stored(phi):
+    return phi.numerators, phi.denominator
+
+
+def test_every_construction_is_canonical(qi, quartic, quartic_report):
+    rng = random.Random(20261018)
+    K = quartic.field
+    conj = gen_hom(-qi.gen(), qi)
+    report, _ = quartic_report
+    ctx = TowerContext(report.embedding)
+    for field, span in ((qi, 3), (K, 2)):
+        for _ in range(6):
+            comps = [random_rational_function(rng, field, 2, span)
+                     for _ in range(rng.randint(1, 3))]
+            phi = Parametrization.from_components(comps)
+            # over the product of the denominators, not their lcm
+            dens = [c.den for c in comps]
+            prod = dens[0]
+            for d in dens[1:]:
+                prod = prod * d
+            raw = [c.num * (prod // c.den) for c in comps]
+            assert _stored(phi) == _reference_canonical(field, raw, prod)
+            a = random_field_element(rng, field, span)
+            while not a:
+                a = random_field_element(rng, field, span)
+            b = random_field_element(rng, field, span)
+            shifted = phi.compose_affine(a, b)
+            raw = [f.shift_compose(a, b) for f in phi.numerators]
+            assert _stored(shifted) == _reference_canonical(
+                field, raw, phi.denominator.shift_compose(a, b))
+            hom, target = (conj, qi) if field is qi else (ctx.to_tower,
+                                                          ctx.tower)
+            mapped = phi.map_coefficients(hom, target)
+            raw = [f.map_coefficients(hom, target) for f in phi.numerators]
+            assert _stored(mapped) == _reference_canonical(
+                target, raw, phi.denominator.map_coefficients(hom, target))
+    # the lift of a good shift: the report's, precomposed over the subfield
+    emb = report.embedding
+    base = report.shift
+    for _ in range(4):
+        c = emb.push(random_field_element(rng, emb.subfield))
+        d = emb.push(random_field_element(rng, emb.subfield))
+        if not c:
+            continue
+        shift = AffineShift(K, base.a * c, base.a * d + base.b)
+        got = verify_reparametrization(quartic, shift, emb)
+        assert got.field is emb.subfield
+        assert _stored(got) == _reference_canonical(got.field, *_stored(got))
 
 
 def test_parametrization_normalizes():
@@ -236,8 +292,8 @@ def test_compose_affine(qi):
 
 
 def test_compose_affine_is_functorial(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    phi = quartic
+    K = phi.field
     a2 = K.coerce(3)
     b2 = K.gen()
     one_step = phi.compose_affine(a2, b2).compose_affine(K.coerce(2), K.one)
@@ -246,11 +302,10 @@ def test_compose_affine_is_functorial(quartic):
 
 
 def test_alpha_layers_split_coefficients(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    K = quartic.field
     p = MultiPoly.const(K, 1, K.gen())
-    layers = alpha_layers(p, ext)
-    assert len(layers) == ext.n
+    layers = alpha_layers(p)
+    assert len(layers) == K.degree
     assert layers[0].is_zero()
     assert layers[1] == MultiPoly.const(QQ, 1, Fraction(1))
     assert layers[2].is_zero() and layers[3].is_zero()
@@ -260,16 +315,17 @@ def test_alpha_layers_split_coefficients(quartic):
 # delta against its definition as a Sylvester resultant
 
 
-def _sylvester_delta(den, ext):
+def _sylvester_delta(den):
     """Res_x(minpoly, sum_k layer_k x^k) by Bareiss over MultiPoly entries."""
-    layers = alpha_layers(den, ext)
+    layers = alpha_layers(den)
     while len(layers) > 1 and layers[-1].is_zero():
         layers.pop()
     arity = den.arity
-    zero = MultiPoly.zero(ext.base, arity)
-    one = MultiPoly.const(ext.base, arity, ext.base.one)
-    mc = [MultiPoly.const(ext.base, arity, c)
-          for c in ext.tower.minpoly.coeffs]
+    base = den.field.base
+    zero = MultiPoly.zero(base, arity)
+    one = MultiPoly.const(base, arity, base.one)
+    mc = [MultiPoly.const(base, arity, c)
+          for c in den.field.minpoly.coeffs]
     return sylvester_resultant_lists(mc, layers, zero, one)
 
 
@@ -319,14 +375,13 @@ def _random_bivariate(rng, field, deg):
 @pytest.mark.parametrize("tower", list(ORACLE_TOWERS))
 def test_delta_is_the_sylvester_resultant(tower, deg):
     K = ORACLE_TOWERS[tower]()
-    ext = Extension(K)
     rng = random.Random(f"{tower}:{deg}")
     for _ in range(2):
         num = _random_bivariate(rng, K, 2)
         den = _random_bivariate(rng, K, deg)
-        layers, delta = alpha_decompose(num, den, ext)
-        assert delta == _sylvester_delta(den, ext)
-        assert _recombines(num, den, ext)
+        layers, delta = alpha_decompose(num, den)
+        assert delta == _sylvester_delta(den)
+        assert _recombines(num, den)
         assert all(_all_fractions(p) for p in layers + [delta])
 
 
@@ -334,12 +389,11 @@ def test_delta_is_the_sylvester_resultant(tower, deg):
                                    "QQ(a^3)(a),a^6=3"])
 def test_substituted_delta_is_the_sylvester_resultant(tower):
     K = ORACLE_TOWERS[tower]()
-    ext = Extension(K)
     rng = random.Random(tower)
     for _ in range(2):
         rf = random_rational_function(rng, K, max_deg=2, span=2)
-        num, den = _substituted(rf, ext)
-        layers, delta = alpha_decompose(num, den, ext)
-        assert delta == _sylvester_delta(den, ext)
-        assert _reconstruction_holds(rf, ext)
+        num, den = _substituted(rf, K)
+        layers, delta = alpha_decompose(num, den)
+        assert delta == _sylvester_delta(den)
+        assert _reconstruction_holds(rf, K)
         assert all(_all_fractions(p) for p in layers + [delta])

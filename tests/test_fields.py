@@ -14,7 +14,6 @@ from hypercircle.fields import (
     SubfieldEmbedding,
     TowerContext,
     canonical_key,
-    field_qq_dim,
     is_irreducible,
     make_extension,
     min_poly_over_q,
@@ -41,7 +40,7 @@ def quartic_field():
 def test_rational_field_basics():
     assert QQ.coerce(3) == Fraction(3)
     assert QQ.one - QQ.one == QQ.zero
-    assert field_qq_dim(QQ) == 1
+    assert QQ.qq_dim() == 1
 
 
 def test_gaussian_arithmetic(qi):
@@ -52,7 +51,7 @@ def test_gaussian_arithmetic(qi):
     assert x * y == qi.element((Fraction(5), Fraction(5)))
     assert x / x == qi.one
     assert (x - x) == qi.zero
-    assert field_qq_dim(qi) == 2
+    assert qi.qq_dim() == 2
 
 
 def test_inverse_property_random(qi, quartic_field):

@@ -1,14 +1,13 @@
 """Buchberger, saturation, elimination, dimension, triangular solving."""
 
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from helpers import mp_vars, parse_gens
 
 from hypercircle import kernel
-from hypercircle.fields import QQ, canonical_key, make_extension, roots_in_field
+from hypercircle.fields import QQ, canonical_key, make_extension
 from hypercircle.groebner import (
     GroebnerBasis,
     PairBudgetExceededError,
@@ -160,8 +159,7 @@ def test_triangular_solve_over_tower():
     x, y = mp_vars(QQ, 2)
     one = MultiPoly.const(QQ, 2, Fraction(1))
     gens = [x * x + one, y - x]
-    finder = partial(roots_in_field, field=K)
-    sols = triangular_solve(gens, 2, K, K.coerce, finder)
+    sols = triangular_solve(gens, 2, K)
     assert len(sols) == 2
     assert set(sols) == {(-i, -i), (i, i)}
     assert sols == sorted(sols, key=lambda s: [canonical_key(c) for c in s])

@@ -24,9 +24,9 @@ def _lift_unipoly(p, tower):
     return UniPoly(tower, [tower.coerce(c) for c in p.coeffs])
 
 
-def _traces_unit(components, unit, ext):
+def _traces_unit(components, unit):
     """sum_i psi_i(t) a^i equals (a t + b)/(c t + d) over the tower."""
-    tower = ext.tower
+    tower = unit.field
     den = _lift_unipoly(components[0].den, tower)
     acc = UniPoly(tower, (tower.zero,))
     power = tower.one
@@ -42,48 +42,42 @@ def _traces_unit(components, unit, ext):
     return acc * lhs_den == lhs_num * den
 
 
-def test_unit_identity(qi, qi_ext):
-    comps = unit_to_hypercircle(LinearFraction(qi, 1, 0, 0, 1), qi_ext)
+def test_unit_identity(qi):
+    comps = unit_to_hypercircle(LinearFraction(qi, 1, 0, 0, 1))
     t = UniPoly(QQ, (0, 1))
     one = UniPoly(QQ, (1,))
     zero = UniPoly(QQ, ())
     assert comps == [RationalFunction(t, one), RationalFunction(zero, one)]
 
 
-def test_unit_translation(qi, qi_ext):
-    comps = unit_to_hypercircle(LinearFraction(qi, 1, qi.gen(), 0, 1), qi_ext)
+def test_unit_translation(qi):
+    comps = unit_to_hypercircle(LinearFraction(qi, 1, qi.gen(), 0, 1))
     t = UniPoly(QQ, (0, 1))
     one = UniPoly(QQ, (1,))
     assert comps == [RationalFunction(t, one), RationalFunction(one, one)]
 
 
-def test_unit_inversion(qi, qi_ext):
+def test_unit_inversion(qi):
     # 1/(t + a) traces (t/(t^2+1), -1/(t^2+1))
-    comps = unit_to_hypercircle(LinearFraction(qi, 0, 1, 1, qi.gen()), qi_ext)
+    comps = unit_to_hypercircle(LinearFraction(qi, 0, 1, 1, qi.gen()))
     t = UniPoly(QQ, (0, 1))
     circle_den = UniPoly(QQ, (1, 0, 1))
     assert comps == [RationalFunction(t, circle_den),
                      RationalFunction(UniPoly(QQ, (-1,)), circle_den)]
 
 
-def test_unit_roundtrip_gaussian(qi, qi_ext):
+def test_unit_roundtrip_gaussian(qi):
     unit = LinearFraction(qi, qi.coerce(2), qi.gen(), qi.one, qi.coerce(3))
-    comps = unit_to_hypercircle(unit, qi_ext)
-    assert _traces_unit(comps, unit, qi_ext)
+    comps = unit_to_hypercircle(unit)
+    assert _traces_unit(comps, unit)
 
 
 def test_unit_roundtrip_quartic(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    K = quartic.field
     unit = LinearFraction(K, K.one, K.gen(), K.gen() * K.gen(), K.coerce(1))
-    comps = unit_to_hypercircle(unit, ext)
+    comps = unit_to_hypercircle(unit)
     assert len(comps) == 4
-    assert _traces_unit(comps, unit, ext)
-
-
-def test_unit_rejects_foreign_field(qi, qi_ext):
-    with pytest.raises(ValueError):
-        unit_to_hypercircle(LinearFraction(QQ, 1, 0, 0, 1), qi_ext)
+    assert _traces_unit(comps, unit)
 
 
 def test_linear_fraction_degenerate(qi):
@@ -98,14 +92,13 @@ def test_projective_point_normalization(qi):
         ProjectivePoint(qi, [qi.zero, qi.zero])
 
 
-def test_primitive_infinity_point_gaussian(qi, qi_ext):
-    p = primitive_infinity_point(qi_ext)
+def test_primitive_infinity_point_gaussian(qi):
+    p = primitive_infinity_point(qi)
     assert p.coords == (qi.gen(), qi.one, qi.zero)
 
 
 def test_primitive_infinity_point_quartic(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    K = quartic.field
     a = K.gen()
     # coefficients of minpoly(t) / (t - a) by synthetic division
     expect = (
@@ -115,14 +108,14 @@ def test_primitive_infinity_point_quartic(quartic):
         K.one,
         K.zero,
     )
-    assert primitive_infinity_point(ext).coords == expect
+    assert primitive_infinity_point(K).coords == expect
 
 
-def test_primitive_point_lies_on_every_hypercircle(qi, qi_ext):
+def test_primitive_point_lies_on_every_hypercircle(qi):
     # implicit curve of the unit 1/(t + a) is t0^2 + t1^2 + t1 = 0
     gens = parse_gens(["t0^2 + t1^2 + t1"], 2)
-    pts = points_at_infinity(gens, qi_ext)
-    assert primitive_infinity_point(qi_ext) in pts
+    pts = points_at_infinity(gens, qi)
+    assert primitive_infinity_point(qi) in pts
     i = qi.gen()
     assert set(pts) == {
         ProjectivePoint(qi, [i, qi.one, qi.zero]),
@@ -131,25 +124,25 @@ def test_primitive_point_lies_on_every_hypercircle(qi, qi_ext):
     assert pts == sorted(pts, key=ProjectivePoint.sort_key)
 
 
-def test_points_at_infinity_of_line(qi, qi_ext):
-    pts = points_at_infinity(parse_gens(["t1 - 1"], 2), qi_ext)
+def test_points_at_infinity_of_line(qi):
+    pts = points_at_infinity(parse_gens(["t1 - 1"], 2), qi)
     assert pts == [ProjectivePoint(qi, [qi.one, qi.zero, qi.zero])]
 
 
-def test_points_at_infinity_empty_for_origin(qi, qi_ext):
-    assert points_at_infinity(parse_gens(["t0", "t1"], 2), qi_ext) == []
+def test_points_at_infinity_empty_for_origin(qi):
+    assert points_at_infinity(parse_gens(["t0", "t1"], 2), qi) == []
 
 
-def test_points_at_infinity_requires_generators(qi_ext):
+def test_points_at_infinity_requires_generators(qi):
     with pytest.raises(InternalInconsistencyError):
-        points_at_infinity([], qi_ext)
+        points_at_infinity([], qi)
 
 
 def test_quartic_witness_infinity_points(quartic):
-    phi, ext = quartic
-    K = ext.tower
-    gb, _ = witness_ideal(phi, ext)
-    pts = points_at_infinity(gb, ext)
+    phi = quartic
+    K = phi.field
+    gb, _ = witness_ideal(phi)
+    pts = points_at_infinity(gb, K)
     a = K.gen()
     gammas = [
         -4 * a + Fraction(3, 2) * a * a - Fraction(1, 2) * a * a * a,
@@ -174,14 +167,15 @@ def test_quartic_witness_infinity_points(quartic):
 
 
 def test_hypercircle_degree_field(quartic):
-    phi, ext = quartic
-    gb, _ = witness_ideal(phi, ext)
-    pts = points_at_infinity(gb, ext)
-    pe = hypercircle_degree_field(pts, ext)
+    phi = quartic
+    K = phi.field
+    gb, _ = witness_ideal(phi)
+    pts = points_at_infinity(gb, K)
+    pe = hypercircle_degree_field(pts)
     assert pe.r == 2
     assert pe.minpoly.degree() == 2
     # gamma generates the same field as the first point's coordinates
     for c in pts[0].coords[:-1]:
         assert pe.membership(c) is not None
     with pytest.raises(ValueError):
-        hypercircle_degree_field([], ext)
+        hypercircle_degree_field([])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercircle import numtheory
 from hypercircle.numtheory import (
     SearchCapExceededError,
     crt_class,
@@ -95,6 +96,16 @@ def test_factorize_known():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
     assert factorize(266381) == {266381: 1}
+
+
+def test_pollard_rho_steps_are_capped_per_factorize_call(monkeypatch):
+    # two primes above the trial-division bound of 10^4 leave rho a
+    # composite cofactor; it splits this one in a few hundred steps
+    n = 1000003 * 1000033
+    assert factorize(n) == {1000003: 1, 1000033: 1}
+    monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 10)
+    with pytest.raises(SearchCapExceededError):
+        factorize(n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -124,10 +124,10 @@ def test_parse_curve_file_errors(text, message):
 
 
 def test_build_problem_shapes(quartic):
-    phi, ext = quartic
-    assert ext.n == 4
+    phi = quartic
+    assert phi.field.degree == 4
     assert len(phi.components()) == 2
-    assert phi.field is ext.tower
+    assert phi.field.name == "a"
 
 
 def test_build_problem_rejects_reducible_minpoly():
@@ -175,8 +175,8 @@ def test_render_rational_hides_unit_denominator():
     assert render_rational(rf2) == "(t)/(t^2 + 1)"
 
 
-def test_render_point(qi, qi_ext):
-    p = primitive_infinity_point(qi_ext)
+def test_render_point(qi):
+    p = primitive_infinity_point(qi)
     assert render_point(p) == ["a", "1", "0"]
 
 
@@ -187,8 +187,8 @@ def test_roundtrip_witness_generators(quartic_report):
 
 
 def test_roundtrip_components(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    phi = quartic
+    K = phi.field
     for comp in phi.components():
         assert parse_component(render_rational(comp), K) == comp
 
@@ -203,6 +203,5 @@ def test_roundtrip_field_elements(quartic_report):
 
 
 def test_roundtrip_minpoly(quartic):
-    phi, ext = quartic
-    m = ext.tower.minpoly
+    m = quartic.field.minpoly
     assert parse_polynomial(render_unipoly(m, "x")) == m

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import parse_gens, random_field_element
 
-from hypercircle.descent import Extension, Parametrization
+from hypercircle.descent import Parametrization
 from hypercircle.exprparse import parse_component, parse_field_element
 from hypercircle.fields import QQ, roots_in_field, trivial_embedding
 from hypercircle.groebner import (PositiveDimensionalError, ideal_equal,
@@ -34,7 +34,7 @@ def test_affine_shift_validation(qi):
 
 
 def test_quartic_success_and_degree_drop(quartic, quartic_report):
-    phi, ext = quartic
+    phi = quartic
     report, elapsed = quartic_report
     assert report.succeeded
     assert report.r == 2
@@ -44,9 +44,9 @@ def test_quartic_success_and_degree_drop(quartic, quartic_report):
 
 
 def test_quartic_shift(quartic, quartic_report):
-    phi, ext = quartic
+    phi = quartic
     report, _ = quartic_report
-    K = ext.tower
+    K = phi.field
     expect_b = parse_field_element("6 - 17/2*a + 3*a^2 - 3/4*a^3", K)
     assert report.shift == AffineShift(K, K.one, expect_b)
     assert verify_reparametrization(phi, report.shift, report.embedding)
@@ -108,7 +108,7 @@ def test_quartic_second_run_is_stable(quartic_report):
     report, _ = quartic_report
     phi2 = report.reparametrized
     sub = phi2.field
-    second = optimal_affine_reparametrize(phi2, Extension(sub))
+    second = optimal_affine_reparametrize(phi2)
     assert second.succeeded
     assert second.r == 2
     assert second.shift.is_identity()
@@ -131,7 +131,7 @@ def test_quartic_second_run_is_stable(quartic_report):
     assert matched
 
 
-def test_full_degree_witness_keeps_field(qi, qi_ext):
+def test_full_degree_witness_keeps_field(qi):
     # ((it+1)/t)^2 and ^3: the witness is a full hypercircle, r = n = 2
     i = qi.gen()
     c1 = RationalFunction(UniPoly(qi, (qi.one, 2 * i, qi.coerce(-1))),
@@ -140,7 +140,7 @@ def test_full_degree_witness_keeps_field(qi, qi_ext):
         UniPoly(qi, (qi.one, 3 * i, qi.coerce(-3), -i)),
         UniPoly(qi, (qi.zero, qi.zero, qi.zero, qi.one)))
     phi = Parametrization.from_components([c1, c2])
-    report = optimal_affine_reparametrize(phi, qi_ext)
+    report = optimal_affine_reparametrize(phi)
     assert report.succeeded
     assert report.r == 2
     assert report.shift.is_identity()
@@ -154,9 +154,9 @@ def test_full_degree_witness_keeps_field(qi, qi_ext):
 
 
 def test_gaussian_cusp_reparametrizes_over_q(gaussian_cusp):
-    phi, ext = gaussian_cusp
-    qi = ext.tower
-    report = optimal_affine_reparametrize(phi, ext)
+    phi = gaussian_cusp
+    qi = phi.field
+    report = optimal_affine_reparametrize(phi)
     assert report.succeeded
     assert report.r == 1
     assert report.embedding.subfield is QQ
@@ -169,8 +169,8 @@ def test_gaussian_cusp_reparametrizes_over_q(gaussian_cusp):
 
 
 def test_gaussian_twist_fails_with_dimension_zero(gaussian_twist):
-    phi, ext = gaussian_twist
-    report = optimal_affine_reparametrize(phi, ext)
+    phi = gaussian_twist
+    report = optimal_affine_reparametrize(phi)
     assert not report.succeeded
     assert report.status == "fail"
     assert report.dimension == 0
@@ -178,11 +178,11 @@ def test_gaussian_twist_fails_with_dimension_zero(gaussian_twist):
     assert "no points at infinity" in report.fail_reason
 
 
-def test_rational_input_short_circuits(qi, qi_ext):
+def test_rational_input_short_circuits(qi):
     t2 = RationalFunction(UniPoly(qi, (qi.zero, qi.zero, qi.one)),
                           UniPoly(qi, (qi.one,)))
     phi = Parametrization.from_components([t2])
-    report = optimal_affine_reparametrize(phi, qi_ext)
+    report = optimal_affine_reparametrize(phi)
     assert report.succeeded
     assert report.r == 1
     assert report.shift.is_identity()
@@ -192,8 +192,8 @@ def test_rational_input_short_circuits(qi, qi_ext):
 
 
 def test_random_shifts_never_beat_the_optimum(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    phi = quartic
+    K = phi.field
     rng = random.Random(7)
     tried = 0
     while tried < 3:
@@ -237,8 +237,8 @@ def test_parametrize_line_positive_dimensional_slice_is_internal():
 
 
 def test_verify_reparametrization_rejects_bad_shift(quartic):
-    phi, ext = quartic
-    K = ext.tower
+    phi = quartic
+    K = phi.field
     emb = trivial_embedding(K)
     assert not verify_reparametrization(phi, AffineShift.identity(K), emb)
 
@@ -247,9 +247,9 @@ def test_verify_reparametrization_rejects_bad_shift(quartic):
                                   "gaussian_twist"])
 def test_verify_reparametrization_matches_component_membership(request,
                                                                name):
-    phi, ext = request.getfixturevalue(name)
-    K = ext.tower
-    report = optimal_affine_reparametrize(phi, ext)
+    phi = request.getfixturevalue(name)
+    K = phi.field
+    report = optimal_affine_reparametrize(phi)
     embs = [trivial_embedding(K)]
     if report.succeeded:
         embs.append(report.embedding)

@@ -13,7 +13,9 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from hypercircle.fields import QQ, FieldTower, min_poly_over_q  # noqa: E402
+from hypercircle.fields import (QQ, FieldTower, canonical_key,  # noqa: E402
+                                is_irreducible, min_poly_over_q,
+                                roots_in_field)
 from hypercircle.groebner import buchberger, eliminate, saturate  # noqa: E402
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order  # noqa: E402
 from hypercircle.upoly import UniPoly, rational_roots, resultant  # noqa: E402
@@ -197,3 +199,76 @@ def test_min_poly_over_q_matches_sympy(seed):
     assert got.degree() == want.degree()
     assert [sympy.Rational(c.numerator, c.denominator)
             for c in reversed(got.coeffs)] == want.all_coeffs()
+
+
+# name -> (minimal polynomial of a, sympy's a); the roots in each field are
+# compared as coordinate vectors in the a-power basis, which do not depend
+# on which complex root sympy's a is
+ROOT_FIELDS = {
+    "QQ(i)": ((1, 0, 1), sympy.I),
+    "QQ(2^(1/4))": ((-2, 0, 0, 0, 1), sympy.root(2, 4)),
+    "QQ(3^(1/3))": ((-3, 0, 0, 1), sympy.cbrt(3)),
+}
+
+
+def _element_to_sympy(x, alpha):
+    return sum((sympy.Rational(c.numerator, c.denominator) * alpha ** k
+                for k, c in enumerate(x.coeffs)), sympy.Integer(0))
+
+
+def _sympy_roots_in_field(f, alpha):
+    """Roots of f from the linear factors of sympy's factorization over
+    QQ(alpha), read back in the alpha-power basis."""
+    K = f.field
+    expr = sum((_element_to_sympy(c, alpha) * X ** k
+                for k, c in enumerate(f.coeffs)), sympy.Integer(0))
+    _, factors = sympy.factor_list(sympy.expand(expr), X, extension=alpha)
+    roots = []
+    for fac, _ in factors:
+        lin = sympy.Poly(fac, X)
+        if lin.degree() != 1:
+            continue
+        c1, c0 = lin.all_coeffs()
+        coords = sympy.to_number_field(-c0 / c1, alpha).coeffs()[::-1]
+        roots.append(K.element([Fraction(int(c.p), int(c.q))
+                                for c in coords]))
+    return sorted(roots, key=canonical_key)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", list(ROOT_FIELDS))
+def test_roots_in_field_match_sympy(name, seed):
+    mp, alpha = ROOT_FIELDS[name]
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    rng = random.Random(f"field-roots:{name}:{seed}")
+
+    def element():
+        return K.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                          for _ in range(K.degree)])
+
+    x = UniPoly(K, (K.zero, K.one))
+    r1, r2 = element(), element()
+    # two planted roots; a random pure quadratic, which has 0 or 2 roots
+    cases = [(x - UniPoly(K, (r1,))) * (x - UniPoly(K, (r2,))),
+             x * x - UniPoly(K, (r1,))]
+    if K.degree == 2:
+        # one planted root beside a quadratic factor
+        cases.append((x - UniPoly(K, (r1,))) * (x * x - UniPoly(K, (r2,))))
+    for f in cases:
+        assert roots_in_field(f, K) == _sympy_roots_in_field(f, alpha)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_is_irreducible_over_qq_matches_sympy(seed):
+    rng = random.Random(f"irreducible:{seed}")
+    if seed % 3 == 0:
+        # two quadratics: no rational root, so the split search decides
+        f = _random_unipoly(rng, 2, 4) * _random_unipoly(rng, 2, 4)
+    else:
+        f = _random_unipoly(rng, rng.randint(2, 4), 4)
+    ok, factor = is_irreducible(f)
+    assert ok == sympy.Poly(_unipoly_to_sympy(f), X,
+                            domain="QQ").is_irreducible
+    if not ok:
+        assert 0 < factor.degree() < f.degree()
+        assert (f.monic() % factor).is_zero()
