@@ -15,8 +15,17 @@ positive leading coefficient.  Only the returned basis is turned into
 monic Fraction polynomials.  Scaling by a nonzero constant moves no
 leading monomial, so this reduces the same S-pairs, in the same order,
 as monic arithmetic would.  Over a FieldTower the basis stays monic over
-its field.  Leading terms are found through a per-call cache of order
-keys.
+its field.
+
+Inside the engine each monomial is one packed int (M. Monagan and R.
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007), encoded once on entry and decoded when
+the GroebnerBasis is built: the product of monomials is an int sum,
+divisibility one subtract-and-mask, and the monomial order plain int
+comparison.  A degree past the packed bound raises
+PairBudgetExceededError; no field wraps.  No packed term dict goes to
+the term kernel, whose compiled backend takes exponent tuples only; of
+this module, only `spoly` still uses the kernel.
 
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
@@ -24,6 +33,7 @@ requested order unchanged: each ideal's basis is computed once.
 """
 
 from math import gcd
+from operator import itemgetter, mul
 
 from . import kernel
 from .mpoly import GREVLEX, LEX, MultiPoly, block_order
@@ -51,56 +61,142 @@ class PositiveDimensionalError(ArithmeticError):
     failure, not bad input."""
 
 
-class _OrderKeys(dict):
-    """Exponent -> order.key(exponent), filled in on a miss."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, order):
-        super().__init__()
-        self.key = order.key
-
-    def __missing__(self, e):
-        k = self[e] = self.key(e)
-        return k
+# Every field of a packed monomial is at most its total degree, so this
+# degree bound fixes the field width; one more bit per field is a guard.
+_MAX_DEGREE = (1 << 15) - 1
 
 
-def _reduce_full(terms, basis_terms, basis_lms, keys, K):
-    """Remainder of terms modulo a monic basis, fully tail-reduced."""
-    lead = keys.__getitem__
+class _Packing:
+    """Exponent vectors of one arity packed into ints for one order.
+
+    A packed monomial is a row of fixed-width fields, most significant
+    first: the order fields, then the raw exponents.  Every field is a
+    sum of exponents, so packing is linear (the product of monomials is
+    the sum of their ints) and int comparison is the monomial order.  A
+    grevlex block has its degree, then the partial sums (e_0 + ... +
+    e_{m-2}, ..., e_0), which at equal degree compare as the reversed,
+    negated exponents do; lex needs only the raw fields.  The top bit of
+    each field is a guard that stays clear while degrees stay within the
+    bound, so m divides e exactly when e - m borrows into no guard bit.
+    """
+
+    __slots__ = ("bound", "units", "shifts", "guard", "field", "raw",
+                 "ones", "deg_shift")
+
+    def __init__(self, order, arity):
+        self.bound = _MAX_DEGREE
+        width = _MAX_DEGREE.bit_length() + 1
+        if order.kind == kernel.ORDER_LEX:
+            blocks = ()
+        elif order.kind == kernel.ORDER_GREVLEX:
+            blocks = ((0, arity),)
+        else:
+            blocks = ((0, order.split), (order.split, arity))
+        # each field as the range of exponents it sums
+        fields = []
+        for lo, hi in blocks:
+            if lo < hi:
+                fields.append(range(lo, hi))
+                fields.extend(range(lo, j) for j in range(hi - 1, lo, -1))
+        fields.extend(range(i, i + 1) for i in range(arity))
+        top = len(fields) - 1
+        self.units = [sum(1 << width * (top - f)
+                          for f, r in enumerate(fields) if i in r)
+                      for i in range(arity)]
+        self.guard = sum(1 << width * f + width - 1
+                         for f in range(len(fields)))
+        self.field = (1 << width) - 1
+        self.shifts = [width * (arity - 1 - i) for i in range(arity)]
+        # the raw fields times `ones` hold the degree at `deg_shift`
+        self.raw = (1 << width * arity) - 1
+        self.ones = sum(1 << s for s in self.shifts)
+        self.deg_shift = width * max(arity - 1, 0)
+
+    def check(self, degree):
+        if degree > self.bound:
+            raise PairBudgetExceededError(
+                f"monomial degree {degree} exceeds the packed exponent "
+                f"bound of {self.bound}")
+
+    def pack(self, e):
+        self.check(sum(e))
+        return sum(map(mul, self.units, e))
+
+    def terms(self, terms):
+        """A term dict with packed monomials."""
+        self.check(max(map(sum, terms), default=0))
+        units = self.units
+        return {sum(map(mul, units, e)): c for e, c in terms.items()}
+
+    def unpack(self, p):
+        field = self.field
+        return tuple(p >> s & field for s in self.shifts)
+
+    def degree(self, p):
+        return (p & self.raw) * self.ones >> self.deg_shift & self.field
+
+
+def _addmul(acc, c, shift, src):
+    """In place acc += c * X^shift * src on packed terms, dropping
+    cancelled terms; c and the coefficients of src are nonzero."""
+    get = acc.get
+    for e, v in src.items():
+        k = e + shift
+        w = get(k)
+        if w is None:
+            acc[k] = c * v
+        else:
+            w += c * v
+            if w:
+                acc[k] = w
+            else:
+                del acc[k]
+
+
+def _reduce_full(terms, basis, lms, tops, pk):
+    """Remainder of packed terms modulo a monic basis, fully
+    tail-reduced.  tops[i] is the largest degree of basis[i]."""
+    guard = pk.guard
     work = dict(terms)
     rem = {}
     while work:
-        e = max(work, key=lead)
-        i = K.find_reducer(e, basis_lms)
-        if i < 0:
-            rem[e] = work.pop(e)
+        e = max(work)
+        for i, m in enumerate(lms):
+            if not (e - m) & guard:
+                break
         else:
-            shift = K.exp_div(e, basis_lms[i])
-            K.addmul_terms(work, -work[e], shift, basis_terms[i])
+            rem[e] = work.pop(e)
+            continue
+        shift = e - m
+        pk.check(pk.degree(shift) + tops[i])
+        _addmul(work, -work[e], shift, basis[i])
     return rem
 
 
-def _pseudo_reduce(terms, basis_terms, basis_lms, keys, K):
-    """A positive integer multiple of the remainder of integer terms
-    modulo a basis of integer polynomials with positive leading
+def _pseudo_reduce(terms, basis, lms, tops, pk):
+    """A positive integer multiple of the remainder of packed integer
+    terms modulo a basis of integer polynomials with positive leading
     coefficients, fully tail-reduced without fractions."""
-    lead = keys.__getitem__
+    guard = pk.guard
     work = dict(terms)
     rem = {}
     while work:
-        e = max(work, key=lead)
-        i = K.find_reducer(e, basis_lms)
-        if i < 0:
+        e = max(work)
+        for i, m in enumerate(lms):
+            if not (e - m) & guard:
+                break
+        else:
             rem[e] = work.pop(e)
             continue
-        lm = basis_lms[i]
-        c, lc = work[e], basis_terms[i][lm]
+        shift = e - m
+        pk.check(pk.degree(shift) + tops[i])
+        c, lc = work[e], basis[i][m]
         g = gcd(c, lc)
         if g != lc:
-            work = K.scale_terms(work, lc // g)
-            rem = K.scale_terms(rem, lc // g)
-        K.addmul_terms(work, -(c // g), K.exp_div(e, lm), basis_terms[i])
+            s = lc // g
+            work = {k: s * v for k, v in work.items()}
+            rem = {k: s * v for k, v in rem.items()}
+        _addmul(work, -(c // g), shift, basis[i])
     return rem
 
 
@@ -129,22 +225,24 @@ def normal_form(f: MultiPoly, basis, order=GREVLEX):
     The basis is made monic internally; pass a Groebner basis if you rely
     on canonicity of the remainder.
     """
-    K = kernel.impl()
+    pk = _Packing(order, f.arity)
     bs = [g.monic(order) for g in basis if not g.is_zero()]
-    bt = [g.terms for g in bs]
-    lms = [g.leading(order)[0] for g in bs]
-    rem = _reduce_full(f.terms, bt, lms, _OrderKeys(order), K)
-    return MultiPoly(f.field, f.arity, rem, _clean=True)
+    bt = [pk.terms(g.terms) for g in bs]
+    rem = _reduce_full(pk.terms(f.terms), bt, [max(t) for t in bt],
+                       [g.total_degree() for g in bs], pk)
+    return MultiPoly(f.field, f.arity,
+                     {pk.unpack(e): c for e, c in rem.items()}, _clean=True)
 
 
 def spoly(f: MultiPoly, g: MultiPoly, order=GREVLEX):
-    K = kernel.impl()
     ef, cf = f.leading(order)
     eg, cg = g.leading(order)
-    lcm = K.exp_lcm(ef, eg)
+    lcm = kernel.exp_lcm(ef, eg)
     out = {}
-    K.addmul_terms(out, f.field.one / cf, K.exp_div(lcm, ef), f.terms)
-    K.addmul_terms(out, -(g.field.one / cg), K.exp_div(lcm, eg), g.terms)
+    kernel.addmul_terms(out, f.field.one / cf, kernel.exp_div(lcm, ef),
+                        f.terms)
+    kernel.addmul_terms(out, -(g.field.one / cg), kernel.exp_div(lcm, eg),
+                        g.terms)
     return MultiPoly(f.field, f.arity, out, _clean=True)
 
 
@@ -154,7 +252,8 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     A GroebnerBasis already reduced in `order` is returned as it is.
     `budget` bounds the S-pairs actually reduced; pairs that the
     Gebauer-Moeller criteria discard cost nothing.  Raises
-    PairBudgetExceededError when one more reduction would exceed it.
+    PairBudgetExceededError when one more reduction would exceed it, or
+    when a monomial's degree would exceed the packed exponent bound.
     """
     if isinstance(gens, GroebnerBasis) and gens.order == order:
         return gens
@@ -164,10 +263,9 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     # imported here, so that commands without Groebner work do not load it
     from heapq import heappop, heappush
 
-    K = kernel.impl()
-    keys = _OrderKeys(order)
-    lead = keys.__getitem__
     field, arity = gens[0].field, gens[0].arity
+    pk = _Packing(order, arity)
+    guard, degree = pk.guard, pk.degree
     qq = field.height == 0  # QQ is the only field of height 0
     if qq:
         # primitive integer polynomials with positive leading coefficients
@@ -179,50 +277,60 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
 
         def normalize(terms, e):
             c = terms[e]
-            return terms if c == field.one else K.scale_terms(
-                terms, field.one / c)
-    basis, lms, sugars = [], [], []
+            if c == field.one:
+                return terms
+            inv = field.one / c
+            return {k: inv * v for k, v in terms.items()}
+    basis, lms, raws, tops, sugars = [], [], [], [], []
     active = []  # indices that still take part in new pairs
     pairs = {}  # pending pair (i, j) -> lcm of its leading monomials
-    queue = []  # heap of (sugar, deg lcm, order key, i, j); an entry
-    # whose pair has left `pairs` is skipped
+    queue = []  # heap of (sugar, deg lcm, lcm, i, j); an entry whose pair
+    # has left `pairs` is skipped
 
     def add(terms, sugar):
         """Normalize `terms` and join it to the basis: the
         Gebauer-Moeller update of the pending pairs."""
-        lh = max(terms, key=lead)
+        lh = max(terms)
         terms = normalize(terms, lh)
         h = len(basis)
+        rh = pk.unpack(lh)
+        dh = sum(rh)
+
+        def lcm_h(g):
+            return pk.pack(tuple(map(max, raws[g], rh)))
+
         # a pending pair whose lcm lm(h) divides, and which shares its lcm
         # with neither pair (i, h) nor (j, h), is redundant
         for (i, j), lcm in list(pairs.items()):
-            if (K.exp_divides(lh, lcm) and K.exp_lcm(lms[i], lh) != lcm
-                    and K.exp_lcm(lms[j], lh) != lcm):
+            if (not (lcm - lh) & guard and lcm_h(i) != lcm
+                    and lcm_h(j) != lcm):
                 del pairs[i, j]
         # one new pair per lcm; none for an lcm shared by a coprime pair
         new = {}
         for g in active:
-            lcm = K.exp_lcm(lms[g], lh)
-            if sum(lcm) == sum(lms[g]) + sum(lh):
+            lcm = lcm_h(g)
+            if lcm == lms[g] + lh:
                 new[lcm] = None
             else:
                 new.setdefault(lcm, g)
         for lcm, g in new.items():
-            if g is None or any(m != lcm and K.exp_divides(m, lcm)
+            if g is None or any(m != lcm and not (lcm - m) & guard
                                 for m in new):
                 continue
-            d = sum(lcm)
-            s = max(sugars[g] + d - sum(lms[g]), sugar + d - sum(lh))
+            d = degree(lcm)
+            s = max(sugars[g] + d - degree(lms[g]), sugar + d - dh)
             pairs[g, h] = lcm
-            heappush(queue, (s, d, keys[lcm], g, h))
-        active[:] = [g for g in active if not K.exp_divides(lh, lms[g])]
+            heappush(queue, (s, d, lcm, g, h))
+        active[:] = [g for g in active if (lms[g] - lh) & guard]
         active.append(h)
         basis.append(terms)
         lms.append(lh)
+        raws.append(rh)
+        tops.append(max(map(degree, terms)))
         sugars.append(sugar)
 
     for g, terms in zip(gens, inputs):
-        add(terms, g.total_degree())
+        add(pk.terms(terms), g.total_degree())
     count = 0
     while queue:
         sugar, _, _, i, j = heappop(queue)
@@ -239,40 +347,51 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         if qq:
             g = gcd(ci, cj)
             ci, cj = ci // g, cj // g
+        d = degree(lcm)
+        pk.check(d - degree(lms[i]) + tops[i])
+        pk.check(d - degree(lms[j]) + tops[j])
         s = {}
-        K.addmul_terms(s, cj, K.exp_div(lcm, lms[i]), basis[i])
-        K.addmul_terms(s, -ci, K.exp_div(lcm, lms[j]), basis[j])
-        rem = reduce(s, basis, lms, keys, K)
+        _addmul(s, cj, lcm - lms[i], basis[i])
+        _addmul(s, -ci, lcm - lms[j], basis[j])
+        rem = reduce(s, basis, lms, tops, pk)
         if rem:
             add(rem, sugar)
     reduced = _interreduce([basis[g] for g in active],
-                           [lms[g] for g in active], keys, K, reduce)
+                           [lms[g] for g in active],
+                           [tops[g] for g in active], pk, reduce)
+    unpack = pk.unpack
     if qq:
         from fractions import Fraction
-        reduced = [({e: Fraction(v, terms[lm]) for e, v in terms.items()},
-                    lm) for terms, lm in reduced]
+        reduced = [{unpack(e): Fraction(v, terms[lm])
+                    for e, v in terms.items()} for terms, lm in reduced]
+    else:
+        reduced = [{unpack(e): v for e, v in terms.items()}
+                   for terms, _ in reduced]
     return GroebnerBasis([MultiPoly(field, arity, terms, _clean=True)
-                          for terms, _ in reduced], order)
+                          for terms in reduced], order)
 
 
-def _interreduce(polys, leads, keys, K, reduce):
+def _interreduce(polys, leads, tops, pk, reduce):
     """(terms, leading monomial) of the reduced basis of the ideal that a
     Groebner basis spans, ascending.  Tails are reduced with `reduce`,
     which leaves each element monic over a field and a positive integer
     multiple of monic over QQ."""
+    guard = pk.guard
     # minimalize: drop polynomials whose lead is divisible by another lead
-    keep, kept_leads = [], []
-    for lm, p in sorted(zip(leads, polys), key=lambda t: keys[t[0]]):
-        if any(K.exp_divides(l, lm) for l in kept_leads):
+    keep, kept_leads, kept_tops = [], [], []
+    for lm, p, top in sorted(zip(leads, polys, tops), key=itemgetter(0)):
+        if any(not (lm - l) & guard for l in kept_leads):
             continue
         keep.append(p)
         kept_leads.append(lm)
+        kept_tops.append(top)
     # tail-reduce each against the others; no lead divides another, so
     # every remainder keeps its leading monomial
     out = []
     for idx, (p, lm) in enumerate(zip(keep, kept_leads)):
         rem = reduce(p, keep[:idx] + keep[idx + 1:],
-                     kept_leads[:idx] + kept_leads[idx + 1:], keys, K)
+                     kept_leads[:idx] + kept_leads[idx + 1:],
+                     kept_tops[:idx] + kept_tops[idx + 1:], pk)
         out.append((rem, lm))
     return out
 

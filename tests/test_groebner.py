@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mp_vars, parse_gens
 
-from hypercircle import kernel
+from hypercircle import groebner, kernel
 from hypercircle.fields import QQ, canonical_key, make_extension
 from hypercircle.groebner import (
     GroebnerBasis,
@@ -339,18 +341,78 @@ def test_smallest_sufficient_budget_is_pinned(system, order, budget):
         buchberger(gens, order, budget=budget - 1)
 
 
+def _tower_system(qi):
+    """Three generators over QQ(i), with i in every leading coefficient
+    or tail."""
+    i = MultiPoly.const(qi, 3, qi.gen())
+    one = MultiPoly.const(qi, 3, qi.one)
+    x, y, z = mp_vars(qi, 3)
+    return [x * x + i * y - one, x * y - i * z + 2 * one,
+            y * y * z + (one + i) * x * z - 3 * one]
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
-def test_qq_bases_agree_across_kernel_backends(order):
-    gens = _wide_system()
+def test_qq_bases_agree_across_kernel_backends(order, qi):
+    # the tower system catches an engine that hands packed monomials to
+    # a kernel backend that only takes exponent tuples
+    systems = {"qq": _wide_system(), "tower": _tower_system(qi)}
     prev = kernel.backend_name()
     bases = {}
     try:
         for name in kernel.available_backends():
             kernel.set_backend(name)
-            bases[name] = buchberger(gens, order)
+            for label, gens in systems.items():
+                bases[name, label] = buchberger(gens, order)
     finally:
         kernel.set_backend(prev)
-    assert bases["python"]
-    for gb in bases.values():
-        assert gb == bases["python"]
-        _assert_monic_fractions(gb, order)
+    for (name, label), gb in bases.items():
+        assert gb
+        assert gb == bases["python", label]
+        if label == "qq":
+            _assert_monic_fractions(gb, order)
+        else:
+            assert all(g.leading(order)[1] == qi.one for g in gb)
+            for g in systems[label]:
+                assert normal_form(g, gb, order).is_zero()
+
+
+_ORDERS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from([LEX, GREVLEX] + [block_order(k)
+                                          for k in range(n + 1)])))
+
+
+def _exponents(n):
+    return st.tuples(*[st.integers(min_value=0, max_value=40)] * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORDERS.flatmap(lambda no: st.tuples(
+    st.just(no[1]), _exponents(no[0]), _exponents(no[0]))))
+def test_packed_monomials_follow_the_order_and_the_monoid(case):
+    order, e1, e2 = case
+    pk = groebner._Packing(order, len(e1))
+    p1, p2 = pk.pack(e1), pk.pack(e2)
+    k1, k2 = order.key(e1), order.key(e2)
+    assert (p1 < p2) == (k1 < k2) and (p1 == p2) == (k1 == k2)
+    assert pk.pack(tuple(a + b for a, b in zip(e1, e2))) == p1 + p2
+    assert (not (p2 - p1) & pk.guard) == all(a <= b for a, b in zip(e1, e2))
+    assert pk.unpack(p1) == e1
+    assert pk.degree(p1) == sum(e1)
+
+
+def test_degree_past_the_packed_bound_raises(monkeypatch):
+    # in lex, reducing x*y^5 by x - y^5 reaches degree 10 from inputs of
+    # degree 5 and an S-polynomial of degree 6
+    x, y = mp_vars(QQ, 2)
+    one = MultiPoly.const(QQ, 2, Fraction(1))
+    gens = [x - y ** 5, x * x - one]
+    assert buchberger(gens, LEX) == [y ** 10 - one, x - y ** 5]
+    monkeypatch.setattr(groebner, "_MAX_DEGREE", 7)
+    with pytest.raises(PairBudgetExceededError, match="degree 10 exceeds"):
+        buchberger(gens, LEX)
+    with pytest.raises(PairBudgetExceededError, match="degree 11 exceeds"):
+        normal_form(x ** 3, [x - y ** 5], LEX)
+    with pytest.raises(PairBudgetExceededError, match="degree 8 exceeds"):
+        buchberger([x ** 8 - one], GREVLEX)
