@@ -1,9 +1,8 @@
-"""Pure-Python term arithmetic kernels.
+"""Pure-Python term arithmetic kernels, re-exported by kernel.
 
 A polynomial is carried around as a dict mapping exponent tuples to nonzero
 coefficient objects.  Coefficients only need +, *, unary - and truthiness
-(false means zero), so Fraction and field elements both work.  The compiled
-twin in _kernel_c.pyx implements the same functions.
+(false means zero), so Fraction and field elements both work.
 
 Order kinds: 0 lex, 1 grevlex, 2 block (grevlex on the first `split`
 exponents, then grevlex on the rest).
@@ -51,21 +50,6 @@ def leading_exponent(terms, kind, split):
     return best
 
 
-def find_reducer(e, lms):
-    """Index of the first leading monomial dividing e, or -1."""
-    for i, lm in enumerate(lms):
-        for a, b in zip(lm, e):
-            if a > b:
-                break
-        else:
-            return i
-    return -1
-
-
-def exp_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
-
-
 def exp_div(e1, e2):
     """e1 / e2 as an exponent tuple, or None when not divisible."""
     out = []
@@ -78,13 +62,6 @@ def exp_div(e1, e2):
 
 def exp_lcm(e1, e2):
     return tuple(a if a > b else b for a, b in zip(e1, e2))
-
-
-def exp_divides(e1, e2):
-    for a, b in zip(e1, e2):
-        if a > b:
-            return False
-    return True
 
 
 def addmul_terms(acc, c, shift, src):

@@ -7,6 +7,18 @@ the norm of the substituted g, so it is independent of the component.
 The witness ideal collects the coordinate numerators for the powers
 a^1..a^(n-1) and saturates away the spurious locus delta = 0.
 
+Everything between the input and the returned MultiPolys works on the
+layers of a polynomial, its coordinates along powers of the generator,
+each a term dict over L whose keys are packed monomials: the exponent
+of t_i sits in the i-th field of w bits of one int, so the product of
+two monomials is the sum of their ints.  w is the bit length of
+max(n * deg g, deg f + (n-1) * deg g), the largest total degree any
+product below reaches, so no field ever carries into the next.
+
+The substituted polynomials are built on layers directly: Horner in t,
+where each product by t0 + a*t1 + ... is itself Horner in a, shifting by
+the packed unit of t_i and folding a^n by the minimal polynomial.
+
 The norm and the cofactor delta / g come from the n x n matrix M of
 multiplication by g over L, whose column j holds the layers of a^j * g:
 delta = det M, which for the monic minimal polynomial equals
@@ -14,8 +26,8 @@ Res_x(minpoly, g written in x), and the cofactor's coordinates are the
 first column of adj M.  Both come from one memoized Laplace expansion of
 the minors of rows 1..n-1, with no division.  Each F_i is then a
 convolution of layers over L folded once through the power table of the
-generator, so no product is taken over L(a).  Over QQ every row of M and
-every numerator is first cleared of denominators, the products run on
+generator, so no product is taken over L(a).  Over QQ every layer and
+every row of M is first cleared of denominators, the products run on
 integers, and the coefficients become Fractions again at the end.
 
 The extension L(a) is always the FieldTower the data lives over: the
@@ -27,7 +39,6 @@ QQ(g)(a) over a subfield, needs only data over that tower.
 from fractions import Fraction
 from math import gcd
 
-from . import kernel
 from .fields import QQ
 from .groebner import DEFAULT_PAIR_BUDGET, saturate
 from .mpoly import MultiPoly
@@ -129,44 +140,57 @@ def substitution(tower):
     return acc
 
 
-def _layer_terms(p, tower):
-    """The term dicts of p's coordinates along powers of the generator."""
-    layers = [dict() for _ in range(tower.degree)]
-    for e, c in p.terms.items():
-        cc = tower.coerce(c)
-        for k, ck in enumerate(cc.coeffs):
-            if ck:
-                layers[k][e] = ck
-    return layers
-
-
 def alpha_layers(p):
     """The n base-field coordinates of p along powers of the generator
     of its coefficient field."""
-    return [MultiPoly(p.field.base, p.arity, lay, _clean=True)
-            for lay in _layer_terms(p, p.field)]
+    tower = p.field
+    layers = [{} for _ in range(tower.degree)]
+    for e, c in p.terms.items():
+        for k, ck in enumerate(tower.coerce(c).coeffs):
+            if ck:
+                layers[k][e] = ck
+    return [MultiPoly(tower.base, p.arity, lay, _clean=True)
+            for lay in layers]
 
 
-def _substitute_unipoly(f, s, tower):
-    """f evaluated at the polynomial s, by Horner."""
-    arity = s.arity
-    acc = MultiPoly.const(tower, arity, f[f.degree()])
-    for k in range(f.degree() - 1, -1, -1):
-        acc = acc * s + MultiPoly.const(tower, arity, f[k])
-    return acc
+def _width(n, deg_num, deg_den):
+    """Bits per packed exponent field for a descent of degree n.
+
+    Every product formed has total degree at most n * deg_den (delta and
+    the minors) or deg_num + (n-1) * deg_den (a numerator times the
+    cofactor), and no exponent exceeds its total degree.
+    """
+    return max(n * deg_den, deg_num + (n - 1) * deg_den, 1).bit_length()
+
+
+def _unpacker(arity, width):
+    """The exponent tuple of a packed monomial, memoized."""
+    mask = (1 << width) - 1
+    shifts = range(0, width * arity, width)
+    seen = {}
+
+    def unpack(k):
+        e = seen.get(k)
+        if e is None:
+            e = seen[k] = tuple((k >> s) & mask for s in shifts)
+        return e
+    return unpack
 
 
 def _clear(dicts, base):
     """(L, the dicts times L) with L the lcm of every denominator over QQ.
 
-    Over any other base L is 1 and the dicts come back unchanged.
+    Over QQ the values come back as ints; over any other base L is 1 and
+    the dicts come back unchanged.
     """
     if base is not QQ:
         return 1, dicts
     L = 1
     for d in dicts:
         for c in d.values():
-            L = L // gcd(L, c.denominator) * c.denominator
+            q = c.denominator
+            if L % q:
+                L = L // gcd(L, q) * q
     return L, [{e: c.numerator * (L // c.denominator)
                 for e, c in d.items()} for d in dicts]
 
@@ -175,36 +199,95 @@ def _addmul(acc, a, b, negate=False):
     """In place acc += a * b, or acc -= a * b when negate is set."""
     if len(a) > len(b):
         a, b = b, a
+    b = b.items()
     for e, c in a.items():
-        kernel.addmul_terms(acc, -c if negate else c, e, b)
+        if negate:
+            c = -c
+        for f, d in b:
+            k = e + f
+            v = acc.get(k)
+            if v is None:
+                acc[k] = c * d
+            else:
+                v += c * d
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
 
 
-def _multiplication_rows(den):
+def _fold(tower):
+    """The coordinates of a^n, as ints over QQ where they are integers."""
+    row = tower._power_table()[0]
+    if tower.base is QQ:
+        row = [c.numerator if c.denominator == 1 else c for c in row]
+    return row
+
+
+def _times_gen(layers, fold):
+    """In place, the layers of a * p from the layers of p.
+
+    The list shifts up one power and its old top layer is folded back
+    through fold, the coordinates of a^n.
+    """
+    top = layers.pop()
+    layers.insert(0, {})
+    if top:
+        for i, m in enumerate(fold):
+            if m:
+                _addmul(layers[i], {0: m}, top)
+
+
+def _substitute(f, tower, width):
+    """(L times the layers of f(t0 + a*t1 + ...), L), packed.
+
+    Horner in t, where each product by the substitution is Horner in a:
+    s * p = t0*p + a*(t1*p + a*(... + a*t_{n-1}*p)).  Over QQ the layers
+    are ints and L clears every denominator; elsewhere L is 1.
+    """
+    n = tower.degree
+    base = tower.base
+    L, coeffs = _clear([dict(enumerate(c.coeffs)) for c in f.coeffs], base)
+    fold = _fold(tower)
+    one = 1 if base is QQ else base.one
+    units = [{1 << (width * i): one} for i in range(n)]
+    acc = [{} for _ in range(n)]
+    for ck in reversed(coeffs):
+        prod = [{} for _ in range(n)]
+        for unit in reversed(units):
+            _times_gen(prod, fold)
+            for j, lay in enumerate(acc):
+                _addmul(prod[j], unit, lay)
+        acc = prod
+        for j, c in ck.items():
+            if c:
+                # the constant term
+                _addmul(acc[j], {0: c}, {0: one})
+    # a minimal polynomial with denominators leaves Fractions behind
+    L2, acc = _clear(acc, base)
+    return acc, L * L2
+
+
+def _multiplication_rows(tower, den, scale):
     """Rows of M, column j the layers of a^j * den, and each row's scale.
 
-    Over QQ row r comes back cleared of denominators, as integer terms
-    times its own integer L_r; over any other base every L_r is 1.
+    den holds scale times the layers of the denominator.  Over QQ row r
+    comes back as integers, its true entries times its scale; over any
+    other base every scale is 1.
     """
-    tower = den.field
     n = tower.degree
-    mp = tower.minpoly.coeffs
-    one = (0,) * den.arity
-    col = _layer_terms(den, tower)
+    fold = _fold(tower)
+    col = den
     cols = [col]
     for _ in range(n - 1):
-        # times the generator: shift up and fold a^n = -sum m_i a^i
-        top = col[-1]
-        col = [{}] + col[:-1]
-        for i, m in enumerate(mp[:-1]):
-            if m and top:
-                col[i] = dict(col[i])
-                kernel.addmul_terms(col[i], -m, one, top)
+        col = [dict(lay) for lay in col]
+        _times_gen(col, fold)
         cols.append(col)
     scales = []
     rows = []
     for r in range(n):
         L, row = _clear([c[r] for c in cols], tower.base)
-        scales.append(L)
+        scales.append(L * scale)
         rows.append(row)
     return rows, scales
 
@@ -246,26 +329,25 @@ def _adjugate_column(rows):
     for i in range(n):
         c = minor(full ^ (1 << i), 1)
         if i & 1:
-            c = kernel.neg_terms(c)
+            c = {e: -v for e, v in c.items()}
         column.append(c)
         if rows[0][i]:
             _addmul(det, rows[0][i], c)
     return det, column
 
 
-def _descend(den, nums):
+def _descend(tower, arity, width, den, nums):
     """(delta, [layers of num * delta / den for num in nums]).
 
-    delta and the cofactor delta / den come from the multiplication
-    matrix of den; each product with the cofactor is a convolution of
-    layers over the base, folded once through the power table.
+    den and every num are (layers, L): packed layers that are L times
+    the true ones, ints over QQ.  delta and the cofactor delta / den
+    come from the multiplication matrix of den; each product with the
+    cofactor is a convolution of layers over the base, folded once
+    through the power table.
     """
-    tower = den.field
     base = tower.base
     n = tower.degree
-    arity = den.arity
-    one = (0,) * arity
-    rows, scales = _multiplication_rows(den)
+    rows, scales = _multiplication_rows(tower, *den)
     delta, cof = _adjugate_column(rows)
     if not delta:
         raise ArithmeticError("vanishing norm of a nonzero denominator")
@@ -276,9 +358,9 @@ def _descend(den, nums):
         rest *= L
     L_t, table = _clear([dict(enumerate(row)) for row in
                          tower._power_table()], base)
+    unpack = _unpacker(arity, width)
     out = []
-    for num in nums:
-        L_p, lay = _clear(_layer_terms(num, tower), base)
+    for lay, L_p in nums:
         conv = [{} for _ in range(2 * n - 1)]
         for i, li in enumerate(lay):
             if li:
@@ -287,21 +369,24 @@ def _descend(den, nums):
                         _addmul(conv[i + j], li, cj)
         res = conv[:n]
         if L_t != 1:
-            res = [kernel.scale_terms(r, L_t) for r in res]
+            res = [{e: c * L_t for e, c in r.items()} for r in res]
         for k in range(n, 2 * n - 1):
             if conv[k]:
                 for i, t in table[k - n].items():
                     if t:
-                        kernel.addmul_terms(res[i], t, one, conv[k])
-        out.append(_unscale(res, base, arity, L_t * L_p * rest))
-    return _unscale([delta], base, arity, scales[0] * rest)[0], out
+                        _addmul(res[i], {0: t}, conv[k])
+        out.append(_unscale(res, base, arity, unpack, L_t * L_p * rest))
+    delta = _unscale([delta], base, arity, unpack, scales[0] * rest)[0]
+    return delta, out
 
 
-def _unscale(dicts, base, arity, scale):
-    """Polynomials over the base from cleared dicts, divided by scale."""
+def _unscale(dicts, base, arity, unpack, scale):
+    """Polynomials over the base from packed dicts, divided by scale."""
     if base is QQ:
-        dicts = [{e: Fraction(c, scale) for e, c in d.items()}
+        dicts = [{unpack(e): Fraction(c, scale) for e, c in d.items()}
                  for d in dicts]
+    else:
+        dicts = [{unpack(e): c for e, c in d.items()} for d in dicts]
     return [MultiPoly(base, arity, d, _clean=True) for d in dicts]
 
 
@@ -314,7 +399,23 @@ def alpha_decompose(num, den):
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    delta, (layers,) = _descend(den, [num])
+    tower = den.field
+    n = tower.degree
+    width = _width(n, num.total_degree(), den.total_degree())
+    shifts = range(0, width * den.arity, width)
+
+    def packed(p):
+        layers = [{} for _ in range(n)]
+        for e, c in p.terms.items():
+            k = sum(v << s for v, s in zip(e, shifts))
+            for j, cj in enumerate(tower.coerce(c).coeffs):
+                if cj:
+                    layers[j][k] = cj
+        L, layers = _clear(layers, tower.base)
+        return layers, L
+
+    delta, (layers,) = _descend(tower, den.arity, width, packed(den),
+                                [packed(num)])
     return layers, delta
 
 
@@ -326,10 +427,11 @@ def weil_substitute(phi):
     shared denominator.
     """
     tower = phi.field
-    s = substitution(tower)
-    sub_den = _substitute_unipoly(phi.denominator, s, tower)
-    sub_nums = [_substitute_unipoly(f, s, tower) for f in phi.numerators]
-    return _descend(sub_den, sub_nums)
+    n = tower.degree
+    den = phi.denominator
+    width = _width(n, max(f.degree() for f in phi.numerators), den.degree())
+    nums = [_substitute(f, tower, width) for f in phi.numerators]
+    return _descend(tower, n, width, _substitute(den, tower, width), nums)
 
 
 def witness_ideal(phi, budget=DEFAULT_PAIR_BUDGET):

@@ -257,17 +257,20 @@ def parse_field_element(s, field):
 class CurveFile:
     """Parsed key = value description of a parametrized curve."""
 
-    __slots__ = ("minpoly", "components", "budget")
+    __slots__ = ("minpoly", "components", "budget", "lines")
 
-    def __init__(self, minpoly, components, budget=None):
+    def __init__(self, minpoly, components, budget=None, lines=None):
         self.minpoly = minpoly
         self.components = components
         self.budget = budget
+        # file line of each key, for error messages
+        self.lines = lines or {}
 
 
 def parse_curve_file(text):
     """Flat key = value lines: minpoly, x1..xN, optional budget."""
     entries = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -284,6 +287,7 @@ def parse_curve_file(text):
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key '{key}'")
         entries[key] = value
+        lines[key] = lineno
     if "minpoly" not in entries:
         raise ValueError("missing 'minpoly' entry")
     minpoly = entries.pop("minpoly")
@@ -305,14 +309,32 @@ def parse_curve_file(text):
         raise ValueError(f"unknown keys: {', '.join(sorted(entries))}")
     if not components:
         raise ValueError("missing component entries x1, x2, ...")
-    return CurveFile(minpoly, components, budget)
+    return CurveFile(minpoly, components, budget, lines)
+
+
+def _parse_entry(curve, key, parse, *args):
+    """parse(*args), with an error naming the entry and its file line.
+
+    A position inside the entry's expression is a column of that entry.
+    """
+    line = curve.lines.get(key)
+    where = key if line is None else f"{key} (line {line})"
+    try:
+        return parse(*args)
+    except ExpressionError as exc:
+        raise ValueError(f"{where}: {exc.reason} at column {exc.column}") \
+            from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def build_problem(curve):
     """CurveFile -> Parametrization over QQ(a); phi.field is QQ(a)."""
-    minpoly = parse_polynomial(curve.minpoly, "x")
+    minpoly = _parse_entry(curve, "minpoly", parse_polynomial,
+                           curve.minpoly, "x")
     tower = make_extension(QQ, minpoly, "a")
-    comps = [parse_component(s, tower) for s in curve.components]
+    comps = [_parse_entry(curve, f"x{i}", parse_component, s, tower)
+             for i, s in enumerate(curve.components, start=1)]
     if all(max(c.num.degree(), c.den.degree()) <= 0 for c in comps):
         raise ValueError("constant parametrization: no component "
                          "depends on t")

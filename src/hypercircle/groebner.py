@@ -24,8 +24,8 @@ the GroebnerBasis is built: the product of monomials is an int sum,
 divisibility one subtract-and-mask, and the monomial order plain int
 comparison.  A degree past the packed bound raises
 PairBudgetExceededError; no field wraps.  No packed term dict goes to
-the term kernel, whose compiled backend takes exponent tuples only; of
-this module, only `spoly` still uses the kernel.
+the term kernel, which takes exponent tuples; of this module, only
+`spoly` still uses the kernel.
 
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the

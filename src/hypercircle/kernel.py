@@ -1,110 +1,20 @@
-"""Kernel backend selection.
+"""The term kernel: arithmetic on term dicts keyed by exponent tuples.
 
-The compiled extension is preferred when it imported cleanly; the
-environment variable HYPERCIRCLE_PURE_KERNEL=1 forces the pure-Python
-backend.  Hot loops fetch the module once via impl() so set_backend()
-takes effect on the next call.
+The functions are defined in _kernel_py and re-exported here; `mpoly`
+is their caller, with the test-only `groebner.spoly`.  The Groebner
+engine and the descent work on packed monomials of their own.  There is
+one backend, the pure-Python one, and backend_name() reports it.
 """
 
-import os
-
-from . import _kernel_py
-
-ORDER_LEX = _kernel_py.ORDER_LEX
-ORDER_GREVLEX = _kernel_py.ORDER_GREVLEX
-ORDER_BLOCK = _kernel_py.ORDER_BLOCK
-
-_impl = _kernel_py
-if os.environ.get("HYPERCIRCLE_PURE_KERNEL") != "1":
-    try:
-        from . import _kernel_c
-
-        _impl = _kernel_c
-    except ImportError:
-        pass
-
-
-def impl():
-    return _impl
+from ._kernel_py import (  # noqa: F401
+    ORDER_BLOCK, ORDER_GREVLEX, ORDER_LEX, add_terms, addmul_terms, cmp_exp,
+    exp_div, exp_lcm, leading_exponent, mul_terms, neg_terms, scale_terms,
+    sub_terms)
 
 
 def backend_name() -> str:
-    return "cython" if _impl.__name__.endswith("_kernel_c") else "python"
+    return "python"
 
 
 def available_backends():
-    names = ["python"]
-    try:
-        from . import _kernel_c  # noqa: F401
-
-        names.append("cython")
-    except ImportError:
-        pass
-    return names
-
-
-def set_backend(name: str):
-    """Switch term-arithmetic backend; returns the previous backend name."""
-    global _impl
-    prev = backend_name()
-    if name == "python":
-        _impl = _kernel_py
-    elif name == "cython":
-        from . import _kernel_c
-
-        _impl = _kernel_c
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return prev
-
-
-def cmp_exp(e1, e2, kind, split):
-    return _impl.cmp_exp(e1, e2, kind, split)
-
-
-def leading_exponent(terms, kind, split):
-    return _impl.leading_exponent(terms, kind, split)
-
-
-def find_reducer(e, lms):
-    return _impl.find_reducer(e, lms)
-
-
-def exp_mul(e1, e2):
-    return _impl.exp_mul(e1, e2)
-
-
-def exp_div(e1, e2):
-    return _impl.exp_div(e1, e2)
-
-
-def exp_lcm(e1, e2):
-    return _impl.exp_lcm(e1, e2)
-
-
-def exp_divides(e1, e2):
-    return _impl.exp_divides(e1, e2)
-
-
-def addmul_terms(acc, c, shift, src):
-    return _impl.addmul_terms(acc, c, shift, src)
-
-
-def add_terms(a, b):
-    return _impl.add_terms(a, b)
-
-
-def sub_terms(a, b):
-    return _impl.sub_terms(a, b)
-
-
-def mul_terms(a, b):
-    return _impl.mul_terms(a, b)
-
-
-def scale_terms(a, c):
-    return _impl.scale_terms(a, c)
-
-
-def neg_terms(a):
-    return _impl.neg_terms(a)
+    return [backend_name()]

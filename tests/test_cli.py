@@ -57,6 +57,24 @@ def test_bad_expression_is_input_error(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("minpoly = x^2 + 1\nx1 = t^-1\n",
+     "x1 (line 2): expected an integer exponent at column 3"),
+    ("# a comment\nminpoly = x^2 +\nx1 = t\n",
+     "minpoly (line 2): unexpected end of expression at column 6"),
+    ("minpoly = x^2 + 1\n\nx1 = t\nx2 = t + y\n",
+     "x2 (line 4): unknown variable 'y' at column 5"),
+])
+def test_expression_error_names_entry_and_file_line(capsys, tmp_path, text,
+                                                    where):
+    bad = tmp_path / "bad.curve"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "reparam", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {where}\n"
+
+
 def test_reducible_minpoly_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.curve"
     bad.write_text("minpoly = x^2 - 1\nx1 = (t - a)^2\n")

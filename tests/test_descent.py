@@ -397,3 +397,68 @@ def test_substituted_delta_is_the_sylvester_resultant(tower):
         assert delta == _sylvester_delta(den)
         assert _reconstruction_holds(rf, K)
         assert all(_all_fractions(p) for p in layers + [delta])
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the width boundary and the substitution on layers
+
+
+def test_packed_width_boundary_is_exact():
+    # n = 4, a linear denominator and a degree-4 numerator: the degree
+    # bound max(4 * 1, 4 + 3 * 1) = 7 = 2^3 - 1 fills 3-bit fields, and
+    # the numerator times the cofactor reaches t0^7
+    from hypercircle.descent import _width
+    assert _width(4, 4, 1) == 3
+    K = ORACLE_TOWERS["a^4=2"]()
+    rng = random.Random("width")
+    for _ in range(2):
+        num = _random_bivariate(rng, K, 4)
+        den = _random_bivariate(rng, K, 1)
+        layers, delta = alpha_decompose(num, den)
+        assert max(p.total_degree() for p in layers) == 7
+        assert max(p.degree_in(0) for p in layers) == 7
+        assert delta == _sylvester_delta(den)
+        assert _recombines(num, den)
+
+
+def _horner(f, sub):
+    tower = sub.field
+    acc = MultiPoly.zero(tower, sub.arity)
+    for c in reversed(f.coeffs):
+        acc = acc * sub + MultiPoly.const(tower, sub.arity, c)
+    return acc
+
+
+def _reference_weil(phi):
+    """weil_substitute by tower arithmetic: Horner at the substitution,
+    delta as the Sylvester resultant, and the layers of num * delta / den."""
+    tower = phi.field
+    sub = substitution(tower)
+    den = _horner(phi.denominator, sub)
+    delta = _sylvester_delta(den)
+    lifted = lift_to_tower(delta, tower)
+    return delta, [alpha_layers((_horner(f, sub) * lifted).exact_div(den))
+                   for f in phi.numerators]
+
+
+SUBSTITUTION_TOWERS = ["a^2=2", "a^3=2", "a^4=2", "a^5=2", "a^3=a/3-1/5",
+                       "QQ(a^2)(a),a^6=3"]
+
+
+@pytest.mark.parametrize("tower", SUBSTITUTION_TOWERS)
+def test_weil_substitute_matches_tower_horner(tower):
+    K = ORACLE_TOWERS[tower]()
+    rng = random.Random(f"substitute:{tower}")
+    max_deg = 2 if K.degree <= 3 else 1
+    zero = RationalFunction(UniPoly.zero(K), UniPoly.const(K, K.one))
+    for _ in range(2):
+        comps = [random_rational_function(rng, K, max_deg=max_deg, span=2)
+                 for _ in range(2)]
+        phi = Parametrization.from_components(comps + [zero])
+        delta, numerators = weil_substitute(phi)
+        ref_delta, ref_numerators = _reference_weil(phi)
+        assert delta == ref_delta
+        assert numerators == ref_numerators
+        assert all(p.is_zero() for p in numerators[-1])
+        assert all(_all_fractions(p) for layers in numerators
+                   for p in layers + [delta])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import mp_vars, parse_gens
 
-from hypercircle import groebner, kernel
+from hypercircle import groebner
 from hypercircle.fields import QQ, canonical_key, make_extension
 from hypercircle.groebner import (
     GroebnerBasis,
@@ -353,21 +353,12 @@ def _tower_system(qi):
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
 def test_qq_bases_agree_across_kernel_backends(order, qi):
-    # the tower system catches an engine that hands packed monomials to
-    # a kernel backend that only takes exponent tuples
+    # one kernel backend is left; the bases over QQ and over QQ(i) must
+    # still come back monic and contain their generators
     systems = {"qq": _wide_system(), "tower": _tower_system(qi)}
-    prev = kernel.backend_name()
-    bases = {}
-    try:
-        for name in kernel.available_backends():
-            kernel.set_backend(name)
-            for label, gens in systems.items():
-                bases[name, label] = buchberger(gens, order)
-    finally:
-        kernel.set_backend(prev)
-    for (name, label), gb in bases.items():
+    for label, gens in systems.items():
+        gb = buchberger(gens, order)
         assert gb
-        assert gb == bases["python", label]
         if label == "qq":
             _assert_monic_fractions(gb, order)
         else:
