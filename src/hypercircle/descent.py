@@ -81,7 +81,8 @@ class Parametrization:
         den = UniPoly.const(field, field.one)
         for rf in components:
             den = den.lcm(rf.den)
-        nums = [rf.num * (den // rf.den) for rf in components]
+        nums = [rf.num if rf.den == den else rf.num * (den // rf.den)
+                for rf in components]
         return cls(field, nums, den)
 
     def components(self):

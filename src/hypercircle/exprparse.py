@@ -110,12 +110,21 @@ class _Parser:
             if kind == "OP" and text in "+-":
                 self.advance()
                 n2, d2 = self.term()
-                if text == "+":
-                    num, den = num * d2 + n2 * den, den * d2
-                else:
-                    num, den = num * d2 - n2 * den, den * d2
+                if text == "-":
+                    n2 = -n2
+                num, den = self._sum(num, den, n2, d2)
             else:
                 return num, den
+
+    def _sum(self, num, den, n2, d2):
+        # products by the constant-one denominator are skipped; other
+        # equal denominators are multiplied, so that a power's degree
+        # check sees the same denominators as ever
+        if d2 == self.one:
+            return num + (n2 if den == self.one else n2 * den), den
+        if den == self.one:
+            return num * d2 + n2, d2
+        return num * d2 + n2 * den, den * d2
 
     def term(self):
         num, den = self.factor()
@@ -124,12 +133,13 @@ class _Parser:
             if kind == "OP" and text in "*/":
                 self.advance()
                 n2, d2 = self.factor()
-                if text == "*":
-                    num, den = num * n2, den * d2
-                else:
+                if text == "/":
                     if n2.is_zero():
                         raise ExpressionError("division by zero", line, col)
-                    num, den = num * d2, den * n2
+                    n2, d2 = d2, n2
+                num = num if n2 == self.one else num * n2
+                den = den if d2 == self.one else (
+                    d2 if den == self.one else den * d2)
             else:
                 return num, den
 
@@ -154,7 +164,7 @@ class _Parser:
             base = max(num.total_degree(), den.total_degree(), 1)
             if base * k > MAX_POWER_DEGREE:
                 self.fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
-            return num ** k, den ** k
+            return num ** k, (den if den == self.one else den ** k)
         return num, den
 
     def atom(self):
@@ -203,13 +213,16 @@ def parse_polynomial(s, var_name="x"):
 def _collapse_generator(p, field, gen_index):
     """MultiPoly over QQ in (t, gen) -> UniPoly over the field in t."""
     gen = field.gen()
+    powers = [field.one]
+    for _ in range(max((e[gen_index] for e in p.terms), default=0)):
+        powers.append(powers[-1] * gen)
     by_degree = {}
     for e, c in p.terms.items():
         kt = e[1 - gen_index]
         ka = e[gen_index]
         val = field.coerce(c)
         if ka:
-            val = val * gen ** ka
+            val = val * powers[ka]
         cur = by_degree.get(kt)
         by_degree[kt] = val if cur is None else cur + val
     if not by_degree:

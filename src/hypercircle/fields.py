@@ -4,13 +4,23 @@ A tower is QQ, QQ(a) or QQ(g)(a): each level adjoins a root of a monic
 irreducible polynomial over the level below.  Elements are coefficient
 vectors over the base level, reduced against the defining polynomial.
 Irreducibility, roots inside a field, primitive elements and subfield
-membership are all decided exactly, using linear algebra and Groebner
-bases over the rationals (no polynomial factorization routines).  A root
-or a factor is sought as a generic element sum_i u_i * b_i over the
-QQ-basis b_i of the field, with the u_i unknown; the polynomial
-condition on it, computed over the field, is split along flatten into
-equations over QQ.  A FieldTower is the only model of an extension:
-every routine that works over one reads it from the data it is given.
+membership are all decided exactly.  Over QQ, irreducibility is first
+tried modulo a few primes: the factor degrees of f modulo each prime
+(distinct-degree factorization, `modp`) bound the degrees a factor over
+QQ can have, and when no proper degree is left f is irreducible.
+Otherwise, and for roots, primitive elements and membership, the
+routines use linear algebra and Groebner bases over the rationals, with
+no factorization: a root or a factor is sought as a generic element
+sum_i u_i * b_i over the QQ-basis b_i of the field, with the u_i
+unknown; the polynomial condition on it, computed over the field, is
+split along flatten into equations over QQ; this path also finds the
+witness factor of a reducible polynomial.  A FieldTower is the only
+model of an extension: every routine that works over one reads it from
+the data it is given.
+
+QQ and every height-one tower also offer a reduction modulo a prime
+(`reduction`), a ring map into GF(p) on the elements whose denominators
+p does not divide; `upoly` proves coprimality with it.
 
 A subfield QQ(g) of degree r inside QQ(a) of degree n is a
 SubfieldEmbedding.  It inverts its QQ-basis g^j * a^k (j < r, k < n/r)
@@ -21,7 +31,7 @@ one inverse.
 
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, modp
 from .groebner import rational_solutions
 from .mpoly import MultiPoly
 from .upoly import UniPoly, rational_roots
@@ -53,11 +63,73 @@ class RationalField:
     def unflatten(self, vec):
         return vec[0]
 
+    def reduction(self):
+        """(p, image): a prime and the residue map QQ -> GF(p); image(c)
+        is None when p divides the denominator of c."""
+        return _QQ_REDUCTION
+
     def __repr__(self):
         return "QQ"
 
 
 QQ = RationalField()
+
+
+def _residue(c, p):
+    """The rational c modulo p, or None when p divides its denominator."""
+    d = c.denominator % p
+    if not d:
+        return None
+    return c.numerator * pow(d, -1, p) % p
+
+
+def _residues(coeffs, p):
+    """Rational coefficients modulo p as a modp list, or None."""
+    out = [_residue(c, p) for c in coeffs]
+    return None if None in out else modp.trim(out)
+
+
+_QQ_REDUCTION = (modp.PRIMES[0], lambda c: _residue(c, modp.PRIMES[0]))
+
+# Primes of modp.PRIMES a height-one tower tries for a simple root of its
+# minimal polynomial.  A root exists modulo a positive density of primes,
+# at least 1/n for a field of degree n; a tower with none gets no
+# reduction, and its gcds are taken exactly.
+_ROOT_TRIES = 24
+
+
+def _tower_reduction(tower):
+    """(p, image) with image the map a -> r into GF(p), r a simple root
+    of the minimal polynomial modulo p; None when no tried prime has one.
+
+    On elements whose coordinate denominators p does not divide, image
+    is a ring map, since the minimal polynomial vanishes at r."""
+    n = tower.degree
+    for p in modp.PRIMES[:_ROOT_TRIES]:
+        m = _residues(tower.minpoly.coeffs, p)
+        if m is None:
+            continue
+        linear = modp.linear_part(m, p)
+        if len(linear) < 2:
+            continue
+        r = modp.root(linear, p)
+        if r is None or not modp.evaluate(modp.derivative(m, p), r, p):
+            continue
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * r % p)
+
+        def image(x):
+            acc = 0
+            for c, rk in zip(x.coeffs, powers):
+                if c:
+                    v = _residue(c, p)
+                    if v is None:
+                        return None
+                    acc += v * rk
+            return acc % p
+        return p, image
+    return None
 
 
 class ReduciblePolynomialError(ValueError):
@@ -73,7 +145,7 @@ class FieldTower:
     """An extension field base(name) defined by a monic minimal polynomial."""
 
     __slots__ = ("base", "name", "minpoly", "degree", "height", "zero",
-                 "one", "_gen_powers")
+                 "one", "_gen_powers", "_reduction")
 
     def __init__(self, base, name, minpoly: UniPoly):
         if not minpoly.is_monic():
@@ -90,6 +162,7 @@ class FieldTower:
         one[0] = base.one
         self.one = FieldElement(self, tuple(one))
         self._gen_powers = None
+        self._reduction = None
 
     def gen(self):
         v = [self.base.zero] * self.degree
@@ -137,6 +210,17 @@ class FieldTower:
                 rows.append(tuple(cur))
             self._gen_powers = rows
         return self._gen_powers
+
+    def reduction(self):
+        """(p, image) for a height-one tower: image maps an element into
+        GF(p) through a -> r, r a simple root of the minimal polynomial
+        modulo the prime p, and is None when p divides a coordinate
+        denominator.  Found once, lazily.  None for a height-two tower
+        or when no tried prime has such a root."""
+        if self._reduction is None:
+            self._reduction = (self.height == 1 and _tower_reduction(self)
+                               or False)
+        return self._reduction or None
 
     def qq_dim(self):
         return self.degree * self.base.qq_dim()
@@ -234,6 +318,10 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
         base = f.base
+        if not any(self.coeffs[1:]):
+            vec = [base.zero] * f.degree
+            vec[0] = base.one / self.coeffs[0]
+            return FieldElement(f, tuple(vec))
         num = UniPoly(base, self.coeffs)
         d, s, _ = num.ext_gcd(f.minpoly)
         if d.degree() != 0:
@@ -322,6 +410,8 @@ def is_irreducible(f: UniPoly):
         return True, None
     f = f.monic()
     field = f.field
+    if field is QQ and _irreducible_mod_primes(f):
+        return True, None
     roots = roots_in_field(f, field)
     if roots:
         root = roots[0]
@@ -332,6 +422,37 @@ def is_irreducible(f: UniPoly):
         if factor is not None:
             return False, factor
     return True, None
+
+
+# Primes of modp.PRIMES whose degree patterns _irreducible_mod_primes
+# intersects.  Polynomials whose Galois group has no element of one
+# cycle, such as the quartics with group V4, are never certified and go
+# on to the exact search.
+_PATTERN_PRIMES = 16
+
+
+def _irreducible_mod_primes(f: UniPoly):
+    """True when the factor degrees of the monic f over QQ modulo a few
+    primes leave no degree for a proper factor over QQ.
+
+    A monic factor over QQ of f is integral at every prime p that
+    divides no denominator of f, so it reduces to a factor of the same
+    degree modulo p.  When f stays squarefree modulo p, that degree is a
+    sum of some of the degrees of the irreducible factors of f modulo p.
+    """
+    n = f.degree()
+    allowed = set(range(n + 1))
+    for p in modp.PRIMES[:_PATTERN_PRIMES]:
+        fp = _residues(f.coeffs, p)
+        if fp is None or len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
+            continue
+        sums = {0}
+        for d in modp.degree_pattern(fp, p):
+            sums |= {s + d for s in sums}
+        allowed &= sums
+        if allowed == {0, n}:
+            return True
+    return False
 
 
 def _find_split(f: UniPoly, d1):

@@ -3,11 +3,21 @@
 Coefficients ascend; the zero polynomial has an empty coefficient tuple.
 The Sylvester resultant runs fraction-free Bareiss elimination so it also
 works when the entries are themselves polynomials (exact division only).
+
+A RationalFunction is kept reduced.  Over QQ and over a height-one tower
+QQ(a), coprimality of numerator and denominator is first proved modulo a
+prime (the field's `reduction`, a ring map a -> r into GF(p)): when
+neither leading coefficient vanishes there and the images have a
+constant gcd in GF(p)[t], no common factor of positive degree exists
+over the field, because it would reduce to one of the same degree.
+Only when the images share a factor, or the field has no reduction, is
+the gcd taken exactly by Euclid.  `lcm` uses the same certificate.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from . import modp
 from .numtheory import factorize
 
 
@@ -159,12 +169,13 @@ class UniPoly:
         lc = other.coeffs[-1]
         if len(r) - 1 < d:
             return UniPoly.zero(field), self
+        inv = None if lc == field.one else field.one / lc
         q = [field.zero] * (len(r) - d)
         for i in range(len(r) - 1, d - 1, -1):
             ci = r[i]
             if not ci:
                 continue
-            f = ci / lc
+            f = ci if inv is None else ci * inv
             q[i - d] = f
             for j, cb in enumerate(other.coeffs):
                 r[i - d + j] = r[i - d + j] - f * cb
@@ -202,9 +213,16 @@ class UniPoly:
         return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
     def lcm(self, other):
+        """Monic least common multiple."""
         other = self._coerce_other(other)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.field)
+        if self.is_constant():
+            return other.monic()
+        if other.is_constant() or self == other:
+            return self.monic()
+        if coprime_mod_p(self, other):
+            return (self * other).monic()
         g = self.gcd(other)
         return (self * other).divrem(g)[0].monic()
 
@@ -233,6 +251,24 @@ class UniPoly:
     def __repr__(self):
         from .render import render_unipoly
         return f"UniPoly({render_unipoly(self, 'x')})"
+
+
+def coprime_mod_p(f, g):
+    """True when a reduction of the coefficient field modulo a prime
+    proves f and g coprime; False when it does not decide.
+
+    The images under the field's `reduction` must have the degrees of f
+    and g, and a gcd of degree 0 in GF(p)[t].
+    """
+    red = f.field.reduction()
+    if red is None or f.is_zero() or g.is_zero():
+        return False
+    p, image = red
+    fp = [image(c) for c in f.coeffs]
+    gp = [image(c) for c in g.coeffs]
+    if None in fp or None in gp or not fp[-1] or not gp[-1]:
+        return False
+    return len(modp.gcd(fp, gp, p)) == 1
 
 
 def _exact_div(a, b):
@@ -367,10 +403,11 @@ class RationalFunction:
             den = UniPoly.const(field, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.divrem(g)[0]
-            den = den.divrem(g)[0]
+        if den.degree() > 0 and not coprime_mod_p(num, den):
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num = num.divrem(g)[0]
+                den = den.divrem(g)[0]
         lc = den.leading()
         if lc != field.one:
             inv = field.one / lc

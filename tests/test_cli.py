@@ -111,11 +111,14 @@ def test_nonpositive_budget_is_input_error(capsys, budget):
 
 
 def test_primality_beyond_the_exact_bound_is_exit_3():
-    # the rational root test factors the constant term 10^30 + 57, whose
-    # primality no exact test here decides in bounded time
+    # (x - 1)(x^2 - N), N = 10^30 + 57, is reducible, so no modular
+    # certificate proves it irreducible; the rational root test factors
+    # the constant term N, whose primality no exact test here decides in
+    # bounded time
     proc = subprocess.run(
         [sys.executable, "-m", "hypercircle", "hypercircle",
-         "x^2 - 1000000000000000000000000000057", "t"],
+         "x^3 - x^2 - 1000000000000000000000000000057*x"
+         " + 1000000000000000000000000000057", "t"],
         capture_output=True, text=True, timeout=1)
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -123,16 +126,34 @@ def test_primality_beyond_the_exact_bound_is_exit_3():
 
 
 def test_pollard_rho_cap_is_exit_3():
-    # the rational root test factors the constant term
-    # (10^14 + 31) * (3*10^14 + 89); Pollard rho needs millions of steps
-    # to split it, past its cap for one factorize call
+    # (x - 1)(x^2 - N) with N = (10^14 + 31) * (3*10^14 + 89): the
+    # rational root test factors N, and Pollard rho needs millions of
+    # steps to split it, past its cap for one factorize call
     proc = subprocess.run(
         [sys.executable, "-m", "hypercircle", "hypercircle",
-         "x^2 - 30000000000018200000000002759", "t"],
+         "x^3 - x^2 - 30000000000018200000000002759*x"
+         " + 30000000000018200000000002759", "t"],
         capture_output=True, text=True, timeout=5)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget exhausted: Pollard rho")
+
+
+@pytest.mark.parametrize("minpoly, unit", [
+    ("x^2 - 1000000000000000000000000000057", "t"),
+    ("x^2 - 30000000000018200000000002759", "t"),
+    ("x^10 + x + 1", "(t + a)/(a*t + 1)"),
+])
+def test_certified_irreducible_minpoly_answers(minpoly, unit):
+    # the degree patterns modulo a few primes prove these irreducible,
+    # so neither factoring nor a Groebner split search runs
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercircle", "hypercircle", minpoly, unit,
+         "--json"],
+        capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["status"] == "success"
 
 
 def _raise_positive_dimensional(args):

@@ -1,0 +1,371 @@
+"""GF(p) polynomials and the certificates proved modulo a prime."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_unipoly
+
+from hypercircle import fields, modp
+from hypercircle.fields import (QQ, FieldElement, FieldTower, is_irreducible,
+                                make_extension)
+from hypercircle.numtheory import is_prime
+from hypercircle.upoly import RationalFunction, UniPoly, coprime_mod_p
+
+P = modp.PRIMES[0]
+residues = st.integers(min_value=0, max_value=P - 1)
+gf_polys = st.lists(residues, max_size=8).map(modp.trim)
+nonzero_gf_polys = gf_polys.filter(bool)
+monic_gf_polys = st.lists(residues, min_size=1, max_size=6).map(
+    lambda cs: cs + [1])
+
+
+# ---------------------------------------------------------------------------
+# naive reference arithmetic
+
+
+def _naive_mul(f, g, p):
+    out = {}
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out.get(i + j, 0) + a * b) % p
+    return modp.trim([out.get(k, 0) for k in range(len(f) + len(g))])
+
+
+def _naive_divmod(f, g, p):
+    """Long division, one coefficient at a time, with Fermat inverses."""
+    r = list(f)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    inv = pow(g[-1], p - 2, p)
+    while len(modp.trim(r)) >= len(g):
+        shift = len(r) - len(g)
+        c = r[-1] * inv % p
+        q[shift] = c
+        for j, b in enumerate(g):
+            r[shift + j] = (r[shift + j] - c * b) % p
+        modp.trim(r)
+    return modp.trim(q), r
+
+
+def _naive_powmod(f, e, m, p):
+    out = [1]
+    for _ in range(e):
+        out = _naive_divmod(_naive_mul(out, f, p), m, p)[1]
+    return _naive_divmod(out, m, p)[1]
+
+
+def _divides(g, f, p):
+    return not _naive_divmod(f, g, p)[1]
+
+
+# ---------------------------------------------------------------------------
+# GF(p) operations
+
+
+def test_primes_are_distinct_primes():
+    assert len(set(modp.PRIMES)) == len(modp.PRIMES)
+    assert all(is_prime(p) for p in modp.PRIMES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf_polys, gf_polys)
+def test_mul_matches_naive(f, g):
+    assert modp.mul(f, g, P) == _naive_mul(f, g, P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf_polys, nonzero_gf_polys)
+def test_rem_matches_naive(f, g):
+    r = modp.rem(f, g, P)
+    assert r == _naive_divmod(f, g, P)[1]
+    assert len(r) < len(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf_polys, gf_polys, gf_polys)
+def test_gcd_divides_both_and_finds_planted_factors(f, g, h):
+    d = modp.gcd(modp.mul(f, h, P), modp.mul(g, h, P), P)
+    if not (f or g) or not h:
+        return
+    assert d[-1] == 1
+    assert _divides(d, modp.mul(f, h, P), P)
+    assert _divides(d, modp.mul(g, h, P), P)
+    # the planted factor h divides the gcd
+    assert _divides(modp.gcd(h, [], P), d, P)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf_polys, st.integers(min_value=0, max_value=12), monic_gf_polys)
+def test_powmod_matches_naive(f, e, m):
+    assert modp.powmod(f, e, m, P) == _naive_powmod(f, e, m, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(residues, min_size=1, max_size=6))
+def test_root_finds_a_root_of_a_split_polynomial(roots):
+    f = [1]
+    for r in roots:
+        f = modp.mul(f, [-r % P, 1], P)
+    assert modp.root(f, P) in roots
+    # times x^2 - n, n a non-square, which has no root modulo P
+    n = next(n for n in range(2, P) if pow(n, (P - 1) // 2, P) == P - 1)
+    assert modp.linear_part(modp.mul(f, [P - n, 0, 1], P), P) == f
+
+
+def _brute_factor_degrees(f, p):
+    """Degrees of the irreducible factors of monic squarefree f over
+    GF(p), by trial division with every monic polynomial, smallest
+    degree first: the first divisor found is irreducible."""
+    degrees = []
+    while len(f) > 1:
+        for d in range(1, len(f)):
+            if 2 * d > len(f) - 1:
+                degrees.append(len(f) - 1)
+                return sorted(degrees)
+            found = None
+            for low in itertools.product(range(p), repeat=d):
+                g = list(low) + [1]
+                q, r = _naive_divmod(f, g, p)
+                if not r:
+                    found = q
+                    break
+            if found is not None:
+                degrees.append(d)
+                f = found
+                break
+    return sorted(degrees)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_degree_pattern_matches_brute_force(seed):
+    rng = random.Random(f"pattern:{seed}")
+    p = rng.choice((5, 7))
+    n = rng.randint(1, 6)
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    if len(modp.gcd(f, modp.derivative(f, p), p)) > 1:
+        f = [1, 1, 1]  # x^2 + x + 1, squarefree modulo 5 and 7
+    assert sorted(modp.degree_pattern(f, p)) == _brute_factor_degrees(f, p)
+
+
+# ---------------------------------------------------------------------------
+# coprimality certificate
+
+
+def _field(minpoly):
+    return make_extension(QQ, UniPoly(QQ, [Fraction(c) for c in minpoly]),
+                          "a")
+
+
+QUARTIC = (8, -16, 12, -4, 1)
+FIELDS = {
+    "QQ": None,
+    "a^2=-1": (1, 0, 1),
+    "a^3=2": (-2, 0, 0, 1),
+    "a^3=a/3-1/5": (Fraction(1, 5), Fraction(-1, 3), 0, 1),
+    "quartic": QUARTIC,
+}
+
+
+def _get_field(name):
+    return QQ if FIELDS[name] is None else _field(FIELDS[name])
+
+
+def _exact_reduced(num, den):
+    """The reduced fraction by the exact Euclidean gcd."""
+    field = num.field
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    inv = field.one / den.leading()
+    return num.scale(inv), den.scale(inv)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("seed", range(6))
+def test_planted_common_factor_is_never_certified(name, seed):
+    K = _get_field(name)
+    rng = random.Random(f"planted:{name}:{seed}")
+    for _ in range(4):
+        h = random_unipoly(rng, K, 2)
+        while h.degree() < 1:
+            h = random_unipoly(rng, K, 2)
+        f = random_unipoly(rng, K, 2) * h
+        g = random_unipoly(rng, K, 2) * h
+        if f.is_zero() or g.is_zero():
+            continue
+        assert not coprime_mod_p(f, g)
+        rf = RationalFunction(f, g)
+        num, den = _exact_reduced(f, g)
+        assert rf.num.coeffs == num.coeffs
+        assert rf.den.coeffs == den.coeffs
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("seed", range(6))
+def test_reduction_matches_the_exact_gcd(name, seed):
+    K = _get_field(name)
+    rng = random.Random(f"coprime:{name}:{seed}")
+    for _ in range(6):
+        f = random_unipoly(rng, K, 3)
+        g = random_unipoly(rng, K, 3)
+        if g.is_zero():
+            continue
+        rf = RationalFunction(f, g)
+        num, den = _exact_reduced(f, g)
+        assert rf.num.coeffs == num.coeffs
+        assert rf.den.coeffs == den.coeffs
+        if coprime_mod_p(f, g):
+            assert f.gcd(g).degree() == 0
+
+
+def test_every_test_field_has_a_reduction():
+    for name in FIELDS:
+        assert _get_field(name).reduction() is not None
+
+
+def test_reduction_is_a_ring_map():
+    K = _get_field("quartic")
+    p, image = K.reduction()
+    rng = random.Random("ring-map")
+    for _ in range(20):
+        x = K.element([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                       for _ in range(4)])
+        y = K.element([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                       for _ in range(4)])
+        assert image(x * y) == image(x) * image(y) % p
+        assert image(x + y) == (image(x) + image(y)) % p
+
+
+def test_height_two_tower_has_no_reduction():
+    sub = _field((-2, 0, 1))
+    tower = FieldTower(sub, "b", UniPoly(sub, (sub.gen(), 0, 1)))
+    assert tower.reduction() is None
+
+
+def test_leading_coefficient_rule():
+    # p*t + 1 vanishes in degree modulo p, so both images lose the common
+    # factor; only the leading-coefficient rule keeps the certificate off
+    p, _ = QQ.reduction()
+    common = UniPoly(QQ, (1, p))
+    f = common * UniPoly(QQ, (2, 1))
+    g = common * UniPoly(QQ, (3, 1))
+    assert not coprime_mod_p(f, g)
+    rf = RationalFunction(f, g)
+    assert rf.num == UniPoly(QQ, (2, 1))
+    assert rf.den == UniPoly(QQ, (3, 1))
+
+
+def test_denominator_divisible_by_the_prime_is_not_certified():
+    p, _ = QQ.reduction()
+    f = UniPoly(QQ, (Fraction(1, p), 1))
+    g = UniPoly(QQ, (5, 1))
+    assert not coprime_mod_p(f, g)
+    assert RationalFunction(f, g).den == g
+
+
+def test_certified_coprime_runs_no_gcd(monkeypatch):
+    K = _get_field("a^3=2")
+    a = K.gen()
+    f = UniPoly(K, (a, 1, a * a))
+    g = UniPoly(K, (1 + a, a, 1))
+    assert coprime_mod_p(f, g)
+
+    def no_gcd(self, other):
+        raise AssertionError("gcd computed")
+
+    monkeypatch.setattr(UniPoly, "gcd", no_gcd)
+    rf = RationalFunction(f, g)
+    assert rf.num == f and rf.den == g
+    assert f.lcm(g) == (f * g).monic()
+
+
+def test_divrem_inverts_the_leading_coefficient_at_most_once(monkeypatch):
+    K = _get_field("a^3=2")
+    a = K.gen()
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    f = UniPoly(K, (a, 1, a * a, 3, a + 1, 2 * a))
+    g = UniPoly(K, (1 + a, a, 1 + a * a))
+    q, r = f.divrem(g)
+    assert len(calls) == 1
+    monic = g.monic()
+    calls.clear()
+    f.divrem(monic)
+    assert not calls
+    monkeypatch.undo()
+    assert q * g + r == f
+
+
+def test_inverse_of_a_base_element_is_the_base_inverse():
+    K = _get_field("a^3=2")
+    x = K.coerce(Fraction(-3, 7))
+    assert x.inverse() == K.coerce(Fraction(-7, 3))
+    assert x * x.inverse() == K.one
+
+
+def test_lcm_shortcuts_match_the_exact_lcm():
+    K = _get_field("a^2=-1")
+    a = K.gen()
+    f = UniPoly(K, (a, 2))
+    g = UniPoly(K, (1, a, 3))
+    c = UniPoly.const(K, a)
+    assert f.lcm(c) == f.monic() and c.lcm(f) == f.monic()
+    assert f.lcm(f) == f.monic()
+    assert f.lcm(g) == (f * g).monic()
+    assert (f * g).lcm(g * g) == (f * g * g).monic()
+
+
+# ---------------------------------------------------------------------------
+# irreducibility certificate
+
+
+def _qq_poly(coeffs):
+    return UniPoly(QQ, [Fraction(c) for c in coeffs])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planted_products_are_never_certified(seed):
+    rng = random.Random(f"irr-planted:{seed}")
+    d1 = rng.randint(1, 4)
+    d2 = rng.randint(1, 4)
+    f = (_qq_poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(d1)] + [1]) *
+         _qq_poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(d2)] + [1]))
+    assert not fields._irreducible_mod_primes(f)
+
+
+IRREDUCIBILITY_CASES = [
+    (-2, 0, 1), (1, 0, 1), (-2, 0, 0, 0, 1), QUARTIC, (1, 0, -10, 0, 1),
+    (-3, 0, 0, 0, 0, 1), (Fraction(1, 5), Fraction(-1, 3), 0, 1),
+    (-1, 0, 1), (2, -3, 1), (1, 0, 2, 0, 1), (4, 0, 0, 0, 1),
+]
+
+
+@pytest.mark.parametrize("coeffs", IRREDUCIBILITY_CASES)
+def test_exact_fallback_gives_the_same_answers(monkeypatch, coeffs):
+    f = _qq_poly(coeffs)
+    certified = is_irreducible(f)
+    monkeypatch.setattr(modp, "PRIMES", ())
+    assert not fields._irreducible_mod_primes(f.monic())
+    assert is_irreducible(f) == certified
+
+
+def test_certificate_decides_without_the_exact_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("exact search ran")
+
+    monkeypatch.setattr(fields, "roots_in_field", no_search)
+    monkeypatch.setattr(fields, "_find_split", no_search)
+    assert is_irreducible(_qq_poly((1, 1) + (0,) * 8 + (1,))) == (True, None)
+    assert is_irreducible(_qq_poly((-2, 0, 0, 0, 0, 0, 0, 0, 1))) == \
+        (True, None)

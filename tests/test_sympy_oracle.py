@@ -18,7 +18,8 @@ from hypercircle.fields import (QQ, FieldTower, canonical_key,  # noqa: E402
                                 roots_in_field)
 from hypercircle.groebner import buchberger, eliminate, saturate  # noqa: E402
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order  # noqa: E402
-from hypercircle.upoly import UniPoly, rational_roots, resultant  # noqa: E402
+from hypercircle.upoly import (RationalFunction, UniPoly,  # noqa: E402
+                               rational_roots, resultant)
 
 NVARS = 3
 SYMS = sympy.symbols(f"x0:{NVARS}")
@@ -258,14 +259,53 @@ def test_roots_in_field_match_sympy(name, seed):
         assert roots_in_field(f, K) == _sympy_roots_in_field(f, alpha)
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", list(ROOT_FIELDS))
+def test_rational_function_reduction_matches_sympy_gcd(name, seed):
+    # RationalFunction skips the gcd when a reduction modulo a prime
+    # proves the two coprime; its reduced denominator must drop exactly
+    # the degree of sympy's gcd over QQ(alpha)
+    mp, alpha = ROOT_FIELDS[name]
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    rng = random.Random(f"field-gcd:{name}:{seed}")
+
+    def poly(degree):
+        return UniPoly(K, [K.element([Fraction(rng.randint(-2, 2),
+                                               rng.randint(1, 2))
+                                      for _ in range(K.degree)])
+                           for _ in range(degree)] + [K.one])
+
+    def to_sympy(f):
+        return sum((_element_to_sympy(c, alpha) * X ** k
+                    for k, c in enumerate(f.coeffs)), sympy.Integer(0))
+
+    common = poly(rng.randint(0, 2))
+    num, den = poly(2) * common, poly(2) * common
+    rf = RationalFunction(num, den)
+    g = sympy.gcd(sympy.expand(to_sympy(num)), sympy.expand(to_sympy(den)),
+                  extension=alpha)
+    g_degree = sympy.Poly(g, X).degree() if g.has(X) else 0
+    assert rf.den.degree() == den.degree() - g_degree
+    assert rf.den.is_monic()
+    assert rf.num * den == rf.den * num
+
+
+@pytest.mark.parametrize("seed", range(18))
 def test_is_irreducible_over_qq_matches_sympy(seed):
+    # degrees 2..10, each once as a random polynomial, which the degree
+    # patterns modulo primes usually certify, and once as a planted
+    # product, which they never do, so that the exact search decides
     rng = random.Random(f"irreducible:{seed}")
-    if seed % 3 == 0:
+    degree = 2 + seed % 9
+    if seed % 2 == 0:
+        f = _random_unipoly(rng, degree, 4)
+    elif degree == 4:
         # two quadratics: no rational root, so the split search decides
         f = _random_unipoly(rng, 2, 4) * _random_unipoly(rng, 2, 4)
     else:
-        f = _random_unipoly(rng, rng.randint(2, 4), 4)
+        # a rational root; a quadratic factor of a higher degree takes
+        # the split search tens of seconds
+        f = _random_unipoly(rng, 1, 4) * _random_unipoly(rng, degree - 1, 4)
     ok, factor = is_irreducible(f)
     assert ok == sympy.Poly(_unipoly_to_sympy(f), X,
                             domain="QQ").is_irreducible
