@@ -27,7 +27,7 @@ from .numtheory import SearchCapExceededError
 from .quadfields import (ConicSpec, crt_set, parametrization_fields,
                          prime_set, verify_pairwise_distinct)
 from .render import (render_field_element, render_fraction, render_mpoly,
-                     render_rational, render_unipoly)
+                     render_point, render_rational, render_unipoly)
 from .reparam import coefficient_field_degree, optimal_affine_reparametrize
 
 EXIT_OK = 0
@@ -51,7 +51,7 @@ def _read_problem(path, cli_budget):
 
 
 def _points_json(points):
-    return [[render_field_element(c) for c in p.coords] for p in points]
+    return [render_point(p) for p in points]
 
 
 def _ideal_json(gens):
@@ -169,8 +169,7 @@ def _cmd_hypercircle(args):
         "n": tower.degree,
         "minpoly": render_unipoly(minpoly, "x"),
         "components": [render_rational(c, "t") for c in psi],
-        "primitive_infinity_point": [render_field_element(c)
-                                     for c in point.coords],
+        "primitive_infinity_point": render_point(point),
     }
     summary = f"hypercircle with {len(psi)} coordinate functions"
     return report, summary, EXIT_OK

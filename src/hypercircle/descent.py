@@ -9,11 +9,11 @@ a^1..a^(n-1) and saturates away the spurious locus delta = 0.
 
 Everything between the input and the returned MultiPolys works on the
 layers of a polynomial, its coordinates along powers of the generator,
-each a term dict over L whose keys are packed monomials: the exponent
-of t_i sits in the i-th field of w bits of one int, so the product of
-two monomials is the sum of their ints.  w is the bit length of
-max(n * deg g, deg f + (n-1) * deg g), the largest total degree any
-product below reaches, so no field ever carries into the next.
+each a term dict over L whose keys are packed monomials (mpoly.Packing,
+with no order fields), so the product of two monomials is the sum of
+their ints.  The packing bound is max(n * deg g, deg f + (n-1) * deg g),
+the largest total degree any product below reaches, so no field ever
+carries into the next.
 
 The substituted polynomials are built on layers directly: Horner in t,
 where each product by t0 + a*t1 + ... is itself Horner in a, shifting by
@@ -37,11 +37,12 @@ QQ(g)(a) over a subfield, needs only data over that tower.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .fields import QQ
 from .groebner import DEFAULT_PAIR_BUDGET, saturate
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, Packing, addmul
 from .upoly import RationalFunction, UniPoly
 
 
@@ -124,58 +125,14 @@ class Parametrization:
         return f"Parametrization([{comps}])"
 
 
-def lift_to_tower(p, tower):
-    """Reinterpret a base-field polynomial over the extension."""
-    return p.map_coefficients(tower.coerce, tower)
-
-
-def substitution(tower):
-    """t0 + a*t1 + ... + a^(n-1)*t_{n-1} in the descent ring of arity n."""
-    n = tower.degree
-    gen = tower.gen()
-    acc = MultiPoly.zero(tower, n)
-    power = tower.one
-    for i in range(n):
-        acc = acc + MultiPoly.var(tower, n, i).scale(power)
-        power = power * gen
-    return acc
-
-
-def alpha_layers(p):
-    """The n base-field coordinates of p along powers of the generator
-    of its coefficient field."""
-    tower = p.field
-    layers = [{} for _ in range(tower.degree)]
-    for e, c in p.terms.items():
-        for k, ck in enumerate(tower.coerce(c).coeffs):
-            if ck:
-                layers[k][e] = ck
-    return [MultiPoly(tower.base, p.arity, lay, _clean=True)
-            for lay in layers]
-
-
-def _width(n, deg_num, deg_den):
-    """Bits per packed exponent field for a descent of degree n.
+def _degree_bound(n, deg_num, deg_den):
+    """The packing bound of a descent of degree n.
 
     Every product formed has total degree at most n * deg_den (delta and
     the minors) or deg_num + (n-1) * deg_den (a numerator times the
-    cofactor), and no exponent exceeds its total degree.
+    cofactor).
     """
-    return max(n * deg_den, deg_num + (n - 1) * deg_den, 1).bit_length()
-
-
-def _unpacker(arity, width):
-    """The exponent tuple of a packed monomial, memoized."""
-    mask = (1 << width) - 1
-    shifts = range(0, width * arity, width)
-    seen = {}
-
-    def unpack(k):
-        e = seen.get(k)
-        if e is None:
-            e = seen[k] = tuple((k >> s) & mask for s in shifts)
-        return e
-    return unpack
+    return max(n * deg_den, deg_num + (n - 1) * deg_den)
 
 
 def _clear(dicts, base):
@@ -194,27 +151,6 @@ def _clear(dicts, base):
                 L = L // gcd(L, q) * q
     return L, [{e: c.numerator * (L // c.denominator)
                 for e, c in d.items()} for d in dicts]
-
-
-def _addmul(acc, a, b, negate=False):
-    """In place acc += a * b, or acc -= a * b when negate is set."""
-    if len(a) > len(b):
-        a, b = b, a
-    b = b.items()
-    for e, c in a.items():
-        if negate:
-            c = -c
-        for f, d in b:
-            k = e + f
-            v = acc.get(k)
-            if v is None:
-                acc[k] = c * d
-            else:
-                v += c * d
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
 
 
 def _fold(tower):
@@ -236,10 +172,10 @@ def _times_gen(layers, fold):
     if top:
         for i, m in enumerate(fold):
             if m:
-                _addmul(layers[i], {0: m}, top)
+                addmul(layers[i], {0: m}, top)
 
 
-def _substitute(f, tower, width):
+def _substitute(f, tower, pk):
     """(L times the layers of f(t0 + a*t1 + ...), L), packed.
 
     Horner in t, where each product by the substitution is Horner in a:
@@ -251,19 +187,19 @@ def _substitute(f, tower, width):
     L, coeffs = _clear([dict(enumerate(c.coeffs)) for c in f.coeffs], base)
     fold = _fold(tower)
     one = 1 if base is QQ else base.one
-    units = [{1 << (width * i): one} for i in range(n)]
+    units = [{u: one} for u in pk.units]
     acc = [{} for _ in range(n)]
     for ck in reversed(coeffs):
         prod = [{} for _ in range(n)]
         for unit in reversed(units):
             _times_gen(prod, fold)
             for j, lay in enumerate(acc):
-                _addmul(prod[j], unit, lay)
+                addmul(prod[j], unit, lay)
         acc = prod
         for j, c in ck.items():
             if c:
                 # the constant term
-                _addmul(acc[j], {0: c}, {0: one})
+                addmul(acc[j], {0: c}, {0: one})
     # a minimal polynomial with denominators leaves Fractions behind
     L2, acc = _clear(acc, base)
     return acc, L * L2
@@ -319,7 +255,7 @@ def _adjugate_column(rows):
                 if rows[k][j]:
                     sub = minor(mask ^ bit, k + 1)
                     if sub:
-                        _addmul(acc, rows[k][j], sub, pos & 1)
+                        addmul(acc, rows[k][j], sub, pos & 1)
                 pos += 1
         minors[mask] = acc
         return acc
@@ -333,11 +269,11 @@ def _adjugate_column(rows):
             c = {e: -v for e, v in c.items()}
         column.append(c)
         if rows[0][i]:
-            _addmul(det, rows[0][i], c)
+            addmul(det, rows[0][i], c)
     return det, column
 
 
-def _descend(tower, arity, width, den, nums):
+def _descend(tower, pk, den, nums):
     """(delta, [layers of num * delta / den for num in nums]).
 
     den and every num are (layers, L): packed layers that are L times
@@ -359,7 +295,8 @@ def _descend(tower, arity, width, den, nums):
         rest *= L
     L_t, table = _clear([dict(enumerate(row)) for row in
                          tower._power_table()], base)
-    unpack = _unpacker(arity, width)
+    arity = len(pk.units)
+    unpack = lru_cache(maxsize=None)(pk.unpack)
     out = []
     for lay, L_p in nums:
         conv = [{} for _ in range(2 * n - 1)]
@@ -367,7 +304,7 @@ def _descend(tower, arity, width, den, nums):
             if li:
                 for j, cj in enumerate(cof):
                     if cj:
-                        _addmul(conv[i + j], li, cj)
+                        addmul(conv[i + j], li, cj)
         res = conv[:n]
         if L_t != 1:
             res = [{e: c * L_t for e, c in r.items()} for r in res]
@@ -375,7 +312,7 @@ def _descend(tower, arity, width, den, nums):
             if conv[k]:
                 for i, t in table[k - n].items():
                     if t:
-                        _addmul(res[i], {0: t}, conv[k])
+                        addmul(res[i], {0: t}, conv[k])
         out.append(_unscale(res, base, arity, unpack, L_t * L_p * rest))
     delta = _unscale([delta], base, arity, unpack, scales[0] * rest)[0]
     return delta, out
@@ -402,21 +339,19 @@ def alpha_decompose(num, den):
         raise ZeroDivisionError("zero denominator")
     tower = den.field
     n = tower.degree
-    width = _width(n, num.total_degree(), den.total_degree())
-    shifts = range(0, width * den.arity, width)
+    pk = Packing(den.arity, _degree_bound(n, num.total_degree(),
+                                          den.total_degree()))
 
     def packed(p):
         layers = [{} for _ in range(n)]
-        for e, c in p.terms.items():
-            k = sum(v << s for v, s in zip(e, shifts))
+        for k, c in pk.terms(p.terms).items():
             for j, cj in enumerate(tower.coerce(c).coeffs):
                 if cj:
                     layers[j][k] = cj
         L, layers = _clear(layers, tower.base)
         return layers, L
 
-    delta, (layers,) = _descend(tower, den.arity, width, packed(den),
-                                [packed(num)])
+    delta, (layers,) = _descend(tower, pk, packed(den), [packed(num)])
     return layers, delta
 
 
@@ -430,9 +365,10 @@ def weil_substitute(phi):
     tower = phi.field
     n = tower.degree
     den = phi.denominator
-    width = _width(n, max(f.degree() for f in phi.numerators), den.degree())
-    nums = [_substitute(f, tower, width) for f in phi.numerators]
-    return _descend(tower, n, width, _substitute(den, tower, width), nums)
+    pk = Packing(n, _degree_bound(n, max(f.degree() for f in phi.numerators),
+                                  den.degree()))
+    nums = [_substitute(f, tower, pk) for f in phi.numerators]
+    return _descend(tower, pk, _substitute(den, tower, pk), nums)
 
 
 def witness_ideal(phi, budget=DEFAULT_PAIR_BUDGET):

@@ -7,8 +7,6 @@ over QQ, which callers then shape into the object they expect; every
 error carries a line and column.
 """
 
-from fractions import Fraction
-
 from .descent import Parametrization
 from .fields import QQ, make_extension
 from .mpoly import MultiPoly
@@ -244,23 +242,6 @@ def parse_component(s, field, var="t"):
     if denp.is_zero():
         raise ValueError(f"zero denominator in component '{s}'")
     return RationalFunction(nump, denp)
-
-
-def parse_field_element(s, field):
-    """A single element of QQ or of a simple extension."""
-    if field is QQ:
-        num, den = parse_fraction(s, ())
-        nc = num.constant_value() if not num.is_zero() else Fraction(0)
-        dc = den.constant_value()
-        return nc / dc
-    num, den = parse_fraction(s, (field.name,))
-    gen = field.gen()
-    acc = field.zero
-    for e, c in num.terms.items():
-        acc = acc + field.coerce(c) * gen ** e[0]
-    if den.total_degree() > 0:
-        raise ValueError(f"'{s}' divides by the field generator")
-    return acc / field.coerce(den.constant_value())
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,13 @@ leading monomial, so this reduces the same S-pairs, in the same order,
 as monic arithmetic would.  Over a FieldTower the basis stays monic over
 its field.
 
-Inside the engine each monomial is one packed int (M. Monagan and R.
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007), encoded once on entry and decoded when
-the GroebnerBasis is built: the product of monomials is an int sum,
+Inside the engine each monomial is one packed int (mpoly.Packing, with
+the order's fields), encoded once on entry and decoded when the
+GroebnerBasis is built: the product of monomials is an int sum,
 divisibility one subtract-and-mask, and the monomial order plain int
-comparison.  A degree past the packed bound raises
-PairBudgetExceededError; no field wraps.  No packed term dict goes to
-the term kernel, which takes exponent tuples; of this module, only
-`spoly` still uses the kernel.
+comparison.  The engine packs with the fixed bound _MAX_DEGREE and
+checks every degree it reaches against it: past the bound it raises
+PairBudgetExceededError, so no field wraps.
 
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
@@ -33,10 +31,9 @@ requested order unchanged: each ideal's basis is computed once.
 """
 
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from . import kernel
-from .mpoly import GREVLEX, LEX, MultiPoly, block_order
+from .mpoly import GREVLEX, LEX, MultiPoly, Packing, addmul, block_order
 from .upoly import UniPoly
 
 DEFAULT_PAIR_BUDGET = 100000
@@ -61,96 +58,21 @@ class PositiveDimensionalError(ArithmeticError):
     failure, not bad input."""
 
 
-# Every field of a packed monomial is at most its total degree, so this
-# degree bound fixes the field width; one more bit per field is a guard.
+# The degree bound of the engine's packing, which fixes its field width.
 _MAX_DEGREE = (1 << 15) - 1
 
 
-class _Packing:
-    """Exponent vectors of one arity packed into ints for one order.
-
-    A packed monomial is a row of fixed-width fields, most significant
-    first: the order fields, then the raw exponents.  Every field is a
-    sum of exponents, so packing is linear (the product of monomials is
-    the sum of their ints) and int comparison is the monomial order.  A
-    grevlex block has its degree, then the partial sums (e_0 + ... +
-    e_{m-2}, ..., e_0), which at equal degree compare as the reversed,
-    negated exponents do; lex needs only the raw fields.  The top bit of
-    each field is a guard that stays clear while degrees stay within the
-    bound, so m divides e exactly when e - m borrows into no guard bit.
-    """
-
-    __slots__ = ("bound", "units", "shifts", "guard", "field", "raw",
-                 "ones", "deg_shift")
-
-    def __init__(self, order, arity):
-        self.bound = _MAX_DEGREE
-        width = _MAX_DEGREE.bit_length() + 1
-        if order.kind == kernel.ORDER_LEX:
-            blocks = ()
-        elif order.kind == kernel.ORDER_GREVLEX:
-            blocks = ((0, arity),)
-        else:
-            blocks = ((0, order.split), (order.split, arity))
-        # each field as the range of exponents it sums
-        fields = []
-        for lo, hi in blocks:
-            if lo < hi:
-                fields.append(range(lo, hi))
-                fields.extend(range(lo, j) for j in range(hi - 1, lo, -1))
-        fields.extend(range(i, i + 1) for i in range(arity))
-        top = len(fields) - 1
-        self.units = [sum(1 << width * (top - f)
-                          for f, r in enumerate(fields) if i in r)
-                      for i in range(arity)]
-        self.guard = sum(1 << width * f + width - 1
-                         for f in range(len(fields)))
-        self.field = (1 << width) - 1
-        self.shifts = [width * (arity - 1 - i) for i in range(arity)]
-        # the raw fields times `ones` hold the degree at `deg_shift`
-        self.raw = (1 << width * arity) - 1
-        self.ones = sum(1 << s for s in self.shifts)
-        self.deg_shift = width * max(arity - 1, 0)
-
-    def check(self, degree):
-        if degree > self.bound:
-            raise PairBudgetExceededError(
-                f"monomial degree {degree} exceeds the packed exponent "
-                f"bound of {self.bound}")
-
-    def pack(self, e):
-        self.check(sum(e))
-        return sum(map(mul, self.units, e))
-
-    def terms(self, terms):
-        """A term dict with packed monomials."""
-        self.check(max(map(sum, terms), default=0))
-        units = self.units
-        return {sum(map(mul, units, e)): c for e, c in terms.items()}
-
-    def unpack(self, p):
-        field = self.field
-        return tuple(p >> s & field for s in self.shifts)
-
-    def degree(self, p):
-        return (p & self.raw) * self.ones >> self.deg_shift & self.field
+def _check(pk, degree):
+    if degree > pk.bound:
+        raise PairBudgetExceededError(
+            f"monomial degree {degree} exceeds the packed exponent "
+            f"bound of {pk.bound}")
 
 
-def _addmul(acc, c, shift, src):
-    """In place acc += c * X^shift * src on packed terms, dropping
-    cancelled terms; c and the coefficients of src are nonzero."""
-    get = acc.get
-    for e, v in src.items():
-        k = e + shift
-        w = get(k)
-        if w is None:
-            acc[k] = c * v
-        else:
-            w += c * v
-            if w:
-                acc[k] = w
-            else:
-                del acc[k]
+def _packed(pk, terms):
+    """A term dict with packed monomials, within the packed bound."""
+    _check(pk, max(map(sum, terms), default=0))
+    return pk.terms(terms)
 
 
 def _reduce_full(terms, basis, lms, tops, pk):
@@ -168,8 +90,8 @@ def _reduce_full(terms, basis, lms, tops, pk):
             rem[e] = work.pop(e)
             continue
         shift = e - m
-        pk.check(pk.degree(shift) + tops[i])
-        _addmul(work, -work[e], shift, basis[i])
+        _check(pk, pk.degree(shift) + tops[i])
+        addmul(work, {shift: -work[e]}, basis[i])
     return rem
 
 
@@ -189,14 +111,14 @@ def _pseudo_reduce(terms, basis, lms, tops, pk):
             rem[e] = work.pop(e)
             continue
         shift = e - m
-        pk.check(pk.degree(shift) + tops[i])
+        _check(pk, pk.degree(shift) + tops[i])
         c, lc = work[e], basis[i][m]
         g = gcd(c, lc)
         if g != lc:
             s = lc // g
             work = {k: s * v for k, v in work.items()}
             rem = {k: s * v for k, v in rem.items()}
-        _addmul(work, -(c // g), shift, basis[i])
+        addmul(work, {shift: -(c // g)}, basis[i])
     return rem
 
 
@@ -225,25 +147,13 @@ def normal_form(f: MultiPoly, basis, order=GREVLEX):
     The basis is made monic internally; pass a Groebner basis if you rely
     on canonicity of the remainder.
     """
-    pk = _Packing(order, f.arity)
+    pk = Packing(f.arity, _MAX_DEGREE, order)
     bs = [g.monic(order) for g in basis if not g.is_zero()]
-    bt = [pk.terms(g.terms) for g in bs]
-    rem = _reduce_full(pk.terms(f.terms), bt, [max(t) for t in bt],
+    bt = [_packed(pk, g.terms) for g in bs]
+    rem = _reduce_full(_packed(pk, f.terms), bt, [max(t) for t in bt],
                        [g.total_degree() for g in bs], pk)
     return MultiPoly(f.field, f.arity,
                      {pk.unpack(e): c for e, c in rem.items()}, _clean=True)
-
-
-def spoly(f: MultiPoly, g: MultiPoly, order=GREVLEX):
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    lcm = kernel.exp_lcm(ef, eg)
-    out = {}
-    kernel.addmul_terms(out, f.field.one / cf, kernel.exp_div(lcm, ef),
-                        f.terms)
-    kernel.addmul_terms(out, -(g.field.one / cg), kernel.exp_div(lcm, eg),
-                        g.terms)
-    return MultiPoly(f.field, f.arity, out, _clean=True)
 
 
 def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
@@ -264,7 +174,7 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     from heapq import heappop, heappush
 
     field, arity = gens[0].field, gens[0].arity
-    pk = _Packing(order, arity)
+    pk = Packing(arity, _MAX_DEGREE, order)
     guard, degree = pk.guard, pk.degree
     qq = field.height == 0  # QQ is the only field of height 0
     if qq:
@@ -297,7 +207,9 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         dh = sum(rh)
 
         def lcm_h(g):
-            return pk.pack(tuple(map(max, raws[g], rh)))
+            lcm = tuple(map(max, raws[g], rh))
+            _check(pk, sum(lcm))
+            return pk.pack(lcm)
 
         # a pending pair whose lcm lm(h) divides, and which shares its lcm
         # with neither pair (i, h) nor (j, h), is redundant
@@ -330,7 +242,7 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         sugars.append(sugar)
 
     for g, terms in zip(gens, inputs):
-        add(pk.terms(terms), g.total_degree())
+        add(_packed(pk, terms), g.total_degree())
     count = 0
     while queue:
         sugar, _, _, i, j = heappop(queue)
@@ -348,11 +260,11 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
             g = gcd(ci, cj)
             ci, cj = ci // g, cj // g
         d = degree(lcm)
-        pk.check(d - degree(lms[i]) + tops[i])
-        pk.check(d - degree(lms[j]) + tops[j])
+        _check(pk, d - degree(lms[i]) + tops[i])
+        _check(pk, d - degree(lms[j]) + tops[j])
         s = {}
-        _addmul(s, cj, lcm - lms[i], basis[i])
-        _addmul(s, -ci, lcm - lms[j], basis[j])
+        addmul(s, {lcm - lms[i]: cj}, basis[i])
+        addmul(s, {lcm - lms[j]: -ci}, basis[j])
         rem = reduce(s, basis, lms, tops, pk)
         if rem:
             add(rem, sugar)

@@ -123,5 +123,4 @@ def render_rational(rf, var="t") -> str:
 
 def render_point(point) -> list:
     """Projective point as a list of coordinate strings."""
-    return [render_field_element(c) if _is_field_element(c)
-            else render_fraction(c) for c in point.coords]
+    return [render_field_element(c) for c in point.coords]

@@ -38,9 +38,6 @@ class AffineShift:
     def identity(cls, field):
         return cls(field, field.one, field.zero)
 
-    def is_identity(self):
-        return self.a == self.field.one and not self.b
-
     def as_unipoly(self):
         return UniPoly(self.field, (self.b, self.a))
 
@@ -101,15 +98,23 @@ def _point_directions(points):
 
 
 def _line_in_variety(gens, psi, field):
-    assignment = {}
-    for i, f in enumerate(psi):
-        terms = {}
-        if f[0]:
-            terms[(0,)] = f[0]
-        if f.degree() >= 1 and f[1]:
-            terms[(1,)] = f[1]
-        assignment[i] = MultiPoly(field, 1, terms, _clean=True)
-    return all(g.substitute(assignment).is_zero() for g in gens)
+    """Every generator vanishes at t -> (psi_0(t), ..., psi_{m-1}(t))."""
+    one = UniPoly.const(field, field.one)
+    powers = [[one] for _ in psi]
+    for g in gens:
+        acc = UniPoly.zero(field)
+        for e, c in g.terms.items():
+            term = UniPoly.const(field, c)
+            for i, k in enumerate(e):
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * psi[i])
+                    term = term * pw[k]
+            acc = acc + term
+        if not acc.is_zero():
+            return False
+    return True
 
 
 def parametrize_line(gens, m, field, directions=(),

@@ -1,11 +1,12 @@
-"""Shared test utilities: repo paths, parsing shorthands, random generators."""
+"""Shared test utilities: repo paths, parsing shorthands, random
+generators, and reference algebra that only tests use."""
 
 from fractions import Fraction
 from pathlib import Path
 
 from hypercircle.exprparse import parse_fraction
 from hypercircle.fields import QQ
-from hypercircle.mpoly import MultiPoly
+from hypercircle.mpoly import GREVLEX, MultiPoly
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
@@ -69,3 +70,88 @@ def gen_hom(image, dst):
         return acc
 
     return fn
+
+
+def parse_field_element(s, field):
+    """A single element of QQ or of a simple extension."""
+    if field is QQ:
+        num, den = parse_fraction(s, ())
+        nc = num.constant_value() if not num.is_zero() else Fraction(0)
+        dc = den.constant_value()
+        return nc / dc
+    num, den = parse_fraction(s, (field.name,))
+    gen = field.gen()
+    acc = field.zero
+    for e, c in num.terms.items():
+        acc = acc + field.coerce(c) * gen ** e[0]
+    if den.total_degree() > 0:
+        raise ValueError(f"'{s}' divides by the field generator")
+    return acc / field.coerce(den.constant_value())
+
+
+def spoly(f, g, order=GREVLEX):
+    """The S-polynomial of f and g, by MultiPoly products."""
+    ef, cf = f.leading(order)
+    eg, cg = g.leading(order)
+    lcm = tuple(map(max, ef, eg))
+
+    def cofactor(e, c):
+        shift = tuple(a - b for a, b in zip(lcm, e))
+        return MultiPoly(f.field, f.arity, {shift: f.field.one / c})
+
+    return cofactor(ef, cf) * f - cofactor(eg, cg) * g
+
+
+def substitute(p, assignment):
+    """Ring homomorphism: variable index -> MultiPoly of one ring.
+
+    Variables absent from the assignment map to themselves.
+    """
+    field = p.field
+    arity = next(iter(assignment.values())).arity if assignment else p.arity
+    out = MultiPoly.zero(field, arity)
+    powers = {}
+    for e, c in p.terms.items():
+        term = MultiPoly.const(field, arity, c)
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            pw = powers.get((i, k))
+            if pw is None:
+                base = assignment.get(i)
+                if base is None:
+                    base = MultiPoly.var(field, arity, i)
+                pw = powers[i, k] = base ** k
+            term = term * pw
+        out = out + term
+    return out
+
+
+def lift_to_tower(p, tower):
+    """Reinterpret a base-field polynomial over the extension."""
+    return p.map_coefficients(tower.coerce, tower)
+
+
+def substitution(tower):
+    """t0 + a*t1 + ... + a^(n-1)*t_{n-1} in the descent ring of arity n."""
+    n = tower.degree
+    gen = tower.gen()
+    acc = MultiPoly.zero(tower, n)
+    power = tower.one
+    for i in range(n):
+        acc = acc + MultiPoly.var(tower, n, i).scale(power)
+        power = power * gen
+    return acc
+
+
+def alpha_layers(p):
+    """The n base-field coordinates of p along powers of the generator
+    of its coefficient field."""
+    tower = p.field
+    layers = [{} for _ in range(tower.degree)]
+    for e, c in p.terms.items():
+        for k, ck in enumerate(tower.coerce(c).coeffs):
+            if ck:
+                layers[k][e] = ck
+    return [MultiPoly(tower.base, p.arity, lay, _clean=True)
+            for lay in layers]

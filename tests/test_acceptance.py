@@ -14,17 +14,17 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from helpers import gen_hom, parse_gens, random_field_element, \
-    random_rational_function, random_unipoly
+from helpers import alpha_layers, gen_hom, lift_to_tower, parse_gens, \
+    random_field_element, random_rational_function, random_unipoly, \
+    spoly, substitution
 
 from hypercircle.descent import (Parametrization, alpha_decompose,
-                                 alpha_layers, lift_to_tower, substitution,
                                  witness_ideal)
 from hypercircle.exprparse import parse_component
 from hypercircle.fields import QQ, make_extension, roots_in_field
 from hypercircle.groebner import (GREVLEX, buchberger, ideal_equal,
                                   linear_part, normal_form,
-                                  rational_solutions, saturate, spoly)
+                                  rational_solutions, saturate)
 from hypercircle.hypercircles import ProjectivePoint
 from hypercircle.mpoly import MultiPoly
 from hypercircle.numtheory import primes_one_mod_four

@@ -37,4 +37,4 @@ def test_every_traced_function_resolves(module):
 
 
 def test_kernel_reports_its_backend():
-    assert kernel.backend_name() in kernel.available_backends()
+    assert kernel.backend_name() == "python"

@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (gen_hom, parse_gens, random_field_element,
-                     random_rational_function)
+from helpers import (alpha_layers, gen_hom, lift_to_tower, parse_gens,
+                     random_field_element, random_rational_function,
+                     substitute, substitution)
 
 from hypercircle.descent import (
     Parametrization,
     alpha_decompose,
-    alpha_layers,
-    lift_to_tower,
-    substitution,
     weil_substitute,
     witness_ideal,
 )
@@ -22,7 +20,7 @@ from hypercircle.fields import (QQ, FieldElement, FieldTower,
                                 TowerContext)
 from hypercircle.groebner import (GroebnerBasis, buchberger, dimension,
                                   ideal_equal)
-from hypercircle.mpoly import GREVLEX, MultiPoly
+from hypercircle.mpoly import GREVLEX, MultiPoly, Packing
 from hypercircle.reparam import AffineShift, verify_reparametrization
 from hypercircle.upoly import (RationalFunction, UniPoly,
                                sylvester_resultant_lists)
@@ -136,7 +134,7 @@ def test_witness_ideal_gaussian_positive(gaussian_cusp):
     s = MultiPoly.var(QQ, 1, 0)
     one = MultiPoly.const(QQ, 1, Fraction(1))
     for g in gb:
-        assert g.substitute({0: s, 1: one}).is_zero()
+        assert substitute(g, {0: s, 1: one}).is_zero()
 
 
 def test_witness_ideal_gaussian_negative(gaussian_twist):
@@ -405,10 +403,15 @@ def test_substituted_delta_is_the_sylvester_resultant(tower):
 
 def test_packed_width_boundary_is_exact():
     # n = 4, a linear denominator and a degree-4 numerator: the degree
-    # bound max(4 * 1, 4 + 3 * 1) = 7 = 2^3 - 1 fills 3-bit fields, and
-    # the numerator times the cofactor reaches t0^7
-    from hypercircle.descent import _width
-    assert _width(4, 4, 1) == 3
+    # bound max(4 * 1, 4 + 3 * 1) = 7 = 2^3 - 1 fills the 3 bits below
+    # each guard bit, and the numerator times the cofactor reaches t0^7
+    from hypercircle.descent import _degree_bound
+    assert _degree_bound(4, 4, 1) == 7
+    pk = Packing(2, 7)
+    assert pk.guard == 0b10001000
+    assert not pk.pack((7, 0)) & pk.guard
+    assert pk.unpack(pk.pack((7, 0))) == (7, 0)
+    assert pk.unpack(pk.pack((3, 0)) + pk.pack((4, 0))) == (7, 0)
     K = ORACLE_TOWERS["a^4=2"]()
     rng = random.Random("width")
     for _ in range(2):

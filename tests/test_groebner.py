@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mp_vars, parse_gens
+from helpers import mp_vars, parse_gens, spoly
 
 from hypercircle import groebner
 from hypercircle.fields import QQ, canonical_key, make_extension
@@ -23,10 +23,9 @@ from hypercircle.groebner import (
     normal_form,
     rational_solutions,
     saturate,
-    spoly,
     triangular_solve,
 )
-from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order
+from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, Packing, block_order
 from hypercircle.upoly import UniPoly
 
 
@@ -352,9 +351,8 @@ def _tower_system(qi):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)])
-def test_qq_bases_agree_across_kernel_backends(order, qi):
-    # one kernel backend is left; the bases over QQ and over QQ(i) must
-    # still come back monic and contain their generators
+def test_qq_and_tower_bases_are_monic_and_contain_their_generators(
+        order, qi):
     systems = {"qq": _wide_system(), "tower": _tower_system(qi)}
     for label, gens in systems.items():
         gb = buchberger(gens, order)
@@ -383,14 +381,23 @@ def _exponents(n):
     st.just(no[1]), _exponents(no[0]), _exponents(no[0]))))
 def test_packed_monomials_follow_the_order_and_the_monoid(case):
     order, e1, e2 = case
-    pk = groebner._Packing(order, len(e1))
-    p1, p2 = pk.pack(e1), pk.pack(e2)
-    k1, k2 = order.key(e1), order.key(e2)
-    assert (p1 < p2) == (k1 < k2) and (p1 == p2) == (k1 == k2)
-    assert pk.pack(tuple(a + b for a, b in zip(e1, e2))) == p1 + p2
-    assert (not (p2 - p1) & pk.guard) == all(a <= b for a, b in zip(e1, e2))
-    assert pk.unpack(p1) == e1
-    assert pk.degree(p1) == sum(e1)
+    e3 = tuple(a + b for a, b in zip(e1, e2))
+    # the engine's packing with the order's fields, and the descent's:
+    # no order fields (raw exponents compare as lex) and the exact bound
+    # of e1 * e2
+    for pk, key in ((Packing(len(e1), groebner._MAX_DEGREE, order),
+                     order.key),
+                    (Packing(len(e1), sum(e3)), LEX.key)):
+        p1, p2 = pk.pack(e1), pk.pack(e2)
+        k1, k2 = key(e1), key(e2)
+        assert (p1 < p2) == (k1 < k2) and (p1 == p2) == (k1 == k2)
+        assert pk.pack(e3) == p1 + p2
+        assert pk.unpack(p1 + p2) == e3
+        assert pk.degree(p1 + p2) == sum(e3)
+        assert ((not (p2 - p1) & pk.guard)
+                == all(a <= b for a, b in zip(e1, e2)))
+        assert pk.unpack(p1) == e1
+        assert pk.terms({e1: 1}) == {p1: 1}
 
 
 def test_degree_past_the_packed_bound_raises(monkeypatch):
@@ -407,3 +414,5 @@ def test_degree_past_the_packed_bound_raises(monkeypatch):
         normal_form(x ** 3, [x - y ** 5], LEX)
     with pytest.raises(PairBudgetExceededError, match="degree 8 exceeds"):
         buchberger([x ** 8 - one], GREVLEX)
+    with pytest.raises(PairBudgetExceededError, match="degree 8 exceeds"):
+        normal_form(x ** 8, [y], GREVLEX)

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import parse_gens
+from helpers import parse_field_element, parse_gens
 
 from hypercircle.exprparse import (
     ExpressionError,
     build_problem,
     parse_component,
     parse_curve_file,
-    parse_field_element,
     parse_fraction,
     parse_polynomial,
     tokenize,

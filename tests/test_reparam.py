@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import parse_gens, random_field_element
+from helpers import parse_field_element, parse_gens, random_field_element
 
 from hypercircle.descent import Parametrization
-from hypercircle.exprparse import parse_component, parse_field_element
+from hypercircle.exprparse import parse_component
 from hypercircle.fields import QQ, roots_in_field, trivial_embedding
 from hypercircle.groebner import (PositiveDimensionalError, ideal_equal,
                                   linear_part)
 from hypercircle.hypercircles import InternalInconsistencyError
+from hypercircle.mpoly import MultiPoly
 from hypercircle.reparam import (
     AffineShift,
+    _line_in_variety,
     coefficient_field_degree,
     optimal_affine_reparametrize,
     parametrize_line,
@@ -23,11 +25,22 @@ from hypercircle.reparam import (
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
+def test_line_in_variety_raises_the_line_to_each_power():
+    # (t1 - 2*t0 - 1) * t0^2 vanishes on t -> (t, 2t + 1); t0^2 - t1 and
+    # t0^3 do not
+    t0 = MultiPoly.var(QQ, 2, 0)
+    t1 = MultiPoly.var(QQ, 2, 1)
+    on_line = (t1 - 2 * t0 - 1) * t0 ** 2
+    psi = [UniPoly(QQ, (0, 1)), UniPoly(QQ, (1, 2))]
+    assert _line_in_variety([on_line], psi, QQ)
+    assert not _line_in_variety([on_line, t0 ** 2 - t1], psi, QQ)
+    assert not _line_in_variety([t0 ** 3], psi, QQ)
+
+
 def test_affine_shift_validation(qi):
     with pytest.raises(ValueError):
         AffineShift(qi, qi.zero, qi.one)
     s = AffineShift.identity(qi)
-    assert s.is_identity()
     assert s.as_unipoly() == UniPoly(qi, (qi.zero, qi.one))
     assert s == AffineShift(qi, 1, 0)
     assert s != AffineShift(qi, 1, qi.gen())
@@ -111,7 +124,7 @@ def test_quartic_second_run_is_stable(quartic_report):
     second = optimal_affine_reparametrize(phi2)
     assert second.succeeded
     assert second.r == 2
-    assert second.shift.is_identity()
+    assert second.shift == AffineShift.identity(phi2.field)
     out = second.reparametrized
     assert coefficient_field_degree(out) == 2
     # output equals the input after relabeling g by a conjugate root
@@ -143,7 +156,7 @@ def test_full_degree_witness_keeps_field(qi):
     report = optimal_affine_reparametrize(phi)
     assert report.succeeded
     assert report.r == 2
-    assert report.shift.is_identity()
+    assert report.shift == AffineShift.identity(qi)
     expect = parse_gens(
         ["t0^3 + t0*t1^2 - t0*t1",
          "t0^2*t1^2 + t1^4 - 2*t0^2*t1 - 3*t1^3 + t0^2 + 3*t1^2 - t1"], 2)
@@ -185,7 +198,7 @@ def test_rational_input_short_circuits(qi):
     report = optimal_affine_reparametrize(phi)
     assert report.succeeded
     assert report.r == 1
-    assert report.shift.is_identity()
+    assert report.shift == AffineShift.identity(qi)
     assert report.witness == []
     assert report.delta is None
     assert report.reparametrized.field is QQ
