@@ -27,7 +27,10 @@ PairBudgetExceededError, so no field wraps.
 
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
-requested order unchanged: each ideal's basis is computed once.
+requested order unchanged: each ideal's basis is computed once.  The
+questions asked of an ideal read that basis: `linear_part` takes its
+elements of degree <= 1, `dimension` its leading monomials.
+`normal_form` stays for callers with a polynomial to reduce.
 """
 
 from math import gcd
@@ -378,51 +381,20 @@ def dimension(gens, budget=DEFAULT_PAIR_BUDGET):
 def linear_part(gens, budget=DEFAULT_PAIR_BUDGET):
     """RREF basis of the degree <= 1 polynomials inside the ideal.
 
-    Exact linear algebra on normal forms of 1, t0, t1, ... against a
-    grevlex basis; degree-compatible orders keep those normal forms
-    inside the affine-linear span.
+    Read off the reduced grevlex basis: under a graded order a member of
+    degree <= 1 reduces to zero only by basis elements of degree <= 1,
+    so those span the linear part, and being reduced and monic they are
+    already in RREF over the columns t0 > t1 > ... > 1 (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 9).  The basis
+    is ascending, so the rows come back reversed, in pivot order.  The
+    unit ideal gives the rows t0, ..., t_{n-1}, 1.
     """
     gb = buchberger(gens, GREVLEX, budget)
-    if not gb:
-        return []
-    field = gb[0].field
-    n = gb[0].arity
-    basis_vecs = []
-    zero_e = (0,) * n
-    for idx in range(n + 1):
-        if idx < n:
-            probe = MultiPoly.var(field, n, idx)
-        else:
-            probe = MultiPoly.const(field, n, field.one)
-        nf = normal_form(probe, gb, GREVLEX)
-        if nf.total_degree() > 1:
-            raise ArithmeticError("normal form left the linear span")
-        vec = []
-        for col in range(n + 1):
-            if col < n:
-                e = tuple(1 if i == col else 0 for i in range(n))
-            else:
-                e = zero_e
-            vec.append(nf.terms.get(e, field.zero))
-        basis_vecs.append(vec)
-    from .linalg import nullspace, rref
-    A = [[basis_vecs[r][c] for r in range(n + 1)] for c in range(n + 1)]
-    combos = nullspace(A, n + 1, field)
-    if not combos:
-        return []
-    reduced, _ = rref(combos, field)
-    out = []
-    for row in reduced:
-        terms = {}
-        for i in range(n):
-            if row[i]:
-                e = tuple(1 if j == i else 0 for j in range(n))
-                terms[e] = row[i]
-        if row[n]:
-            terms[zero_e] = row[n]
-        if terms:
-            out.append(MultiPoly(field, n, terms, _clean=True))
-    return out
+    if is_groebner_unit(gb):
+        field, n = gb[0].field, gb[0].arity
+        return [MultiPoly.var(field, n, i) for i in range(n)] + [
+            MultiPoly.const(field, n, field.one)]
+    return [g for g in reversed(gb) if g.total_degree() <= 1]
 
 
 def rational_solutions(eqs, nvars, budget=DEFAULT_PAIR_BUDGET):

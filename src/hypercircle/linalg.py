@@ -1,5 +1,5 @@
-"""Dense exact linear algebra over any of our coefficient fields: reduced
-row echelon form and nullspace.
+"""Dense exact linear algebra over any of our coefficient fields: the
+reduced row echelon form.
 
 Matrices are lists of row lists.  Entries support +, -, *, / and boolean
 zero tests; the field object supplies zero and one.
@@ -36,17 +36,3 @@ def rref(rows, field):
     m = [r for r in m if any(r)]
     return m, pivots
 
-
-def nullspace(A, ncols, field):
-    """Basis of the kernel of A, one vector per free column, RREF style."""
-    m, pivots = rref(A, field)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in zip(m, pivots):
-            v[pc] = -r[fc]
-        basis.append(v)
-    return basis

@@ -8,8 +8,6 @@ parametrization of a witness line, either of the first descent (degree
 one subfield) or of a second descent over the intermediate field.
 """
 
-from fractions import Fraction
-
 from .descent import Parametrization, witness_ideal
 from .fields import (QQ, RationalField, TowerContext, primitive_element,
                      trivial_embedding)
@@ -17,7 +15,6 @@ from .groebner import (DEFAULT_PAIR_BUDGET, PositiveDimensionalError,
                        dimension, linear_part, triangular_solve)
 from .hypercircles import (InternalInconsistencyError, hypercircle_degree_field,
                            points_at_infinity)
-from .linalg import rref
 from .mpoly import MultiPoly
 from .upoly import UniPoly
 
@@ -122,31 +119,29 @@ def parametrize_line(gens, m, field, directions=(),
     """Degree <= 1 polynomials psi_0..psi_{m-1} tracing the unique line
     inside V(gens).
 
-    The linear part of the ideal is tried first; when lower-dimensional
-    junk components depress it below corank one, the line is rebuilt
-    from an infinity direction and an exact transversal slice.
+    The linear part of the ideal is tried first: its rows come back
+    reduced, t_p + c*t_free + d with lead t_p, so psi is read off them.
+    When lower-dimensional junk components depress it below corank one,
+    the line is rebuilt from an infinity direction and an exact
+    transversal slice.  Raises InternalInconsistencyError when neither
+    gives a line inside V(gens).
     """
     rows = linear_part(gens, budget)
     if len(rows) >= m:
         raise InternalInconsistencyError(
             "witness ideal has no line component")
     if len(rows) == m - 1:
-        mat = []
-        for p in rows:
-            vec = [p.coefficient(tuple(1 if j == i else 0
-                                       for j in range(m)))
-                   for i in range(m)]
-            vec.append(p.coefficient((0,) * m))
-            mat.append(vec)
-        mat, pivots = rref(mat, field)
-        if len(pivots) == m - 1 and all(c < m for c in pivots):
-            free = next(i for i in range(m) if i not in pivots)
-            psi = [None] * m
-            psi[free] = UniPoly(field, (field.zero, field.one))
-            for row, p in zip(mat, pivots):
-                psi[p] = UniPoly(field, (-row[m], -row[free]))
-            if _line_in_variety(gens, psi, field):
-                return psi
+        # reduced rows t_p + c*t_free + d, one per pivot variable t_p
+        lead = {row.leading()[0].index(1): row for row in rows}
+        free = next(i for i in range(m) if i not in lead)
+        e_free = tuple(int(j == free) for j in range(m))
+        zero = (0,) * m
+        psi = [UniPoly(field, (-lead[i].coefficient(zero),
+                               -lead[i].coefficient(e_free)))
+               if i in lead else UniPoly(field, (field.zero, field.one))
+               for i in range(m)]
+        if _line_in_variety(gens, psi, field):
+            return psi
     for v in directions:
         k = max(i for i in range(m) if v[i])
         sliced = list(gens) + [MultiPoly.var(field, m, k)]
@@ -159,7 +154,7 @@ def parametrize_line(gens, m, field, directions=(),
             psi = [UniPoly(field, (sol[i], v[i])) for i in range(m)]
             if _line_in_variety(gens, psi, field):
                 return psi
-    raise ValueError("line extraction failed")
+    raise InternalInconsistencyError("line extraction failed")
 
 
 def _shift_from_line(psi, tower):
@@ -209,11 +204,13 @@ def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
     """Find the optimal affine shift of phi over its field phi.field."""
     tower = phi.field
     n = tower.degree
-    if all(_is_rational(c) for c in phi.coefficients()):
-        return _identity_report(phi, trivial_embedding(tower))
+    identity = dict(r=1, embedding=trivial_embedding(tower), witness=[],
+                    infinity_points=[])
+    if all(c.is_rational() for c in phi.coefficients()):
+        return _close_report(phi, AffineShift.identity(tower), identity)
     witness, delta = witness_ideal(phi, budget)
     if not witness:
-        return _identity_report(phi, trivial_embedding(tower))
+        return _close_report(phi, AffineShift.identity(tower), identity)
     pts = points_at_infinity(witness, tower, budget)
     dim = dimension(witness, budget)
     if not pts:
@@ -229,13 +226,13 @@ def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
                        embedding=emb)
     if r == n:
         shift = AffineShift.identity(tower)
-        return _close_report(phi, shift, emb, base_report)
+        return _close_report(phi, shift, base_report)
     if r == 1:
         psi = parametrize_line(witness, n, QQ, _point_directions(pts),
                                budget)
         a, b = _shift_from_line(psi, tower)
         shift = AffineShift(tower, a, b)
-        return _close_report(phi, shift, emb, base_report)
+        return _close_report(phi, shift, base_report)
     ctx = TowerContext(emb)
     rel = ctx.tower.minpoly
     phi2 = phi.map_coefficients(ctx.to_tower, ctx.tower)
@@ -244,7 +241,7 @@ def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
                        second_delta=delta2)
     if not witness2:
         shift = AffineShift.identity(tower)
-        return _close_report(phi, shift, emb, base_report)
+        return _close_report(phi, shift, base_report)
     pts2 = points_at_infinity(witness2, ctx.tower, budget)
     if not pts2:
         raise InternalInconsistencyError(
@@ -253,31 +250,12 @@ def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
                            _point_directions(pts2), budget)
     a2, b2 = _shift_from_line(psi, ctx.tower)
     shift = AffineShift(tower, ctx.flatten(a2), ctx.flatten(b2))
-    return _close_report(phi, shift, emb, base_report)
+    return _close_report(phi, shift, base_report)
 
 
-def _is_rational(c):
-    if isinstance(c, (int, Fraction)):
-        return True
-    return c.is_rational()
-
-
-def _identity_report(phi, emb):
-    shift = AffineShift.identity(phi.field)
-    phi_q = phi.map_coefficients(_rational_value, QQ)
-    return ReparamReport(status="success", r=1,
-                         embedding=emb, shift=shift, reparametrized=phi_q,
-                         witness=[], infinity_points=[])
-
-
-def _rational_value(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    return c.rational_value()
-
-
-def _close_report(phi, shift, emb, base_report):
-    expressed = verify_reparametrization(phi, shift, emb)
+def _close_report(phi, shift, base_report):
+    expressed = verify_reparametrization(phi, shift,
+                                         base_report["embedding"])
     if expressed is None:
         raise InternalInconsistencyError(
             "reparametrized coefficients left the expected subfield")

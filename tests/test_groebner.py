@@ -1,14 +1,18 @@
 """Buchberger, saturation, elimination, dimension, triangular solving."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mp_vars, parse_gens, spoly
+from helpers import (input_path, mp_vars, parse_gens, random_field_element,
+                     spoly)
 
 from hypercircle import groebner
+from hypercircle.descent import witness_ideal
+from hypercircle.exprparse import build_problem, parse_curve_file
 from hypercircle.fields import QQ, canonical_key, make_extension
 from hypercircle.groebner import (
     GroebnerBasis,
@@ -25,6 +29,7 @@ from hypercircle.groebner import (
     saturate,
     triangular_solve,
 )
+from hypercircle.linalg import rref
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, Packing, block_order
 from hypercircle.upoly import UniPoly
 
@@ -137,6 +142,88 @@ def test_linear_part_extracts_linear_forms_of_the_ideal():
     # reduction may reveal simpler linear forms than the input shows
     assert linear_part([x + y, y - one]) == [x + one, y - one]
     assert linear_part([x * x]) == []
+
+
+def test_linear_part_of_the_unit_ideal_is_every_row():
+    x, y, z = mp_vars(QQ, 3)
+    one = MultiPoly.const(QQ, 3, Fraction(1))
+    assert linear_part([x, x + one]) == [x, y, z, one]
+
+
+def test_linear_part_finds_forms_that_appear_only_after_reduction():
+    x, y = mp_vars(QQ, 2)
+    assert linear_part([x * y + x - y, x * y - y]) == [x, y]
+
+
+def _reference_linear_part(gens):
+    """The degree <= 1 members of the ideal as the kernel of the normal
+    forms of t0, ..., t_{n-1}, 1, in RREF."""
+    gb = buchberger(gens, GREVLEX)
+    if not gb:
+        return []
+    field, n = gb[0].field, gb[0].arity
+    probes = mp_vars(field, n) + [MultiPoly.const(field, n, field.one)]
+    monos = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    monos.append((0,) * n)
+    forms = [normal_form(p, gb, GREVLEX) for p in probes]
+    assert all(f.total_degree() <= 1 for f in forms)
+    # the kernel of the matrix whose columns are the normal forms
+    m, pivots = rref([[f.coefficient(e) for f in forms] for e in monos],
+                     field)
+    kernel = []
+    for free in (c for c in range(n + 1) if c not in pivots):
+        v = [field.zero] * (n + 1)
+        v[free] = field.one
+        for row, p in zip(m, pivots):
+            v[p] = -row[free]
+        kernel.append(v)
+    if not kernel:
+        return []
+    rows, _ = rref(kernel, field)
+    return [MultiPoly(field, n, {e: c for e, c in zip(monos, row) if c})
+            for row in rows]
+
+
+def _random_linear_form(rng, field, n):
+    terms = {}
+    for e in [tuple(int(j == i) for j in range(n)) for i in range(n)] + [
+            (0,) * n]:
+        c = random_field_element(rng, field, 2)
+        if c:
+            terms[e] = c
+    return MultiPoly(field, n, terms)
+
+
+@pytest.mark.parametrize("field_name", ["QQ", "QQ(i)"])
+def test_linear_part_matches_the_normal_form_reference(field_name):
+    field = QQ if field_name == "QQ" else make_extension(
+        QQ, UniPoly(QQ, (1, 0, 1)), "a")
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        planted = [_random_linear_form(rng, field, n)
+                   for _ in range(rng.randint(0, n))]
+        planted = [f for f in planted if not f.is_zero()]
+        q = (_random_linear_form(rng, field, n)
+             * _random_linear_form(rng, field, n)
+             + _random_linear_form(rng, field, n))
+        # every generator but q hides its planted form behind q
+        gens = [q] + [f + q.scale(random_field_element(rng, field, 2))
+                      for f in planted]
+        got = linear_part(gens)
+        assert got == _reference_linear_part(gens)
+        seen.add(len(got))
+    assert len(seen) >= 3
+
+
+def test_linear_part_matches_the_reference_on_the_input_witnesses():
+    paths = sorted(input_path("").glob("*.curve"))
+    assert paths
+    for path in paths:
+        phi = build_problem(parse_curve_file(path.read_text()))
+        witness, _ = witness_ideal(phi)
+        assert linear_part(witness) == _reference_linear_part(witness)
 
 
 def test_rational_solutions_sorted():

@@ -234,7 +234,8 @@ def test_parametrize_line_from_direction_slice():
 
 def test_parametrize_line_failure_modes():
     circle = parse_gens(["t0^2 + t1^2 + t1"], 2)
-    with pytest.raises(ValueError, match="line extraction failed"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="line extraction failed"):
         parametrize_line(circle, 2, QQ)
     point = parse_gens(["t0", "t1"], 2)
     with pytest.raises(InternalInconsistencyError):
