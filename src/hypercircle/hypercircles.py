@@ -105,40 +105,46 @@ def primitive_infinity_point(tower):
 def points_at_infinity(gens, tower, budget=DEFAULT_PAIR_BUDGET):
     """Infinity points of the ideal with coordinates in the tower.
 
-    Homogenizes a degree-compatible basis, slices the h = 0 locus by the
-    affine chart of the highest-index coordinate that yields solutions,
-    and solves the zero-dimensional remainder exactly.
+    The basis is graded, so the top-degree forms of its elements are the
+    reduced grevlex basis of the ideal at infinity J.  The charts
+    x_k = 1 are walked from k = m - 1 down, each read off that basis
+    with x_k as its last variable and no Buchberger (D. Bayer and M.
+    Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative Algebra,
+    Prop. 15.12): setting x_k = 1 gives the grevlex basis of the chart,
+    which is empty when that basis holds a constant, and setting x_k = 0
+    gives the basis of J restricted to x_k = 0 for the charts below.  So
+    chart k also has x_{k+1} = ... = x_{m-1} = 0.  That loses no tower
+    point: one with x_j != 0 for some j > k, scaled by 1/x_j, lies over
+    the tower in chart j, which came first.  The first chart with points
+    over the tower is solved exactly and its points returned.
     """
     gb = buchberger(gens, GREVLEX, budget)
     if not gb:
         raise InternalInconsistencyError(
             "unexpected positive-dimensional infinity")
-    base = tower.base
-    m = gb[0].arity
     if is_groebner_unit(gb):
         return []
-    sliced = []
-    for g in gb:
-        gh = g.homogenize().assign_value(m, base.zero)
-        if not gh.is_zero():
-            sliced.append(gh)
+    base = tower.base
+    m = gb[0].arity
+    # the basis of J in x_0..x_k, for k = m - 1 first: the top-degree
+    # forms, the homogenized basis at h = 0
+    top = [g.homogenize().assign_value(m, base.zero) for g in gb]
     for k in range(m - 1, -1, -1):
-        system = [g.assign_value(k, base.one) for g in sliced]
-        system = [g for g in system if not g.is_zero()]
-        try:
-            sols = triangular_solve(system, m - 1, tower, budget)
-        except PositiveDimensionalError as exc:
-            raise InternalInconsistencyError(
-                "unexpected positive-dimensional infinity") from exc
-        if not sols:
-            continue
-        points = []
-        for sol in sols:
-            coords = list(sol[:k]) + [base.one] + list(sol[k:])
-            coords.append(base.zero)
-            points.append(ProjectivePoint(tower, coords))
-        points.sort(key=ProjectivePoint.sort_key)
-        return points
+        chart = [g.assign_value(k, base.one) for g in top]
+        if not any(g.is_constant() for g in chart):
+            try:
+                sols = triangular_solve(chart, k, tower, budget)
+            except PositiveDimensionalError as exc:
+                raise InternalInconsistencyError(
+                    "unexpected positive-dimensional infinity") from exc
+            if sols:
+                tail = [base.one] + [base.zero] * (m - k)
+                points = [ProjectivePoint(tower, list(sol) + tail)
+                          for sol in sols]
+                points.sort(key=ProjectivePoint.sort_key)
+                return points
+        top = [h for h in (g.assign_value(k, base.zero) for g in top)
+               if not h.is_zero()]
     return []
 
 

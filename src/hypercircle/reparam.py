@@ -95,23 +95,42 @@ def _point_directions(points):
 
 
 def _line_in_variety(gens, psi, field):
-    """Every generator vanishes at t -> (psi_0(t), ..., psi_{m-1}(t))."""
-    one = UniPoly.const(field, field.one)
-    powers = [[one] for _ in psi]
+    """Every generator vanishes at t -> (psi_0(t), ..., psi_{m-1}(t)).
+
+    The constant psi_i are substituted first, which leaves g zero when
+    it vanishes on a line with one moving coordinate.  Otherwise
+    g(psi(t)) has degree at most deg g * max deg psi_i, so it is zero
+    when it vanishes at that many plus one points t = 0, 1, ....
+    """
+    moving = [i for i, f in enumerate(psi) if f.degree() > 0]
+    step = max([psi[i].degree() for i in moving], default=0)
+    points = []  # psi(t) at t = 0, 1, ..., moving coordinates only
     for g in gens:
-        acc = UniPoly.zero(field)
-        for e, c in g.terms.items():
-            term = UniPoly.const(field, c)
-            for i, k in enumerate(e):
-                if k:
-                    pw = powers[i]
-                    while len(pw) <= k:
-                        pw.append(pw[-1] * psi[i])
-                    term = term * pw[k]
-            acc = acc + term
-        if not acc.is_zero():
+        for i in reversed(range(len(psi))):
+            if i not in moving:
+                g = g.assign_value(i, psi[i][0])
+        if g.is_zero():
+            continue
+        need = g.total_degree() * step + 1
+        while len(points) < need:
+            x = field.coerce(len(points))
+            points.append([psi[i].evaluate(x) for i in moving])
+        if any(g.evaluate(p) for p in points[:need]):
             return False
     return True
+
+
+def _derivative(g, v):
+    """The directional derivative sum_i v_i * dg/dt_i."""
+    out = {}
+    for e, c in g.terms.items():
+        for i, k in enumerate(e):
+            if k and v[i]:
+                f = e[:i] + (k - 1,) + e[i + 1:]
+                d = c * v[i] * k
+                w = out.get(f)
+                out[f] = d if w is None else w + d
+    return MultiPoly(g.field, g.arity, out)
 
 
 def parametrize_line(gens, m, field, directions=(),
@@ -122,9 +141,13 @@ def parametrize_line(gens, m, field, directions=(),
     The linear part of the ideal is tried first: its rows come back
     reduced, t_p + c*t_free + d with lead t_p, so psi is read off them.
     When lower-dimensional junk components depress it below corank one,
-    the line is rebuilt from an infinity direction and an exact
-    transversal slice.  Raises InternalInconsistencyError when neither
-    gives a line inside V(gens).
+    the line is solved from an infinity direction v: with t_k the last
+    coordinate v moves, its points p are those on the slice t_k = 0
+    whose line p + s*v lies in V(gens).  By Taylor's formula in
+    characteristic 0 they are the common zeros, at t_k = 0, of g,
+    D_v g, D_v^2 g, ... for each generator g, D_v the derivative along
+    v, so junk points off every such line drop out.  Raises
+    InternalInconsistencyError when neither gives a line inside V(gens).
     """
     rows = linear_part(gens, budget)
     if len(rows) >= m:
@@ -144,13 +167,18 @@ def parametrize_line(gens, m, field, directions=(),
             return psi
     for v in directions:
         k = max(i for i in range(m) if v[i])
-        sliced = list(gens) + [MultiPoly.var(field, m, k)]
+        system = []  # on the slice: t_k is set to 0
+        for g in gens:
+            while not g.is_zero():
+                system.append(g.assign_value(k, field.zero))
+                g = _derivative(g, v)
         try:
-            sols = triangular_solve(sliced, m, field, budget)
+            sols = triangular_solve(system, m - 1, field, budget)
         except PositiveDimensionalError as exc:
             raise InternalInconsistencyError(
                 "positive-dimensional line slice") from exc
         for sol in sols:
+            sol = sol[:k] + (field.zero,) + sol[k:]
             psi = [UniPoly(field, (sol[i], v[i])) for i in range(m)]
             if _line_in_variety(gens, psi, field):
                 return psi

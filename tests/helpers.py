@@ -6,6 +6,10 @@ from pathlib import Path
 
 from hypercircle.exprparse import parse_fraction
 from hypercircle.fields import QQ
+from hypercircle.groebner import (PositiveDimensionalError, buchberger,
+                                  is_groebner_unit, triangular_solve)
+from hypercircle.hypercircles import (InternalInconsistencyError,
+                                      ProjectivePoint)
 from hypercircle.mpoly import GREVLEX, MultiPoly
 from hypercircle.upoly import RationalFunction, UniPoly
 
@@ -155,3 +159,32 @@ def alpha_layers(p):
                 layers[k][e] = ck
     return [MultiPoly(tower.base, p.arity, lay, _clean=True)
             for lay in layers]
+
+
+def points_at_infinity_by_charts(gens, tower):
+    """Reference for hypercircles.points_at_infinity: the first chart
+    x_k = 1, k from the last coordinate down, of the homogenized basis
+    at h = 0 that has points over the tower, each chart solved by its own
+    lex basis over the other m - 1 coordinates."""
+    gb = buchberger(gens, GREVLEX)
+    if not gb:
+        raise InternalInconsistencyError(
+            "unexpected positive-dimensional infinity")
+    if is_groebner_unit(gb):
+        return []
+    base = tower.base
+    m = gb[0].arity
+    sliced = [g.homogenize().assign_value(m, base.zero) for g in gb]
+    for k in range(m - 1, -1, -1):
+        system = [g.assign_value(k, base.one) for g in sliced]
+        try:
+            sols = triangular_solve(system, m - 1, tower)
+        except PositiveDimensionalError as exc:
+            raise InternalInconsistencyError(
+                "unexpected positive-dimensional infinity") from exc
+        if sols:
+            points = [ProjectivePoint(tower, list(sol[:k]) + [base.one]
+                                      + list(sol[k:]) + [base.zero])
+                      for sol in sols]
+            return sorted(points, key=ProjectivePoint.sort_key)
+    return []

@@ -1,12 +1,16 @@
 """Hypercircles, points at infinity, and the degree of the point field."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import parse_gens
+from helpers import parse_gens, points_at_infinity_by_charts
 
-from hypercircle.fields import QQ
+from hypercircle import hypercircles
+from hypercircle.descent import Parametrization, witness_ideal
+from hypercircle.fields import QQ, TowerContext, make_extension
+from hypercircle.groebner import PositiveDimensionalError, triangular_solve
 from hypercircle.hypercircles import (
     InternalInconsistencyError,
     LinearFraction,
@@ -17,7 +21,6 @@ from hypercircle.hypercircles import (
     unit_to_hypercircle,
 )
 from hypercircle.upoly import RationalFunction, UniPoly
-from hypercircle.descent import witness_ideal
 
 
 def _lift_unipoly(p, tower):
@@ -179,3 +182,93 @@ def test_hypercircle_degree_field(quartic):
         assert pe.membership(c) is not None
     with pytest.raises(ValueError):
         hypercircle_degree_field([])
+
+
+def _known_answer_curve(rng, n):
+    """A QQ curve with polynomial components of coprime degrees (2, 3),
+    hence proper, pushed into QQ(a), a^n = +-p, by t -> t + b: its
+    witness variety holds a line and junk points."""
+    p = rng.choice((2, 3, 5)) * rng.choice((-1, 1))
+    tower = make_extension(QQ, UniPoly(QQ, [p] + [0] * (n - 1) + [1]), "a")
+    nums = []
+    for deg in (2, 3):
+        coeffs = [rng.randint(-3, 3) for _ in range(deg)]
+        coeffs.append(rng.choice((-2, -1, 1, 2)))
+        nums.append(UniPoly(tower, [tower.coerce(c) for c in coeffs]))
+    phi = Parametrization(tower, nums, UniPoly.const(tower, tower.one))
+    b = tower.element(tuple(Fraction(rng.choice((-1, 1)))
+                            for _ in range(n)))
+    return phi.compose_affine(tower.one, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_points_at_infinity_match_chart_by_chart_lex(monkeypatch, n, seed):
+    phi = _known_answer_curve(random.Random(100 * n + seed), n)
+    gb, _ = witness_ideal(phi)
+    assert max(g.total_degree() for g in gb) > 1  # junk beside the line
+    solved = []
+
+    def recording(system, nvars, *args):
+        solved.append(nvars)
+        return triangular_solve(system, nvars, *args)
+
+    monkeypatch.setattr(hypercircles, "triangular_solve", recording)
+    pts = points_at_infinity(gb, phi.field)
+    assert pts == points_at_infinity_by_charts(gb, phi.field)
+    # the point is [1 : 0 : ... : 0]; every chart above holds a constant
+    assert pts == [ProjectivePoint(phi.field, [phi.field.one]
+                                   + [phi.field.zero] * n)]
+    assert solved == [0]
+
+
+def test_points_at_infinity_match_reference_on_the_quartic(quartic_report):
+    report, _ = quartic_report
+    K = report.embedding.ambient
+    assert (points_at_infinity(report.witness, K)
+            == points_at_infinity_by_charts(report.witness, K))
+    tower = TowerContext(report.embedding).tower
+    pts = points_at_infinity(report.second_witness, tower)
+    assert pts
+    assert pts == points_at_infinity_by_charts(report.second_witness, tower)
+
+
+@pytest.mark.parametrize("gens", [
+    # the upper chart t1 = 1 is empty; the point is in the lower chart
+    ["t0 - t1^2"],
+    # the upper chart's points (t0^2 = 2) lie outside QQ(i)
+    ["t1*(t0^2 - 2*t1^2) + 1"],
+])
+def test_points_at_infinity_lower_chart_matches_reference(qi, gens):
+    gens = parse_gens(gens, 2)
+    pts = points_at_infinity(gens, qi)
+    assert pts == [ProjectivePoint(qi, [qi.one, qi.zero, qi.zero])]
+    assert pts == points_at_infinity_by_charts(gens, qi)
+
+
+def test_points_at_infinity_positive_dimensional_chart_is_internal(qi):
+    # at infinity t0*t1 = 0 leaves a line in the chart t2 = 1
+    gens = parse_gens(["t0*t1 + t2"], 3)
+    for solve in (points_at_infinity, points_at_infinity_by_charts):
+        with pytest.raises(InternalInconsistencyError) as info:
+            solve(gens, qi)
+        assert isinstance(info.value.__cause__, PositiveDimensionalError)
+
+
+@pytest.mark.parametrize("gens, calls", [
+    (["t0", "t1"], 0),  # both charts hold a constant
+    (["t1 - 1"], 1),  # t1 = 1 gives the constant 1; only t0 = 1 solves
+    (["t0 - t1^2"], 1),
+    (["t0^2 + t1^2 + t1"], 1),  # the first chart has points
+])
+def test_points_at_infinity_solves_no_chart_holding_a_constant(
+        monkeypatch, qi, gens, calls):
+    seen = []
+
+    def counting(*args, **kw):
+        seen.append(args)
+        return triangular_solve(*args, **kw)
+
+    monkeypatch.setattr(hypercircles, "triangular_solve", counting)
+    points_at_infinity(parse_gens(gens, 2), qi)
+    assert len(seen) == calls

@@ -5,18 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import parse_field_element, parse_gens, random_field_element
+from helpers import (mp_vars, parse_field_element, parse_gens,
+                     random_field_element)
 
 from hypercircle.descent import Parametrization
 from hypercircle.exprparse import parse_component
-from hypercircle.fields import QQ, roots_in_field, trivial_embedding
+from hypercircle.fields import (QQ, TowerContext, roots_in_field,
+                                trivial_embedding)
+from hypercircle import reparam
 from hypercircle.groebner import (PositiveDimensionalError, ideal_equal,
-                                  linear_part)
-from hypercircle.hypercircles import InternalInconsistencyError
+                                  linear_part, triangular_solve)
+from hypercircle.hypercircles import (InternalInconsistencyError,
+                                      points_at_infinity)
 from hypercircle.mpoly import MultiPoly
 from hypercircle.reparam import (
     AffineShift,
     _line_in_variety,
+    _point_directions,
     coefficient_field_degree,
     optimal_affine_reparametrize,
     parametrize_line,
@@ -35,6 +40,18 @@ def test_line_in_variety_raises_the_line_to_each_power():
     assert _line_in_variety([on_line], psi, QQ)
     assert not _line_in_variety([on_line, t0 ** 2 - t1], psi, QQ)
     assert not _line_in_variety([t0 ** 3], psi, QQ)
+
+
+def test_line_in_variety_checks_curves_of_higher_degree():
+    # t -> (t, t^2) lies on t1 - t0^2 but not on t1^2 - t0^3, t0^3 - t1
+    # or t1 - t0, although t^2 - t vanishes at t = 0, 1
+    parabola = [UniPoly(QQ, (0, 1)), UniPoly(QQ, (0, 0, 1))]
+    on, cusp, cubic, diagonal = parse_gens(["t1 - t0^2", "t1^2 - t0^3",
+                                            "t0^3 - t1", "t1 - t0"], 2)
+    assert _line_in_variety([on, on * cusp], parabola, QQ)
+    assert not _line_in_variety([on, cusp], parabola, QQ)
+    assert not _line_in_variety([cubic], parabola, QQ)
+    assert not _line_in_variety([diagonal], parabola, QQ)
 
 
 def test_affine_shift_validation(qi):
@@ -230,6 +247,64 @@ def test_parametrize_line_from_direction_slice():
     psi = parametrize_line(gens, 2, QQ, directions=[(Fraction(1),
                                                      Fraction(0))])
     assert psi == [UniPoly(QQ, (0, 1)), UniPoly(QQ, (1,))]
+
+
+@pytest.mark.parametrize("gens, directions, expect", [
+    # the line t1 = -1 and two points off QQ, (1, -1 +- i/sqrt(2))
+    (["(t0 - 1)*(t1 + 1)", "(t1 + 1)*(t1^2 + 2*t1 + 3/2)"], [(1, 0)],
+     [(0, 1), (-1,)]),
+    # the line t1 = -1 and rational junk (0, -2), (0, 3) on the slice t0 = 0
+    (["t0*(t1 + 1)", "(t1 + 1)*(t1 + 2)*(t1 - 3)"], [(1, 0)],
+     [(0, 1), (-1,)]),
+    # the line t1 = 2*t0 + 1 and junk (3, 5), (3, 0); (3, 0) is on the
+    # slice t1 = 0
+    (["(t1 - 2*t0 - 1)*(t0 - 3)", "(t1 - 2*t0 - 1)*(t1 - 5)*t1"],
+     [(Fraction(1, 2), 1)], [(Fraction(-1, 2), Fraction(1, 2)), (0, 1)]),
+    # no vertical line lies in V, which holds the parabola t1 = t0^2 and
+    # the horizontal line t1 = -1
+    (["(t1 + 1)*(t1 - t0^2)"], [(0, 1), (1, 0)], [(0, 1), (-1,)]),
+])
+def test_parametrize_line_from_line_system(monkeypatch, gens, directions,
+                                           expect):
+    solved = []
+
+    def recording(*args):
+        solved.append(triangular_solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(reparam, "triangular_solve", recording)
+    gens = parse_gens(gens, 2)
+    assert linear_part(gens) == []
+    directions = [tuple(map(Fraction, v)) for v in directions]
+    psi = parametrize_line(gens, 2, QQ, directions)
+    assert psi == [UniPoly(QQ, c) for c in expect]
+    assert _line_in_variety(gens, psi, QQ)
+    # the junk points are not solutions: one solve per direction, and
+    # only the line's point on the slice solves the last
+    assert [len(sols) for sols in solved] == [0] * (len(directions) - 1) + [1]
+
+
+def test_parametrize_line_direction_without_a_line_fails():
+    gens = parse_gens(["(t1 + 1)*(t1 - t0^2)"], 2)
+    with pytest.raises(InternalInconsistencyError,
+                       match="line extraction failed"):
+        parametrize_line(gens, 2, QQ, [(Fraction(0), Fraction(1))])
+
+
+def test_parametrize_line_over_the_quartic_subfield(quartic_report):
+    # the second witness line t1 = -11/2 - 3/4*g over QQ(g), with junk
+    # points (0, g) and (0, -1) on the slice t0 = 0
+    report, _ = quartic_report
+    sub = report.embedding.subfield
+    g = sub.gen()
+    t0, t1 = mp_vars(sub, 2)
+    line, = report.second_witness
+    gens = [line * t0, line * (t1 - g) * (t1 + 1)]
+    assert linear_part(gens) == []
+    pts = points_at_infinity(gens, TowerContext(report.embedding).tower)
+    psi = parametrize_line(gens, 2, sub, _point_directions(pts))
+    c = sub.coerce(Fraction(-11, 2)) - Fraction(3, 4) * g
+    assert psi == [UniPoly(sub, (sub.zero, sub.one)), UniPoly(sub, (c,))]
 
 
 def test_parametrize_line_failure_modes():
