@@ -6,6 +6,8 @@ squarefree parts.  Everything here works on plain ``int`` and
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import compress
 from math import gcd, isqrt
 
 _SMALL_PRIMES = (
@@ -17,10 +19,19 @@ _SMALL_PRIMES = (
 class SearchCapExceededError(RuntimeError):
     """A bounded search ran out of candidates before finding a hit."""
 
-# Pollard rho steps one factorize call may take in all.  The hcbench
-# workloads need at most 166,401 (seeds 1, 3 and 21); a cofactor with two
-# prime factors near 10^14 needs millions.
-_RHO_STEP_CAP = 1 << 19
+# Trial division runs over the primes below this bound.
+_TRIAL_BOUND = 10000
+
+# Evaluations of x^2 + c that Pollard rho may spend in one factorize call,
+# the 3 * 2^19 that Floyd's former cap of 2^19 steps spent.  A collision
+# mod a prime that those steps could see at one seed (tail below 2^19 - 1,
+# cycle up to 2^19) shows by Brent's round 2^18, within 2^20 + 126
+# evaluations.  The hcbench workloads need at most 403,966 (seeds 1, 3
+# and 21); a cofactor with two prime factors near 10^14 needs millions.
+_RHO_STEP_CAP = 3 << 19
+
+# Brent's rho takes one gcd per this many steps.
+_RHO_BATCH = 128
 
 # Strong-pseudoprime witnesses; the set is exact for n below this bound.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -125,64 +136,125 @@ def is_quadratic_residue(a: int, p: int) -> bool:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Trial division by the primes below _TRIAL_BOUND; then each composite
+    cofactor is split as a perfect power or by Pollard rho.
+    """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out = {}
-    for p in _SMALL_PRIMES:
+    for p in _trial_primes():
+        if p * p > n:
+            # no prime up to sqrt(n) divides n: it is 1 or a prime
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n == 1:
         return out
-    f = _SMALL_PRIMES[-1] + 2
-    while f * f <= n and f < 10000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n == 1:
-        return out
+    # every prime factor of n exceeds the trial bound
     stack = [n]
-    steps = _RHO_STEP_CAP
+    evals = _RHO_STEP_CAP
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d, steps = _pollard_rho(m, steps)
+        d = _perfect_power_root(m)
+        if d is None:
+            d, evals = _pollard_rho(m, evals)
         stack.append(d)
         stack.append(m // d)
     return out
 
 
-def _pollard_rho(n: int, steps: int):
-    """(a nontrivial factor of composite odd n, steps left).
+@cache
+def _trial_primes():
+    """The primes below _TRIAL_BOUND, sieved on first use."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_TRIAL_BOUND - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
+    return tuple(compress(range(_TRIAL_BOUND), sieve))
 
-    Deterministic seed sweep; raises SearchCapExceededError once it has
-    taken the given number of steps without a factor.
+
+def _perfect_power_root(m: int):
+    """r with m = r^k for a prime k, or None.
+
+    Every prime factor of m exceeds the trial bound 10^4 > 2^13, so
+    m > 2^(13 k) bounds the exponents to try.
     """
-    if n % 2 == 0:
-        return 2, steps
+    k_max = (m.bit_length() - 1) // (_TRIAL_BOUND.bit_length() - 1)
+    for k in _trial_primes():
+        if k > k_max:
+            return None
+        r = _integer_root(m, k)
+        if r ** k == m:
+            return r
+    return None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """Floor of the k-th root of m >= 1 (integer Newton from above)."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _pollard_rho(n: int, evals: int):
+    """(a nontrivial factor of composite odd n, evaluations left).
+
+    Brent's cycle search (BIT 20, 1980) on x -> x^2 + c, x0 = 2, with a
+    deterministic sweep c = 1, 2, ...  The differences x - y of a batch
+    of _RHO_BATCH steps are multiplied mod n and share one gcd; a batch
+    whose gcd is n is replayed step by step.  Every evaluation of
+    x^2 + c is charged to `evals`, and SearchCapExceededError is raised
+    before they would run out.
+    """
     c = 1
     while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            if not steps:
-                raise SearchCapExceededError(
-                    f"Pollard rho found no factor of a {n.bit_length()}-bit "
-                    f"composite in {_RHO_STEP_CAP} steps")
-            steps -= 1
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d, steps
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            evals = _charge(evals, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                evals = _charge(evals, batch, n)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                evals = _charge(evals, 1, n)
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, evals
         c += 1
+
+
+def _charge(evals: int, count: int, n: int) -> int:
+    """Evaluations left after `count` more; raises when too few remain."""
+    if count > evals:
+        raise SearchCapExceededError(
+            f"Pollard rho found no factor of a {n.bit_length()}-bit "
+            f"composite in {_RHO_STEP_CAP} polynomial evaluations")
+    return evals - count
 
 
 def squarefree_part(q) -> int:

@@ -11,6 +11,7 @@ from hypercircle.groebner import (PositiveDimensionalError, buchberger,
 from hypercircle.hypercircles import (InternalInconsistencyError,
                                       ProjectivePoint)
 from hypercircle.mpoly import GREVLEX, MultiPoly
+from hypercircle.numtheory import is_prime
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
@@ -60,6 +61,42 @@ def random_rational_function(rng, field, max_deg=2, span=3):
     while den.is_zero():
         den = random_unipoly(rng, field, max_deg, span)
     return RationalFunction(num, den)
+
+
+def _random_prime(rng, lo, hi):
+    """The first prime from a random start in [lo, hi)."""
+    x = rng.randrange(lo, hi)
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+def random_composite(rng):
+    """(n, {prime: exponent}) for a product of 2-4 primes, about 80 bits
+    in all, that Pollard rho has to split.
+
+    Every factor but the last has at most 26 bits, so rho splits each
+    cofactor fast.  9973 and 10007, the primes on either side of the
+    trial-division bound, are drawn often; the others exceed 10^4, and a
+    factor may repeat.  The last factor fills the product up to 80 bits.
+    """
+    primes = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if primes and roll < 0.25:
+            primes.append(rng.choice(primes))
+        elif roll < 0.45:
+            primes.append(rng.choice((9973, 10007)))
+        else:
+            primes.append(_random_prime(rng, 10**4, 1 << 26))
+    bits = max(80 - sum(p.bit_length() for p in primes), 15)
+    primes.append(_random_prime(rng, 10**4, 1 << bits))
+    factors = {}
+    n = 1
+    for p in primes:
+        factors[p] = factors.get(p, 0) + 1
+        n *= p
+    return n, factors
 
 
 def gen_hom(image, dst):

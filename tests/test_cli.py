@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +225,24 @@ def test_conic_fields_crt_method(capsys):
     assert report["set"] == [5, 26, 391, 4031, 175306, 9276086]
     assert report["canonical"] == [39, 4062, 229323, 24373443,
                                    184393161822, 516274628876382]
+
+
+def test_conic_fields_square_prime_factor_in_c(capsys):
+    # c = -6 p^2 with p = 10^12 + 39 prime: the squarefree cores need p^2
+    # split off a cofactor, where rho alone runs out of evaluations
+    p = 10**12 + 39
+    assert -6 * p**2 == -6000000000468000000009126
+    code, out, err = run_cli(capsys, "conic-fields", "--count", "2",
+                             "--json", "1", "1", "-6000000000468000000009126")
+    assert code == 0
+    report = json.loads(out)
+    code, out, err = run_cli(capsys, "conic-fields", "--count", "2",
+                             "--json", "1", "1", "-6")
+    assert code == 0
+    base = json.loads(out)
+    assert report["canonical"] == base["canonical"]
+    assert ([Fraction(r) for r in report["radicands"]]
+            == [Fraction(r) * p**2 for r in base["radicands"]])
 
 
 def test_hypercircle_command(capsys):

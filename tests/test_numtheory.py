@@ -1,11 +1,14 @@
 """Integer and rational helpers: primality, CRT, residues, square parts."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import random_composite
 
 from hypercircle import numtheory
 from hypercircle.numtheory import (
@@ -100,12 +103,70 @@ def test_factorize_known():
 
 def test_pollard_rho_steps_are_capped_per_factorize_call(monkeypatch):
     # two primes above the trial-division bound of 10^4 leave rho a
-    # composite cofactor; it splits this one in a few hundred steps
+    # composite cofactor; it splits this one in about a thousand
+    # polynomial evaluations
     n = 1000003 * 1000033
     assert factorize(n) == {1000003: 1, 1000033: 1}
     monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 10)
     with pytest.raises(SearchCapExceededError):
         factorize(n)
+
+
+@pytest.mark.parametrize("p, q", [
+    (399165290221, 798330580441),  # psi_12, a strong pseudoprime to 2..37
+    (55602998929, 14883624409),
+    (223280062373, 11014434829),
+])
+def test_default_rho_cap_reaches_the_hardest_known_semiprimes(p, q):
+    # the two workload semiprimes need 403,966 and 204,030 evaluations
+    assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_rho_replays_a_batch_whose_gcd_is_n(monkeypatch):
+    # mod 10091 and mod 10093 the first seed's cycles close in one batch;
+    # replaying it step by step splits n in 512 evaluations, where moving
+    # on to the next seed would take about 1,500
+    monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 600)
+    assert factorize(10091 * 10093) == {10091: 1, 10093: 1}
+
+
+_P14 = 10**14 + 31  # prime
+
+
+@pytest.mark.parametrize("n, expected", [
+    (_P14**2, {_P14: 2}),
+    (_P14**3, {_P14: 3}),
+    (_P14**6, {_P14: 6}),
+])
+def test_prime_power_cofactors_split_without_rho(monkeypatch, n, expected):
+    # rho would need about 10^7 steps to split p^2 itself
+    monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 0)
+    assert factorize(n) == expected
+
+
+def test_prime_power_cofactor_left_by_rho():
+    # rho splits off 10007 and leaves p^2, a perfect square
+    assert factorize(_P14**2 * 10007) == {_P14: 2, 10007: 1}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_factorize_splits_seeded_rho_composites(seed):
+    n, expected = random_composite(random.Random(seed))
+    fac = factorize(n)
+    assert fac == expected
+    prod = 1
+    for p, e in fac.items():
+        assert is_prime(p)
+        prod *= p**e
+    assert prod == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2**200),
+       st.integers(min_value=2, max_value=40))
+def test_integer_root_is_the_floor_root(m, k):
+    r = numtheory._integer_root(m, k)
+    assert r**k <= m < (r + 1)**k
 
 
 @settings(max_examples=200, deadline=None)

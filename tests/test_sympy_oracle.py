@@ -13,11 +13,14 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
+from helpers import random_composite  # noqa: E402
+
 from hypercircle.fields import (QQ, FieldTower, canonical_key,  # noqa: E402
                                 is_irreducible, min_poly_over_q,
                                 roots_in_field)
 from hypercircle.groebner import buchberger, eliminate, saturate  # noqa: E402
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order  # noqa: E402
+from hypercircle.numtheory import factorize  # noqa: E402
 from hypercircle.upoly import (RationalFunction, UniPoly,  # noqa: E402
                                rational_roots, resultant)
 
@@ -312,3 +315,10 @@ def test_is_irreducible_over_qq_matches_sympy(seed):
     if not ok:
         assert 0 < factor.degree() < f.degree()
         assert (f.monic() % factor).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_factorize_matches_sympy_on_rho_composites(seed):
+    # the inputs of test_numtheory's seeded rho test
+    n, _ = random_composite(random.Random(seed))
+    assert factorize(n) == {int(p): e for p, e in sympy.factorint(n).items()}
