@@ -344,6 +344,9 @@ def rational_roots(f: UniPoly):
     """All rational roots of a polynomial over the rationals, sorted.
 
     Rational root theorem on the cleared-denominator integer polynomial.
+    A root p/q in lowest terms makes q x - p an integer factor, so q - p
+    divides f(1) and q + p divides f(-1); a candidate that passes those
+    is tested by Horner's rule on the integer q^d f(p/q).
     """
     if f.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
@@ -354,23 +357,24 @@ def rational_roots(f: UniPoly):
         c = Fraction(c)
         den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(Fraction(c) * den) for c in f.coeffs]
-    roots = set()
+    roots = []
     k = 0
     while ints[k] == 0:
         k += 1
     if k > 0:
-        roots.add(Fraction(0))
+        roots.append(Fraction(0))
         ints = ints[k:]
     if len(ints) > 1:
-        a0 = abs(ints[0])
-        ad = abs(ints[-1])
-        for p in _divisors(a0):
-            for q in _divisors(ad):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand in roots:
-                        continue
-                    if _eval_int_poly(ints, cand) == 0:
-                        roots.add(cand)
+        at_one = sum(ints)
+        at_minus_one = sum(ints[::2]) - sum(ints[1::2])
+        for p in _divisors(abs(ints[0])):
+            for q in _divisors(abs(ints[-1])):
+                if gcd(p, q) != 1:
+                    continue
+                for num, lo, hi in ((p, q - p, q + p), (-p, q + p, q - p)):
+                    if (_divides(lo, at_one) and _divides(hi, at_minus_one)
+                            and _homogeneous_value(ints, num, q) == 0):
+                        roots.append(Fraction(num, q))
     return sorted(roots)
 
 
@@ -383,10 +387,17 @@ def _divisors(n):
     return sorted(set(divs))
 
 
-def _eval_int_poly(ints, x):
-    acc = Fraction(0)
+def _divides(d: int, n: int) -> bool:
+    return n == 0 if d == 0 else n % d == 0
+
+
+def _homogeneous_value(ints, p: int, q: int) -> int:
+    """q^d f(p/q) for f with integer coefficients `ints`, constant first."""
+    acc = 0
+    q_power = 1
     for c in reversed(ints):
-        acc = acc * x + c
+        acc = acc * p + c * q_power
+        q_power *= q
     return acc
 
 

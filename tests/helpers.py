@@ -63,6 +63,29 @@ def random_rational_function(rng, field, max_deg=2, span=3):
     return RationalFunction(num, den)
 
 
+def random_ecm_composite(rng):
+    """(n, {prime: exponent}) for a product of 2-4 primes of 20-45 bits,
+    60-100 bits in all, that ECM has to split.
+
+    A factor repeats an earlier one with probability 1/4.
+    """
+    while True:
+        primes = []
+        for _ in range(rng.randint(2, 4)):
+            if primes and rng.random() < 0.25:
+                primes.append(rng.choice(primes))
+            else:
+                bits = rng.randint(20, 45)
+                primes.append(_random_prime(rng, 1 << (bits - 1), 1 << bits))
+        factors = {}
+        n = 1
+        for p in primes:
+            factors[p] = factors.get(p, 0) + 1
+            n *= p
+        if 60 <= n.bit_length() <= 100:
+            return n, factors
+
+
 def _random_prime(rng, lo, hi):
     """The first prime from a random start in [lo, hi)."""
     x = rng.randrange(lo, hi)

@@ -127,13 +127,13 @@ def test_primality_beyond_the_exact_bound_is_exit_3():
 
 
 def test_pollard_rho_cap_is_exit_3():
-    # (x - 1)(x^2 - N) with N = (10^14 + 31) * (3*10^14 + 89): the
-    # rational root test factors N, and Pollard rho needs millions of
-    # steps to split it, past its cap for one factorize call
+    # (x - 1)(x^2 - N) with N = (10^20 + 39) * (10^20 + 129): the
+    # rational root test factors N, and neither rho nor ECM splits it
+    # within the modular multiplications one factorize call may spend
     proc = subprocess.run(
         [sys.executable, "-m", "hypercircle", "hypercircle",
-         "x^3 - x^2 - 30000000000018200000000002759*x"
-         " + 30000000000018200000000002759", "t"],
+         "x^3 - x^2 - 10000000000000000016800000000000000005031*x"
+         " + 10000000000000000016800000000000000005031", "t"],
         capture_output=True, text=True, timeout=5)
     assert proc.returncode == 3
     assert proc.stdout == ""

@@ -107,7 +107,7 @@ def test_pollard_rho_steps_are_capped_per_factorize_call(monkeypatch):
     # polynomial evaluations
     n = 1000003 * 1000033
     assert factorize(n) == {1000003: 1, 1000033: 1}
-    monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 10)
+    monkeypatch.setattr(numtheory, "_FACTOR_MULMOD_CAP", 10)
     with pytest.raises(SearchCapExceededError):
         factorize(n)
 
@@ -124,10 +124,48 @@ def test_default_rho_cap_reaches_the_hardest_known_semiprimes(p, q):
 
 def test_rho_replays_a_batch_whose_gcd_is_n(monkeypatch):
     # mod 10091 and mod 10093 the first seed's cycles close in one batch;
-    # replaying it step by step splits n in 512 evaluations, where moving
-    # on to the next seed would take about 1,500
-    monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 600)
+    # replaying it step by step splits n in 767 modular multiplications,
+    # where moving on to the next seed would take about 2,300
+    monkeypatch.setattr(numtheory, "_FACTOR_MULMOD_CAP", 1000)
     assert factorize(10091 * 10093) == {10091: 1, 10093: 1}
+
+
+def _first_curves_mults(curves):
+    """Modular multiplications of the first `curves` ECM curves."""
+    total = 0
+    for b1, level in numtheory._ECM_LEVELS:
+        take = curves if level is None else min(curves, level)
+        total += take * numtheory._ecm_plan(b1)[3]
+        curves -= take
+    return total
+
+
+@pytest.mark.parametrize("n, curves", [
+    (827574152073265257961, 4),  # 55602998929 * 14883624409
+    (2459303695622463589217, 4),  # 223280062373 * 11014434829
+    (318665857834031151167461, 7),  # psi_12
+])
+def test_ecm_splits_the_hardest_known_semiprimes_in_a_few_curves(n, curves):
+    # rho alone spends 545,789, 276,989 and 638,973 modular
+    # multiplications on these; the first curves at B1 = 150 cost 4,932
+    budget = numtheory._MulmodBudget(_first_curves_mults(curves))
+    d = numtheory._ecm(n, budget)
+    assert 1 < d < n and n % d == 0
+
+
+def test_ecm_curve_whose_stage_1_gcd_is_n_returns_none():
+    # on sigma = 6 the group orders mod 10007 and mod 10037 are both
+    # 150-smooth, so stage 1 reaches the identity mod n itself
+    n = 10007 * 10037
+    u, v = 6 * 6 - 5, 4 * 6
+    den = 16 * u**3 * v**4
+    x = 16 * u**6 * v * pow(den, -1, n) % n
+    a24 = (v - u)**3 * (3 * u + v) * v**3 * pow(den, -1, n) % n
+    k = numtheory._ecm_plan(150)[0]
+    assert numtheory._ladder(n, a24, x, 1, k)[1] % n == 0
+    budget = numtheory._MulmodBudget(10**6)
+    assert numtheory._ecm_curve(n, 6, 150, budget) is None
+    assert numtheory._ecm(n, budget) in (10007, 10037)
 
 
 _P14 = 10**14 + 31  # prime
@@ -140,7 +178,7 @@ _P14 = 10**14 + 31  # prime
 ])
 def test_prime_power_cofactors_split_without_rho(monkeypatch, n, expected):
     # rho would need about 10^7 steps to split p^2 itself
-    monkeypatch.setattr(numtheory, "_RHO_STEP_CAP", 0)
+    monkeypatch.setattr(numtheory, "_FACTOR_MULMOD_CAP", 0)
     assert factorize(n) == expected
 
 

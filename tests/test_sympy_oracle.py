@@ -13,7 +13,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from helpers import random_composite  # noqa: E402
+from helpers import random_composite, random_ecm_composite  # noqa: E402
 
 from hypercircle.fields import (QQ, FieldTower, canonical_key,  # noqa: E402
                                 is_irreducible, min_poly_over_q,
@@ -322,3 +322,11 @@ def test_factorize_matches_sympy_on_rho_composites(seed):
     # the inputs of test_numtheory's seeded rho test
     n, _ = random_composite(random.Random(seed))
     assert factorize(n) == {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_factorize_matches_sympy_on_ecm_composites(seed):
+    n, planted = random_ecm_composite(random.Random(f"ecm:{seed}"))
+    fac = factorize(n)
+    assert fac == planted
+    assert fac == {int(p): e for p, e in sympy.factorint(n).items()}
