@@ -4,16 +4,25 @@ Substituting t = t0 + a*t1 + ... + a^(n-1)*t_{n-1} into a component f/g
 over L(a) and expanding in powers of the generator splits it into n
 coordinate functions F_i / delta over L.  The shared denominator delta is
 the norm of the substituted g, so it is independent of the component.
-The witness ideal collects the coordinate numerators for the powers
-a^1..a^(n-1) and saturates away the spurious locus delta = 0.
+
+The witness variety is the set of points t at which every component
+takes a value in L.  Its ideal is computed by elimination: one variable
+l_j per component stands for that value, and the layers of
+f_j(T) - l_j * g(T), with T the substitution, generate an ideal whose
+intersection with L[t0..t_{n-1}] is the witness ideal.  Because every
+Parametrization is stored with gcd(f_1, ..., f_N, g) = 1, no conjugate
+of g(T) vanishes on that ideal's variety, so delta is a unit modulo it
+and the elimination equals the saturation of the layers a^1..a^(n-1) of
+the F_j by delta, with no norm and no extra variable in the ideal.
 
 Everything between the input and the returned MultiPolys works on the
 layers of a polynomial, its coordinates along powers of the generator,
 each a term dict over L whose keys are packed monomials (mpoly.Packing,
 with no order fields), so the product of two monomials is the sum of
-their ints.  The packing bound is max(n * deg g, deg f + (n-1) * deg g),
-the largest total degree any product below reaches, so no field ever
-carries into the next.
+their ints.  The packing bound is the largest total degree any product
+below reaches, so no field ever carries into the next: max(n * deg g,
+deg f + (n-1) * deg g) for the F_i, and max(n * deg g, deg f) for the
+witness ideal, which forms no product with the cofactor.
 
 The substituted polynomials are built on layers directly: Horner in t,
 where each product by t0 + a*t1 + ... is itself Horner in a, shifting by
@@ -41,8 +50,8 @@ from functools import lru_cache
 from math import gcd
 
 from .fields import QQ
-from .groebner import DEFAULT_PAIR_BUDGET, saturate
-from .mpoly import MultiPoly, Packing, addmul
+from .groebner import DEFAULT_PAIR_BUDGET, buchberger, eliminate
+from .mpoly import GREVLEX, MultiPoly, Packing, addmul
 from .upoly import RationalFunction, UniPoly
 
 
@@ -374,13 +383,53 @@ def weil_substitute(phi):
 def witness_ideal(phi, budget=DEFAULT_PAIR_BUDGET):
     """Reduced basis of the witness ideal, plus the descent denominator.
 
-    The ideal of the closure of V(F_ij : i >= 1) minus V(delta); the
-    zero ideal (no constraints) comes back as an empty basis.
+    The witness ideal is J intersected with L[t0..t_{n-1}], where J is
+    generated, over the base L, by the layers of f_j(T) - l_j * g(T) in
+    the variables (l_1..l_N, t0..t_{n-1}), one l_j per component: l_j is
+    the value of component j, which must lie in L.  Since phi is stored
+    with gcd(f_1, ..., f_N, g) = 1, at no point of V(J) does a conjugate
+    of g(T) vanish, so delta, their product, is a unit modulo J.  Over
+    L[t][1/delta], J is the ideal of the layers a^1..a^(n-1) of
+    f_j * delta / g together with l_j - (their layer 0) / delta, so the
+    elimination equals the saturation of those layers by delta.
+
+    When g is constant, it is 1, and l_j occurs only in its layer-0
+    equation l_j = layer 0 of f_j(T); eliminating l_j drops that
+    equation and leaves the grevlex basis of the other layers.  The zero
+    ideal (no constraints) comes back as an empty basis.
     """
-    delta, numerators = weil_substitute(phi)
+    tower = phi.field
+    n = tower.degree
+    base = tower.base
+    nums = phi.numerators
+    count = len(nums)
+    deg_den = phi.denominator.degree()
+    # delta has degree n * deg g, a substituted layer its input's degree
+    pk = Packing(n, max(n * deg_den, max(f.degree() for f in nums)))
+    den, L_den = _substitute(phi.denominator, tower, pk)
+    delta, _ = _descend(tower, pk, (den, L_den), [])
+    unpack = lru_cache(maxsize=None)(pk.unpack)
+
+    def lifted(layer, L, lam):
+        """The true layer, from L times it, times the monomial lam."""
+        if base is QQ:
+            return {lam + unpack(e): Fraction(c, L) for e, c in layer.items()}
+        return {lam + unpack(e): c for e, c in layer.items()}  # L is 1
+
+    if not deg_den:
+        gens = [MultiPoly(base, n, lifted(layer, L, ()), _clean=True)
+                for layers, L in (_substitute(f, tower, pk) for f in nums)
+                for layer in layers[1:] if layer]
+        return buchberger(gens, GREVLEX, budget), delta
+    minus = [{e: -c for e, c in layer.items()} for layer in den]
+    free = (0,) * count
     gens = []
-    for layers in numerators:
-        for layer in layers[1:]:
-            if not layer.is_zero():
-                gens.append(layer)
-    return saturate(gens, delta, budget), delta
+    for j, f in enumerate(nums):
+        layers, L = _substitute(f, tower, pk)
+        lam = free[:j] + (1,) + free[j + 1:]
+        for layer, g_layer in zip(layers, minus):
+            terms = lifted(layer, L, free)
+            terms.update(lifted(g_layer, L_den, lam))
+            if terms:
+                gens.append(MultiPoly(base, count + n, terms, _clean=True))
+    return eliminate(gens, count, budget), delta

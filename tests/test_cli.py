@@ -101,6 +101,17 @@ def test_budget_exhaustion_is_exit_3(capsys):
     assert "budget exhausted" in err
 
 
+@pytest.mark.parametrize("command", ["witness", "infinity"])
+def test_witness_budget_exhaustion_is_exit_3(capsys, command):
+    # the witness ideal is the first Groebner basis both commands compute
+    code, out, err = run_cli(capsys, command,
+                             str(input_path("quartic.curve")),
+                             "--budget", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exhausted: S-pair budget of 1 exceeded")
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_nonpositive_budget_is_input_error(capsys, budget):
     code, out, err = run_cli(capsys, "reparam",
@@ -138,6 +149,20 @@ def test_pollard_rho_cap_is_exit_3():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget exhausted: Pollard rho")
+
+
+def test_witness_of_a_high_power_is_bounded(tmp_path):
+    # saturating by the norm t^36 of (1/t + 1/t)^12 over QQ(2^(1/3))
+    # ran for minutes; the elimination needs a fraction of a second
+    curve = tmp_path / "power.curve"
+    curve.write_text("minpoly = x^3 - 2\nx1 = (1/t + 1/t)^12\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercircle", "witness", str(curve),
+         "--json"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["dimension"] == 1
+    assert len(report["witness_ideal"]) == 10
 
 
 @pytest.mark.parametrize("minpoly, unit", [

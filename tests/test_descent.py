@@ -15,11 +15,13 @@ from hypercircle.descent import (
     weil_substitute,
     witness_ideal,
 )
+from hypercircle.exprparse import build_problem, parse_curve_file
 from hypercircle.fields import (QQ, FieldElement, FieldTower,
                                 make_extension, primitive_element,
                                 TowerContext)
-from hypercircle.groebner import (GroebnerBasis, buchberger, dimension,
-                                  ideal_equal)
+from hypercircle.groebner import (GroebnerBasis, PairBudgetExceededError,
+                                  buchberger, dimension, ideal_equal,
+                                  saturate)
 from hypercircle.mpoly import GREVLEX, MultiPoly, Packing
 from hypercircle.reparam import AffineShift, verify_reparametrization
 from hypercircle.upoly import (RationalFunction, UniPoly,
@@ -465,3 +467,95 @@ def test_weil_substitute_matches_tower_horner(tower):
         assert all(p.is_zero() for p in numerators[-1])
         assert all(_all_fractions(p) for layers in numerators
                    for p in layers + [delta])
+
+
+# ---------------------------------------------------------------------------
+# the witness ideal by elimination, against saturation by the norm
+
+
+def _saturation_witness(phi):
+    """The witness ideal as I : delta^infinity: the layers a^1..a^(n-1)
+    of every f_j * delta / g, saturated by the norm delta."""
+    delta, numerators = weil_substitute(phi)
+    gens = [p for layers in numerators for p in layers[1:]
+            if not p.is_zero()]
+    return saturate(gens, delta), delta
+
+
+def _random_poly(rng, field, deg, rational):
+    """Degree exactly deg, coefficients in QQ when rational is set."""
+    source = QQ if rational else field
+    coeffs = [field.coerce(random_field_element(rng, source, 2))
+              for _ in range(deg + 1)]
+    while not coeffs[-1]:
+        coeffs[-1] = field.coerce(random_field_element(rng, source, 2))
+    return UniPoly(field, coeffs)
+
+
+def _random_parametrization(rng, field, count, deg_den, rational_den):
+    den = _random_poly(rng, field, deg_den, rational_den)
+    comps = [RationalFunction(_random_poly(rng, field, rng.randint(1, 2),
+                                           False), den)
+             for _ in range(count)]
+    return Parametrization.from_components(comps)
+
+
+WITNESS_FIELDS = {
+    "x^2+1": lambda qi, quartic: qi,
+    "x^3-2": lambda qi, quartic: _binomial_tower(3),
+    "quartic": lambda qi, quartic: quartic.field,
+}
+
+
+@pytest.mark.parametrize("deg_den", [0, 1, 2])
+@pytest.mark.parametrize("field", list(WITNESS_FIELDS))
+def test_witness_ideal_equals_the_saturation(qi, quartic, field, deg_den):
+    K = WITNESS_FIELDS[field](qi, quartic)
+    rng = random.Random(f"witness:{field}:{deg_den}")
+    # one component over a quadratic denominator takes the reference
+    # saturation of the quartic several seconds
+    counts = (2, 3) if K.degree == 4 and deg_den == 2 else (1, 2, 3)
+    for count in counts:
+        for rational in (True, False):
+            if deg_den == 0 and not rational:
+                continue  # a monic constant is rational
+            phi = _random_parametrization(rng, K, count, deg_den, rational)
+            assert phi.denominator.degree() == deg_den
+            gb, delta = witness_ideal(phi)
+            assert (gb, delta) == _saturation_witness(phi)
+            assert _is_reduced_grevlex_basis(gb)
+
+
+def _over_subfield(phi, report):
+    """phi over QQ(g)(a), as the second descent writes it."""
+    ctx = TowerContext(report.embedding)
+    return phi.map_coefficients(ctx.to_tower, ctx.tower)
+
+
+def test_second_witness_equals_the_saturation(quartic, quartic_report):
+    report, _ = quartic_report
+    phi2 = _over_subfield(quartic, report)
+    gb, delta = witness_ideal(phi2)
+    assert (gb, delta) == _saturation_witness(phi2)
+    assert gb == report.second_witness and delta == report.second_delta
+    rng = random.Random("second witness")
+    for count, deg_den, rational in ((1, 1, False), (2, 1, True),
+                                     (2, 2, False), (3, 0, True)):
+        phi2 = _over_subfield(_random_parametrization(
+            rng, quartic.field, count, deg_den, rational), report)
+        assert witness_ideal(phi2) == _saturation_witness(phi2)
+
+
+def test_witness_ideal_spends_the_pair_budget(quartic, quartic_report):
+    report, _ = quartic_report
+    for phi in (quartic, _over_subfield(quartic, report)):
+        with pytest.raises(PairBudgetExceededError):
+            witness_ideal(phi, budget=1)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_doubled_reciprocal_power_equals_the_saturation(k):
+    # saturating by its norm, of degree 3k, took minutes from k = 8 on
+    phi = build_problem(parse_curve_file(
+        f"minpoly = x^3 - 2\nx1 = (1/t + 1/t)^{k}\n"))
+    assert witness_ideal(phi) == _saturation_witness(phi)
