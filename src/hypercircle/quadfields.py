@@ -99,7 +99,7 @@ def prime_set(a, b, k, cap=10 ** 6):
     return out
 
 
-def crt_set(a, b, k, cap=10 ** 6):
+def crt_set(a, b, k):
     """First k elements of the composite distinct-field set.
 
     Element i is divisible by the i-th prime = 1 mod 4 coprime to a*b;

@@ -26,7 +26,7 @@ def _rational_of(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
     if _is_field_element(c) and c.is_rational():
-        return Fraction(c.rational_value())
+        return _rational_of(c.coeffs[0])
     return None
 
 

@@ -3,13 +3,14 @@
 Given phi with coefficients in QQ(a), find s(t) = c*t + d such that
 phi(s(t)) has coefficients in the smallest subfield reachable by an
 affine change of parameter.  The subfield is read off the points at
-infinity of the witness ideal; the shift itself comes from a linear
-parametrization of a witness line, either of the first descent (degree
-one subfield) or of a second descent over the intermediate field.
+infinity of the witness ideal, of the first descent (degree one
+subfield) or of a second descent over the intermediate field; the shift
+is read off the coefficients of phi along an infinity direction, with
+no point on the curve and no further solve (_shifts).
 """
 
 from .descent import Parametrization, witness_ideal
-from .fields import (QQ, RationalField, TowerContext, primitive_element,
+from .fields import (RationalField, TowerContext, primitive_element,
                      trivial_embedding)
 from .groebner import (DEFAULT_PAIR_BUDGET, PositiveDimensionalError,
                        dimension, linear_part, triangular_solve)
@@ -185,21 +186,26 @@ def parametrize_line(gens, m, field, directions=(),
     raise InternalInconsistencyError("line extraction failed")
 
 
-def _shift_from_line(psi, tower):
-    """Sum of psi_i(t) * gen^i, which must be affine with a unit slope."""
-    gen = tower.gen()
-    power = tower.one
-    a = tower.zero
-    b = tower.zero
-    for f in psi:
-        if f.degree() > 1:
-            raise InternalInconsistencyError("line parametrization is not "
-                                             "affine")
-        b = b + tower.coerce(f[0]) * power
-        if f.degree() >= 1:
-            a = a + tower.coerce(f[1]) * power
-        power = power * gen
-    return a, b
+def _shifts(phi, tower, points):
+    """Candidate shifts (a, b) of phi over tower, one per infinity
+    direction v over the base K'.
+
+    The slope a is sum v_i*gen^i.  The good shifts of a proper phi are
+    (c*a, b + d*a), c, d in K', and at one the monic denominator
+    g(a*t + b)/a^e lies in K'[t], so (e*b + g_(e-1))/a does: b0 =
+    -g_(e-1)/e is a good offset, or -f_(d-1)/(d*f_d) for a nonconstant
+    numerator f when e = 0.  b is b0 moved along a to the slice t_k = 0,
+    k the last coordinate v moves: the point of the witness line there.
+    """
+    f = phi.denominator
+    if f.degree() == 0:
+        f = next(p for p in phi.numerators if p.degree() > 0)
+    d = f.degree()
+    b0 = -f[d - 1] / (f[d] * d)
+    for v in _point_directions(points):
+        k = max(i for i, c in enumerate(v) if c)
+        a = tower.element(v)
+        yield a, b0 - a * (b0.coeffs[k] / v[k])
 
 
 def verify_reparametrization(phi, shift, emb):
@@ -235,10 +241,10 @@ def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
     identity = dict(r=1, embedding=trivial_embedding(tower), witness=[],
                     infinity_points=[])
     if all(c.is_rational() for c in phi.coefficients()):
-        return _close_report(phi, AffineShift.identity(tower), identity)
+        return _close_report(phi, [AffineShift.identity(tower)], identity)
     witness, delta = witness_ideal(phi, budget)
     if not witness:
-        return _close_report(phi, AffineShift.identity(tower), identity)
+        return _close_report(phi, [AffineShift.identity(tower)], identity)
     pts = points_at_infinity(witness, tower, budget)
     dim = dimension(witness, budget)
     if not pts:
@@ -253,39 +259,32 @@ def optimal_affine_reparametrize(phi, budget=DEFAULT_PAIR_BUDGET):
                        infinity_points=pts, dimension=dim, r=r,
                        embedding=emb)
     if r == n:
-        shift = AffineShift.identity(tower)
-        return _close_report(phi, shift, base_report)
+        return _close_report(phi, [AffineShift.identity(tower)], base_report)
     if r == 1:
-        psi = parametrize_line(witness, n, QQ, _point_directions(pts),
-                               budget)
-        a, b = _shift_from_line(psi, tower)
-        shift = AffineShift(tower, a, b)
-        return _close_report(phi, shift, base_report)
-    ctx = TowerContext(emb)
-    rel = ctx.tower.minpoly
-    phi2 = phi.map_coefficients(ctx.to_tower, ctx.tower)
-    witness2, delta2 = witness_ideal(phi2, budget)
-    base_report.update(relative_minpoly=rel, second_witness=witness2,
-                       second_delta=delta2)
-    if not witness2:
-        shift = AffineShift.identity(tower)
-        return _close_report(phi, shift, base_report)
-    pts2 = points_at_infinity(witness2, ctx.tower, budget)
-    if not pts2:
-        raise InternalInconsistencyError(
-            "second witness variety lost its line")
-    psi = parametrize_line(witness2, ctx.tower.degree, emb.subfield,
-                           _point_directions(pts2), budget)
-    a2, b2 = _shift_from_line(psi, ctx.tower)
-    shift = AffineShift(tower, ctx.flatten(a2), ctx.flatten(b2))
-    return _close_report(phi, shift, base_report)
+        shifts = _shifts(phi, tower, pts)
+    else:
+        ctx = TowerContext(emb)
+        phi2 = phi.map_coefficients(ctx.to_tower, ctx.tower)
+        witness2, delta2 = witness_ideal(phi2, budget)
+        base_report.update(relative_minpoly=ctx.tower.minpoly,
+                           second_witness=witness2, second_delta=delta2)
+        if not witness2:
+            return _close_report(phi, [AffineShift.identity(tower)],
+                                 base_report)
+        pts2 = points_at_infinity(witness2, ctx.tower, budget)
+        shifts = ((ctx.flatten(a), ctx.flatten(b))
+                  for a, b in _shifts(phi2, ctx.tower, pts2))
+    return _close_report(phi, (AffineShift(tower, a, b) for a, b in shifts),
+                         base_report, "line extraction failed")
 
 
-def _close_report(phi, shift, base_report):
-    expressed = verify_reparametrization(phi, shift,
-                                         base_report["embedding"])
-    if expressed is None:
-        raise InternalInconsistencyError(
-            "reparametrized coefficients left the expected subfield")
-    return ReparamReport(status="success", shift=shift,
-                         reparametrized=expressed, **base_report)
+def _close_report(phi, shifts, base_report, failure="reparametrized "
+                  "coefficients left the expected subfield"):
+    """Success with the first shift that verifies, else failure."""
+    for shift in shifts:
+        expressed = verify_reparametrization(phi, shift,
+                                             base_report["embedding"])
+        if expressed is not None:
+            return ReparamReport(status="success", shift=shift,
+                                 reparametrized=expressed, **base_report)
+    raise InternalInconsistencyError(failure)

@@ -15,7 +15,7 @@ from hypercircle.exprparse import (
     parse_polynomial,
     tokenize,
 )
-from hypercircle.fields import QQ, ReduciblePolynomialError
+from hypercircle.fields import QQ, ReduciblePolynomialError, TowerContext
 from hypercircle.render import (
     render_field_element,
     render_fraction,
@@ -204,3 +204,24 @@ def test_roundtrip_field_elements(quartic_report):
 def test_roundtrip_minpoly(quartic):
     m = quartic.field.minpoly
     assert parse_polynomial(render_unipoly(m, "x")) == m
+
+
+def test_render_second_descent_elements_parse_back(quartic,
+                                                   quartic_report):
+    # over QQ(g)(a) an a-free coefficient can still be irrational in QQ(g)
+    report, _ = quartic_report
+    ctx = TowerContext(report.embedding)
+    tower = ctx.tower
+    phi2 = quartic.map_coefficients(ctx.to_tower, tower)
+    assert repr(phi2).startswith("Parametrization([")
+    g, a = tower.coerce(tower.base.gen()), tower.gen()
+    elements = phi2.coefficients() + [g, tower.coerce(3) - g / 2, a * g]
+    assert any(c.is_rational() and not c.coeffs[0].is_rational()
+               for c in phi2.coefficients())
+    for c in elements:
+        num, den = parse_fraction(render_field_element(c),
+                                  (tower.base.name, tower.name))
+        value = tower.zero
+        for (i, j), q in num.terms.items():
+            value = value + g ** i * a ** j * q
+        assert value / den.constant_value() == c

@@ -10,13 +10,13 @@ from helpers import (mp_vars, parse_field_element, parse_gens,
 
 from hypercircle.descent import Parametrization
 from hypercircle.exprparse import parse_component
-from hypercircle.fields import (QQ, TowerContext, roots_in_field,
-                                trivial_embedding)
+from hypercircle.fields import (QQ, TowerContext, make_extension,
+                                roots_in_field, trivial_embedding)
 from hypercircle import reparam
 from hypercircle.groebner import (PositiveDimensionalError, ideal_equal,
                                   linear_part, triangular_solve)
 from hypercircle.hypercircles import (InternalInconsistencyError,
-                                      points_at_infinity)
+                                      ProjectivePoint, points_at_infinity)
 from hypercircle.mpoly import MultiPoly
 from hypercircle.reparam import (
     AffineShift,
@@ -364,3 +364,144 @@ def test_verify_reparametrization_matches_component_membership(request,
             if got:
                 assert got.field is emb.subfield
                 assert got.map_coefficients(emb.push, K) == composed
+
+
+# The shift read off the coefficients of phi (reparam._shifts) against
+# the reference: the witness line that parametrize_line solves for, on
+# the same witness, written as sum psi_i(t) * gen^i.
+
+def _line_shift(phi, report):
+    """AffineShift of the witness line of the report's last descent."""
+    if report.r == 1:
+        tower, flatten = phi.field, (lambda x: x)
+        witness, pts = report.witness, report.infinity_points
+    else:
+        ctx = TowerContext(report.embedding)
+        tower, flatten = ctx.tower, ctx.flatten
+        witness = report.second_witness
+        pts = points_at_infinity(witness, tower)
+    psi = parametrize_line(witness, tower.degree, tower.base,
+                           _point_directions(pts))
+    a = tower.element([f[1] for f in psi])
+    b = tower.element([f[0] for f in psi])
+    return AffineShift(phi.field, flatten(a), flatten(b))
+
+
+def _known_r1_curve(rng, n, with_den):
+    """phi_Q(s*t + b) over QQ(a), a^n = +-2 or +-3, phi_Q a proper QQ
+    curve and s, b random in QQ(a), not both rational: the answer is
+    r = 1 and the witness is not empty.
+
+    The numerators have coprime degrees (2, 3), or (1, 2) over the
+    denominator t - c, which must divide neither.
+    """
+    K = make_extension(QQ, UniPoly(QQ, [rng.choice((-3, -2, 2, 3))]
+                                   + [0] * (n - 1) + [1]), "a")
+    degrees = (1, 2) if with_den else (2, 3)
+    while True:
+        nums = [UniPoly(QQ, [rng.randint(-3, 3) for _ in range(d)]
+                        + [rng.choice((-2, -1, 1, 2))]) for d in degrees]
+        c = Fraction(rng.randint(-3, 3))
+        if not with_den or all(f.evaluate(c) for f in nums):
+            break
+    den = UniPoly(QQ, (-c, 1) if with_den else (1,))
+    phi = Parametrization(QQ, nums, den).map_coefficients(K.coerce, K)
+    while True:
+        slope = random_field_element(rng, K, span=1)
+        b = random_field_element(rng, K, span=1)
+        if slope and not (slope.is_rational() and b.is_rational()):
+            return phi.compose_affine(slope, b)
+
+
+@pytest.mark.parametrize("name", ["quartic", "gaussian_cusp"])
+def test_shift_matches_the_witness_line_on_bundled_curves(request, name):
+    phi = request.getfixturevalue(name)
+    report = optimal_affine_reparametrize(phi)
+    assert report.r < phi.field.degree
+    assert report.shift == _line_shift(phi, report)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("with_den", [False, True])
+def test_shift_matches_the_witness_line_on_known_answers(n, with_den):
+    rng = random.Random(f"shift-offset:{n}:{with_den}")
+    for _ in range(3):
+        phi = _known_r1_curve(rng, n, with_den)
+        report = optimal_affine_reparametrize(phi)
+        assert report.succeeded and report.r == 1
+        assert report.reparametrized.field is QQ
+        assert report.shift == _line_shift(phi, report)
+
+
+def test_quartic_second_descent_shift_matches_its_line(quartic,
+                                                       quartic_report):
+    report, _ = quartic_report
+    ctx = TowerContext(report.embedding)
+    phi2 = quartic.map_coefficients(ctx.to_tower, ctx.tower)
+    pts2 = points_at_infinity(report.second_witness, ctx.tower)
+    (a, b), = reparam._shifts(phi2, ctx.tower, pts2)
+    shift = AffineShift(quartic.field, ctx.flatten(a), ctx.flatten(b))
+    assert shift == _line_shift(quartic, report) == report.shift
+
+
+def test_first_direction_without_a_line_is_skipped(monkeypatch,
+                                                   gaussian_cusp):
+    phi = gaussian_cusp
+    K = phi.field
+    want = optimal_affine_reparametrize(phi)
+    # direction (1, 1) is the slope 1 + a, not a QQ multiple of the
+    # witness line's slope 1
+    junk = ProjectivePoint(K, [1, 1, 0])
+    pts = [junk] + want.infinity_points
+    first, second = reparam._shifts(phi, K, pts)
+    assert first[0] == K.one + K.gen()
+    assert not verify_reparametrization(phi, AffineShift(K, *first),
+                                        want.embedding)
+    assert AffineShift(K, *second) == want.shift
+    monkeypatch.setattr(reparam, "points_at_infinity", lambda *args: pts)
+    got = optimal_affine_reparametrize(phi)
+    assert got.succeeded and got.r == 1
+    assert got.shift == want.shift
+
+
+def test_no_direction_with_a_line_is_internal(monkeypatch, gaussian_cusp):
+    phi = gaussian_cusp
+    junk = ProjectivePoint(phi.field, [1, 1, 0])
+    monkeypatch.setattr(reparam, "points_at_infinity",
+                        lambda *args: [junk])
+    with pytest.raises(InternalInconsistencyError,
+                       match="line extraction failed"):
+        optimal_affine_reparametrize(phi)
+
+
+@pytest.mark.parametrize("name", ["quartic", "gaussian_cusp"])
+def test_pipeline_solves_no_line(monkeypatch, request, name):
+    phi = request.getfixturevalue(name)
+    want = optimal_affine_reparametrize(phi)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the shift needs no line solve")
+
+    for fn in ("parametrize_line", "linear_part", "triangular_solve"):
+        monkeypatch.setattr(reparam, fn, forbidden)
+    got = optimal_affine_reparametrize(phi)
+    assert got.shift == want.shift
+    assert repr(got.reparametrized) == repr(want.reparametrized)
+
+
+def test_shift_offset_from_a_numerator_when_the_denominator_is_one(qi):
+    # ((t + 1 + a)^2, 2*(t + 1 + a)^3) over QQ(i): g = 1, so the offset
+    # comes from the first numerator, b0 = -f_1/(2*f_2) = -(1 + a)
+    i = qi.gen()
+    base = Parametrization(qi, [UniPoly(qi, (0, 0, 1)),
+                                UniPoly(qi, (0, 0, 0, 2))],
+                           UniPoly(qi, (1,)))
+    phi = base.compose_affine(qi.one, qi.one + i)
+    direction = ProjectivePoint(qi, [1, 0, 0])
+    (a, b), = reparam._shifts(phi, qi, [direction])
+    # the slice t_0 = 0 moves b0 along the slope 1 to -a
+    assert (a, b) == (qi.one, -i)
+    got = verify_reparametrization(phi, AffineShift(qi, a, b),
+                                   trivial_embedding(qi))
+    assert got == base.compose_affine(qi.one, qi.one).map_coefficients(
+        lambda c: c.rational_value(), QQ)
