@@ -19,7 +19,10 @@ Everything between the input and the returned MultiPolys works on the
 layers of a polynomial, its coordinates along powers of the generator,
 each a term dict over L whose keys are packed monomials (mpoly.Packing,
 with no order fields), so the product of two monomials is the sum of
-their ints.  The packing bound is the largest total degree any product
+their ints.  A coefficient's layer entries are its coordinates over L,
+read through the element's `coeffs`: Fractions over QQ, which an
+element of QQ(a) stores as integer numerators over one denominator,
+and elements of QQ(g) over QQ(g).  The packing bound is the largest total degree any product
 below reaches, so no field ever carries into the next: max(n * deg g,
 deg f + (n-1) * deg g) for the F_i, and max(n * deg g, deg f) for the
 witness ideal, which forms no product with the cofactor.

@@ -1,10 +1,12 @@
 """Expression and input-file parsing.
 
 Grammar: integers, names, + - * / ^ with the usual precedence, and
-parentheses.  Multiplication is always explicit.  Expressions evaluate
-into an exact numerator/denominator pair of multivariate polynomials
-over QQ, which callers then shape into the object they expect; every
-error carries a line and column.
+parentheses.  Multiplication is always explicit.  An expression
+evaluates into an exact numerator/denominator pair of polynomials: a
+curve component or a minimal polynomial straight into univariate
+polynomials over its field, where the generator is the constant `a`
+and is reduced as it is read; `parse_fraction` into multivariate
+polynomials over QQ.  Every error carries a line and column.
 """
 
 from .descent import Parametrization
@@ -26,7 +28,8 @@ class ExpressionError(ValueError):
 _OPS = set("+-*/^()")
 
 # Cap on (degree of the base) * exponent for one eagerly expanded `^`;
-# a constant base counts as degree one.
+# a constant base counts as degree one.  Over a field the degree is the
+# degree in the parameter, the generator being a constant.
 MAX_POWER_DEGREE = 64
 
 
@@ -73,14 +76,23 @@ def tokenize(s):
 
 
 class _Parser:
-    """Recursive descent over num/den pairs of MultiPoly over QQ."""
+    """Recursive descent over num/den pairs of polynomials.
 
-    def __init__(self, tokens, var_names):
+    atoms maps each variable name to its polynomial, const lifts an
+    integer into the same ring, and degree is the degree the `^` cap
+    reads.  formal names the variables of the ring QQ[t, a] that a
+    parse over a field QQ(a) is the image of; a divisor that is zero
+    only modulo the minimal polynomial is not a division by zero there.
+    """
+
+    def __init__(self, tokens, atoms, const, degree, formal=None):
         self.tokens = tokens
         self.pos = 0
-        self.vars = {name: i for i, name in enumerate(var_names)}
-        self.arity = len(var_names)
-        self.one = MultiPoly.const(QQ, self.arity, 1)
+        self.atoms = atoms
+        self.const = const
+        self.degree = degree
+        self.formal = formal
+        self.one = const(1)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -130,16 +142,31 @@ class _Parser:
             kind, text, line, col = self.peek()
             if kind == "OP" and text in "*/":
                 self.advance()
+                start = self.pos
                 n2, d2 = self.factor()
                 if text == "/":
-                    if n2.is_zero():
+                    if self._zero_divisor(n2, start):
                         raise ExpressionError("division by zero", line, col)
                     n2, d2 = d2, n2
                 num = num if n2 == self.one else num * n2
                 den = den if d2 == self.one else (
                     d2 if den == self.one else den * d2)
+                if den.is_constant() and not den.is_zero() and (
+                        den != self.one):
+                    # a nonzero constant denominator is a unit
+                    num, den = num.scale(1 / den.constant_value()), self.one
             else:
                 return num, den
+
+    def _zero_divisor(self, num, start):
+        """Whether the numerator num of the factor read from token start
+        on is zero as a polynomial in the formal variables."""
+        if not num.is_zero():
+            return False
+        if self.formal is None:
+            return True
+        span = self.tokens[start:self.pos] + [("END", "", 0, 0)]
+        return _fraction_parser(span, self.formal).parse()[0].is_zero()
 
     def factor(self):
         kind, text, _, _ = self.peek()
@@ -159,7 +186,7 @@ class _Parser:
                 self.fail("expected an integer exponent")
             self.advance()
             k = int(etok[1])
-            base = max(num.total_degree(), den.total_degree(), 1)
+            base = max(self.degree(num), self.degree(den), 1)
             if base * k > MAX_POWER_DEGREE:
                 self.fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
             return num ** k, (den if den == self.one else den ** k)
@@ -168,14 +195,14 @@ class _Parser:
     def atom(self):
         kind, text, _, _ = self.advance()
         if kind == "INT":
-            return MultiPoly.const(QQ, self.arity, int(text)), self.one
+            return self.const(int(text)), self.one
         if kind == "NAME":
-            idx = self.vars.get(text)
-            if idx is None:
+            value = self.atoms.get(text)
+            if value is None:
                 tok = self.tokens[self.pos - 1]
                 raise ExpressionError(f"unknown variable '{text}'",
                                       tok[2], tok[3])
-            return MultiPoly.var(QQ, self.arity, idx), self.one
+            return value, self.one
         if kind == "OP" and text == "(":
             value = self.expr()
             closing = self.peek()
@@ -190,58 +217,46 @@ class _Parser:
         raise ExpressionError(f"unexpected token '{text}'", tok[2], tok[3])
 
 
+def _fraction_parser(tokens, var_names):
+    """A parser into multivariate polynomials over QQ."""
+    arity = len(var_names)
+    atoms = {name: MultiPoly.var(QQ, arity, i)
+             for i, name in enumerate(var_names)}
+    return _Parser(tokens, atoms, lambda k: MultiPoly.const(QQ, arity, k),
+                   MultiPoly.total_degree)
+
+
+def _field_parser(tokens, field, var):
+    """A parser into polynomials in var over field; the name of a tower
+    field's generator reads as that constant."""
+    atoms = {var: UniPoly.x(field)}
+    formal = None
+    if field is not QQ:
+        atoms[field.name] = UniPoly.const(field, field.gen())
+        formal = (var, field.name)
+    return _Parser(tokens, atoms, lambda k: UniPoly.const(field, k),
+                   UniPoly.degree, formal)
+
+
 def parse_fraction(s, var_names):
     """(numerator, denominator) over QQ in the given variables."""
-    num, den = _Parser(tokenize(s), var_names).parse()
-    if den.is_constant():
-        num = num.scale(1 / den.constant_value())
-        den = den.scale(1 / den.constant_value())
-    return num, den
+    return _fraction_parser(tokenize(s), var_names).parse()
 
 
 def parse_polynomial(s, var_name="x"):
     """Univariate polynomial over QQ; division must cancel."""
-    num, den = parse_fraction(s, (var_name,))
-    rf = RationalFunction(UniPoly.from_mpoly(num), UniPoly.from_mpoly(den))
+    rf = RationalFunction(*_field_parser(tokenize(s), QQ, var_name).parse())
     if rf.den.degree() > 0:
         raise ValueError(f"'{s}' is not a polynomial in {var_name}")
     return rf.num
 
 
-def _collapse_generator(p, field, gen_index):
-    """MultiPoly over QQ in (t, gen) -> UniPoly over the field in t."""
-    gen = field.gen()
-    powers = [field.one]
-    for _ in range(max((e[gen_index] for e in p.terms), default=0)):
-        powers.append(powers[-1] * gen)
-    by_degree = {}
-    for e, c in p.terms.items():
-        kt = e[1 - gen_index]
-        ka = e[gen_index]
-        val = field.coerce(c)
-        if ka:
-            val = val * powers[ka]
-        cur = by_degree.get(kt)
-        by_degree[kt] = val if cur is None else cur + val
-    if not by_degree:
-        return UniPoly.zero(field)
-    top = max(by_degree)
-    return UniPoly(field, [by_degree.get(k, field.zero)
-                           for k in range(top + 1)])
-
-
 def parse_component(s, field, var="t"):
     """Rational function in the parameter over QQ or an extension."""
-    if field is QQ:
-        num, den = parse_fraction(s, (var,))
-        nump, denp = UniPoly.from_mpoly(num), UniPoly.from_mpoly(den)
-    else:
-        num, den = parse_fraction(s, (var, field.name))
-        nump = _collapse_generator(num, field, 1)
-        denp = _collapse_generator(den, field, 1)
-    if denp.is_zero():
+    num, den = _field_parser(tokenize(s), field, var).parse()
+    if den.is_zero():
         raise ValueError(f"zero denominator in component '{s}'")
-    return RationalFunction(nump, denp)
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,14 @@
 A tower is QQ, QQ(a) or QQ(g)(a): each level adjoins a root of a monic
 irreducible polynomial over the level below.  Elements are coefficient
 vectors over the base level, reduced against the defining polynomial.
+An element of a height-one tower QQ(a) is stored as one vector of
+integer numerators over one positive denominator, with no common
+factor, as in the nf_elem layout of W. Hart's ANTIC (2015): a product
+is an integer convolution folded through an integer table of the powers
+a^d .. a^(2d-2) over their common denominator, and an inverse one
+fraction-free linear solve.  An element of QQ(g)(a) keeps a tuple of
+QQ(g) elements.  Either way `coeffs` reads the coordinates over the
+base: Fractions at height one, QQ(g) elements at height two.
 Irreducibility, roots inside a field, primitive elements and subfield
 membership are all decided exactly.  Over QQ, irreducibility is first
 tried modulo a few primes: the factor degrees of f modulo each prime
@@ -30,6 +38,7 @@ one inverse.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from . import linalg, modp
 from .groebner import rational_solutions
@@ -102,8 +111,8 @@ def _tower_reduction(tower):
     """(p, image) with image the map a -> r into GF(p), r a simple root
     of the minimal polynomial modulo p; None when no tried prime has one.
 
-    On elements whose coordinate denominators p does not divide, image
-    is a ring map, since the minimal polynomial vanishes at r."""
+    On elements whose denominator p does not divide, image is a ring
+    map, since the minimal polynomial vanishes at r."""
     n = tower.degree
     for p in modp.PRIMES[:_ROOT_TRIES]:
         m = _residues(tower.minpoly.coeffs, p)
@@ -120,14 +129,14 @@ def _tower_reduction(tower):
             powers.append(powers[-1] * r % p)
 
         def image(x):
+            d = x.den % p
+            if not d:
+                return None
             acc = 0
-            for c, rk in zip(x.coeffs, powers):
+            for c, rk in zip(x.vec, powers):
                 if c:
-                    v = _residue(c, p)
-                    if v is None:
-                        return None
-                    acc += v * rk
-            return acc % p
+                    acc += c * rk
+            return acc * pow(d, -1, p) % p
         return p, image
     return None
 
@@ -145,7 +154,7 @@ class FieldTower:
     """An extension field base(name) defined by a monic minimal polynomial."""
 
     __slots__ = ("base", "name", "minpoly", "degree", "height", "zero",
-                 "one", "_gen_powers", "_reduction")
+                 "one", "_gen_powers", "_int_powers", "_reduction")
 
     def __init__(self, base, name, minpoly: UniPoly):
         if not minpoly.is_monic():
@@ -157,31 +166,38 @@ class FieldTower:
         self.minpoly = minpoly
         self.degree = minpoly.degree()
         self.height = base.height + 1
-        self.zero = FieldElement(self, (base.zero,) * self.degree)
-        one = [base.zero] * self.degree
-        one[0] = base.one
-        self.one = FieldElement(self, tuple(one))
+        self.zero = self.coerce(0)
+        self.one = self.coerce(1)
         self._gen_powers = None
+        self._int_powers = None
         self._reduction = None
 
+    def _unit(self, k, c, den=1):
+        """c * gen^k, for c a base element; at height one c is an int
+        and den a positive int coprime to it, giving c/den * gen^k."""
+        d = self.degree
+        if self.height == 1:
+            vec = [0] * d
+            vec[k] = c
+            return FieldElement(self, tuple(vec), den)
+        vec = [self.base.zero] * d
+        vec[k] = c
+        return TowerElement(self, tuple(vec))
+
     def gen(self):
-        v = [self.base.zero] * self.degree
-        v[1] = self.base.one
-        return FieldElement(self, tuple(v))
+        return self._unit(1, 1 if self.height == 1 else self.base.one)
 
     def coerce(self, v):
         if isinstance(v, FieldElement):
             if v.field is self:
                 return v
             if v.field is self.base:
-                vec = [self.base.zero] * self.degree
-                vec[0] = v
-                return FieldElement(self, tuple(vec))
+                return self._unit(0, v)
             raise TypeError("element of an unrelated field")
-        c = self.base.coerce(v)
-        vec = [self.base.zero] * self.degree
-        vec[0] = c
-        return FieldElement(self, tuple(vec))
+        if self.height == 1:
+            c = v if isinstance(v, (int, Fraction)) else QQ.coerce(v)
+            return self._unit(0, c.numerator, c.denominator)
+        return self._unit(0, self.base.coerce(v))
 
     def element(self, coeffs):
         base = self.base
@@ -189,10 +205,13 @@ class FieldTower:
         if len(cs) > self.degree:
             raise ValueError("coefficient vector too long")
         cs += [base.zero] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        if self.height == 1:
+            nums, den = _clear_denominators(cs)
+            return FieldElement(self, tuple(nums), den)
+        return TowerElement(self, tuple(cs))
 
     def _power_table(self):
-        # gen^d .. gen^(2d-2) reduced, used by multiplication
+        # gen^d .. gen^(2d-2) reduced, as base coordinates
         if self._gen_powers is None:
             d = self.degree
             base = self.base
@@ -211,10 +230,22 @@ class FieldTower:
             self._gen_powers = rows
         return self._gen_powers
 
+    def _integer_power_table(self):
+        """(rows, T) for a height-one tower: row k holds T times the
+        coordinates of gen^(d+k), all integers, T their least common
+        denominator (1 when the minimal polynomial is integral)."""
+        if self._int_powers is None:
+            d = self.degree
+            table = self._power_table()
+            nums, T = _clear_denominators([c for row in table for c in row])
+            self._int_powers = ([tuple(nums[k * d:(k + 1) * d])
+                                 for k in range(len(table))], T)
+        return self._int_powers
+
     def reduction(self):
         """(p, image) for a height-one tower: image maps an element into
         GF(p) through a -> r, r a simple root of the minimal polynomial
-        modulo the prime p, and is None when p divides a coordinate
+        modulo the prime p, and is None when p divides the element's
         denominator.  Found once, lazily.  None for a height-two tower
         or when no tried prime has such a root."""
         if self._reduction is None:
@@ -228,106 +259,195 @@ class FieldTower:
     def flatten(self, x):
         """Coordinates over QQ; index k*r+j is gen^k times base-basis j."""
         x = self.coerce(x)
+        if self.height == 1:
+            return list(x.coeffs)
         out = []
-        for c in x.coeffs:
+        for c in x.vec:
             out.extend(self.base.flatten(c))
         return out
 
     def unflatten(self, vec):
+        if self.height == 1:
+            return self.element(vec)
         r = self.base.qq_dim()
-        coeffs = []
-        for k in range(self.degree):
-            coeffs.append(self.base.unflatten(vec[k * r:(k + 1) * r]))
-        return FieldElement(self, tuple(coeffs))
+        return TowerElement(self, tuple(
+            self.base.unflatten(vec[k * r:(k + 1) * r])
+            for k in range(self.degree)))
 
     def __repr__(self):
         return f"{self.base!r}({self.name})"
 
 
-class FieldElement:
-    __slots__ = ("field", "coeffs")
+def _clear_denominators(cs):
+    """(numerators, den) for rationals cs: den their least common
+    denominator and numerators the ints c * den.  For reduced fractions
+    the numerators and den have no common factor."""
+    den = 1
+    for c in cs:
+        q = c.denominator
+        if den % q:
+            den = den // gcd(den, q) * q
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
-    def __init__(self, field, coeffs):
+
+def _reduced(field, vec, den):
+    """FieldElement vec / den in canonical form; den > 0."""
+    if den != 1:
+        g = gcd(den, *vec)
+        if g != 1:
+            return FieldElement(field, tuple(v // g for v in vec), den // g)
+    return FieldElement(field, vec, den)
+
+
+def _solve_first_unit(rows):
+    """(Y, D) with rows * Y = D * e_0, for a square integer matrix:
+    fraction-free (Bareiss) elimination on the augmented matrix, then
+    back substitution scaled by the last pivot D, which is the
+    determinant up to sign, so every division is exact.  The matrix of
+    multiplication by a nonzero element is singular only when the
+    defining polynomial factors."""
+    n = len(rows)
+    m = [list(row) + [int(i == 0)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise ArithmeticError("defining polynomial is not irreducible")
+        m[k], m[p] = m[p], m[k]
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            f = mi[k]
+            m[i] = [0] * (k + 1) + [(pk * mi[j] - f * m[k][j]) // prev
+                                    for j in range(k + 1, n + 1)]
+        prev = pk
+    D = prev
+    Y = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = D * m[i][n]
+        for j in range(i + 1, n):
+            acc -= m[i][j] * Y[j]
+        Y[i] = acc // m[i][i]
+    return Y, D
+
+
+class FieldElement:
+    """An element sum_i vec[i] * gen^i / den of a height-one tower QQ(a).
+
+    vec holds integers and den is a positive integer with
+    gcd(vec, den) = 1, so equal elements have equal (vec, den).
+    """
+
+    __slots__ = ("field", "vec", "den")
+
+    def __init__(self, field, vec, den):
         self.field = field
-        self.coeffs = coeffs
+        self.vec = vec
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coordinates over the base: Fractions at height one."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.vec)
 
     def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement) and other.field is self.field:
-            return self.coeffs == other.coeffs
-        try:
-            other = self.field.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return any(self.vec)
 
     def _other(self, v):
+        if isinstance(v, FieldElement) and v.field is self.field:
+            return v
         return self.field.coerce(v)
+
+    def __eq__(self, other):
+        try:
+            other = self._other(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.vec == other.vec and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.vec, self.den))
 
     def __add__(self, other):
         o = self._other(other)
-        return FieldElement(self.field, tuple(a + b for a, b in
-                                              zip(self.coeffs, o.coeffs)))
+        a, da = self.vec, self.den
+        b, db = o.vec, o.den
+        if da == db:
+            return _reduced(self.field, tuple(x + y for x, y in zip(a, b)),
+                            da)
+        return _reduced(self.field, tuple(x * db + y * da
+                                          for x, y in zip(a, b)), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-x for x in self.vec),
+                            self.den)
 
     def __sub__(self, other):
         o = self._other(other)
-        return FieldElement(self.field, tuple(a - b for a, b in
-                                              zip(self.coeffs, o.coeffs)))
+        a, da = self.vec, self.den
+        b, db = o.vec, o.den
+        if da == db:
+            return _reduced(self.field, tuple(x - y for x, y in zip(a, b)),
+                            da)
+        return _reduced(self.field, tuple(x * db - y * da
+                                          for x, y in zip(a, b)), da * db)
 
     def __rsub__(self, other):
         return self._other(other) - self
 
     def __mul__(self, other):
-        o = self._other(other)
         f = self.field
-        base = f.base
+        if not (isinstance(other, FieldElement) and other.field is f):
+            if isinstance(other, (int, Fraction)):
+                return _reduced(f, tuple(x * other.numerator
+                                         for x in self.vec),
+                                self.den * other.denominator)
+            other = f.coerce(other)
         d = f.degree
-        a, b = self.coeffs, o.coeffs
-        prod = [base.zero] * (2 * d - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] = prod[i + j] + ca * cb
-        out = list(prod[:d])
-        table = f._power_table()
+        prod = [0] * (2 * d - 1)
+        b = other.vec
+        for i, x in enumerate(self.vec):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        rows, T = f._integer_power_table()
+        out = prod[:d] if T == 1 else [c * T for c in prod[:d]]
         for k in range(d, 2 * d - 1):
             c = prod[k]
             if c:
-                row = table[k - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] = out[i] + c * row[i]
-        return FieldElement(f, tuple(out))
+                for i, r in enumerate(rows[k - d]):
+                    if r:
+                        out[i] += c * r
+        return _reduced(f, tuple(out), self.den * other.den * T)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """Solves x * y = 1 as the linear system whose column j holds
+        the numerator of x * gen^j, fraction-free."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        base = f.base
-        if not any(self.coeffs[1:]):
-            vec = [base.zero] * f.degree
-            vec[0] = base.one / self.coeffs[0]
-            return FieldElement(f, tuple(vec))
-        num = UniPoly(base, self.coeffs)
-        d, s, _ = num.ext_gcd(f.minpoly)
-        if d.degree() != 0:
-            raise ArithmeticError("defining polynomial is not irreducible")
-        inv = s.scale(base.one / d.constant_value())
-        return f.element(inv.coeffs)
+        a = self.vec
+        if not any(a[1:]):
+            c = a[0]
+            return f._unit(0, self.den if c > 0 else -self.den, abs(c))
+        col = FieldElement(f, a, 1)
+        gen = f.gen()
+        cols = [col]
+        for _ in range(f.degree - 1):
+            col = col * gen
+            cols.append(col)
+        Y, D = _solve_first_unit([[c.vec[i] for c in cols]
+                                  for i in range(f.degree)])
+        if D < 0:
+            Y, D = [-y for y in Y], -D
+        return _reduced(f, tuple(self.den * y * c.den
+                                 for y, c in zip(Y, cols)), D)
 
     def __truediv__(self, other):
         return self * self._other(other).inverse()
@@ -349,15 +469,12 @@ class FieldElement:
         return out
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.vec[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        c = self.coeffs[0]
-        if isinstance(c, FieldElement):
-            return c.rational_value()
-        return c
+        return Fraction(self.vec[0], self.den)
 
     def canonical_key(self):
         """Total order key: lexicographic on the flattened QQ coordinates,
@@ -368,6 +485,87 @@ class FieldElement:
     def __repr__(self):
         from .render import render_field_element
         return f"FieldElement({render_field_element(self)})"
+
+
+class TowerElement(FieldElement):
+    """An element of a height-two tower QQ(g)(a): vec holds its
+    coordinates along powers of a, each an element of QQ(g), and den is
+    always 1, so equality and hashing are those of FieldElement."""
+
+    __slots__ = ()
+
+    def __init__(self, field, vec):
+        self.field = field
+        self.vec = vec
+        self.den = 1
+
+    @property
+    def coeffs(self):
+        """The coordinates over the base: elements of QQ(g)."""
+        return self.vec
+
+    def __add__(self, other):
+        o = self._other(other)
+        return TowerElement(self.field, tuple(a + b for a, b in
+                                              zip(self.vec, o.vec)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TowerElement(self.field, tuple(-a for a in self.vec))
+
+    def __sub__(self, other):
+        o = self._other(other)
+        return TowerElement(self.field, tuple(a - b for a, b in
+                                              zip(self.vec, o.vec)))
+
+    def __mul__(self, other):
+        o = self._other(other)
+        f = self.field
+        base = f.base
+        d = f.degree
+        a, b = self.vec, o.vec
+        prod = [base.zero] * (2 * d - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                if cb:
+                    prod[i + j] = prod[i + j] + ca * cb
+        out = list(prod[:d])
+        table = f._power_table()
+        for k in range(d, 2 * d - 1):
+            c = prod[k]
+            if c:
+                row = table[k - d]
+                for i in range(d):
+                    if row[i]:
+                        out[i] = out[i] + c * row[i]
+        return TowerElement(f, tuple(out))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("inverse of zero field element")
+        f = self.field
+        base = f.base
+        if not any(self.vec[1:]):
+            return f._unit(0, self.vec[0].inverse())
+        num = UniPoly(base, self.vec)
+        d, s, _ = num.ext_gcd(f.minpoly)
+        if d.degree() != 0:
+            raise ArithmeticError("defining polynomial is not irreducible")
+        inv = s.scale(base.one / d.constant_value())
+        return f.element(inv.coeffs)
+
+    def is_rational(self):
+        return not any(self.vec[1:]) and self.vec[0].is_rational()
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ValueError("element is not rational")
+        return self.vec[0].rational_value()
 
 
 def canonical_key(x):
@@ -615,7 +813,11 @@ class SubfieldEmbedding:
 
     def coordinates(self, x):
         """QQ coordinates of x in the basis gamma^j * a^k, at index
-        k*r + j as in a tower's flatten."""
+        k*r + j as in a tower's flatten.
+
+        The inverse of the basis is kept as integer rows over one common
+        denominator, so each coordinate is one integer dot product with
+        the numerators of x."""
         if self._basis_inverse is None:
             ambient = self.ambient
             n = ambient.qq_dim()
@@ -635,10 +837,15 @@ class SubfieldEmbedding:
             rows, pivots = linalg.rref(aug, QQ)
             if pivots != list(range(n)):
                 raise ArithmeticError("tower basis is degenerate")
-            self._basis_inverse = [row[n:] for row in rows]
-        vec = self.ambient.flatten(self.ambient.coerce(x))
-        return [sum((c * v for c, v in zip(row, vec)), Fraction(0))
-                for row in self._basis_inverse]
+            nums, E = _clear_denominators([c for row in rows
+                                           for c in row[n:]])
+            self._basis_inverse = ([nums[i * n:(i + 1) * n]
+                                    for i in range(n)], E)
+        rows, E = self._basis_inverse
+        x = self.ambient.coerce(x)
+        den = E * x.den
+        return [Fraction(sum(c * v for c, v in zip(row, x.vec)), den)
+                for row in rows]
 
     def membership(self, x):
         """QQ coordinates of x in the gamma power basis, or None."""

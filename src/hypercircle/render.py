@@ -8,6 +8,8 @@ string parses back through exprparse.
 
 from fractions import Fraction
 
+from .fields import FieldElement
+
 
 def render_fraction(q) -> str:
     q = Fraction(q)
@@ -16,17 +18,12 @@ def render_fraction(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _is_field_element(c):
-    return hasattr(c, "field") and hasattr(c, "coeffs") and not hasattr(
-        c, "terms")
-
-
 def _rational_of(c):
     """Fraction value when the coefficient is rational, else None."""
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
-    if _is_field_element(c) and c.is_rational():
-        return _rational_of(c.coeffs[0])
+    if isinstance(c, FieldElement) and c.is_rational():
+        return c.rational_value()
     return None
 
 

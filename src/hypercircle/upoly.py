@@ -121,6 +121,8 @@ class UniPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        if self.is_constant():
+            return UniPoly.const(self.field, self.constant_value() ** k)
         out = UniPoly.const(self.field, self.field.one)
         base = self
         while k:

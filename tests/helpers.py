@@ -136,6 +136,45 @@ def gen_hom(image, dst):
     return fn
 
 
+def reference_mul(x, y):
+    """x * y in the Fraction-tuple layout: the convolution of the base
+    coordinates, folded through the tower's power table.  The integer
+    numerator vectors of fields.FieldElement are checked against it."""
+    f = x.field
+    base = f.base
+    d = f.degree
+    a, b = x.coeffs, f.coerce(y).coeffs
+    prod = [base.zero] * (2 * d - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if cb:
+                prod[i + j] = prod[i + j] + ca * cb
+    out = list(prod[:d])
+    table = f._power_table()
+    for k in range(d, 2 * d - 1):
+        c = prod[k]
+        if c:
+            row = table[k - d]
+            for i in range(d):
+                if row[i]:
+                    out[i] = out[i] + c * row[i]
+    return f.element(out)
+
+
+def reference_inverse(x):
+    """1/x in the Fraction-tuple layout: the extended gcd of x, read as
+    a polynomial over the base, with the minimal polynomial."""
+    if not x:
+        raise ZeroDivisionError("inverse of zero field element")
+    f = x.field
+    base = f.base
+    d, s, _ = UniPoly(base, x.coeffs).ext_gcd(f.minpoly)
+    assert d.degree() == 0, "defining polynomial is not irreducible"
+    return f.element(s.scale(base.one / d.constant_value()).coeffs)
+
+
 def parse_field_element(s, field):
     """A single element of QQ or of a simple extension."""
     if field is QQ:

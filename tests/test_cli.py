@@ -76,6 +76,16 @@ def test_expression_error_names_entry_and_file_line(capsys, tmp_path, text,
     assert err == f"input error: {where}\n"
 
 
+def test_power_cap_on_the_generator_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.curve"
+    bad.write_text("minpoly = x^2 + 1\nx1 = t + a^65\n")
+    code, out, err = run_cli(capsys, "reparam", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == ("input error: x1 (line 2): power of degree above 64 "
+                   "at column 7\n")
+
+
 def test_reducible_minpoly_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.curve"
     bad.write_text("minpoly = x^2 - 1\nx1 = (t - a)^2\n")

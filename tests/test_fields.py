@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import random_field_element
+from helpers import (random_field_element, reference_inverse, reference_mul)
 
 from hypercircle.fields import (
     QQ,
@@ -22,6 +23,8 @@ from hypercircle.fields import (
     roots_in_field,
     trivial_embedding,
 )
+from hypercircle.exprparse import parse_polynomial
+from hypercircle.render import render_field_element
 from hypercircle.upoly import UniPoly
 
 
@@ -259,3 +262,151 @@ def test_canonical_key_orders_deterministically(qi):
     s1 = sorted(xs, key=canonical_key)
     s2 = sorted(list(reversed(xs)), key=canonical_key)
     assert s1 == s2
+
+
+# Minimal polynomials of degree 2-7, most with non-integer coefficients
+# once monic, and two height-two towers over QQ(g), g^2 = 2, written
+# in the base's generator g and the variable x.
+_REFERENCE_TOWERS = [
+    ("2*x^2 - 3",),
+    ("x^3 - 2",),
+    ("3*x^4 - 2",),
+    ("x^4 + x^3/3 - 2*x/5 + 7/2",),
+    ("x^5 + 1/2*x - 3/4",),
+    ("3*x^6 + x + 1",),
+    ("4*x^7 - 5",),
+    ("x^2 - 2", (0, -1), (0, 0)),
+    ("x^2 - 2", (0, Fraction(-1, 3)), (Fraction(1, 2), 0)),
+]
+
+
+def _reference_tower(spec):
+    """QQ(a) for a one-entry spec; for three entries, QQ(g)(b) with the
+    relative minimal polynomial x^2 + c1*x + c0, each ci = (p, q)
+    standing for p + q*g."""
+    field = make_extension(QQ, parse_polynomial(spec[0]))
+    if len(spec) == 1:
+        return field
+    g = field.gen()
+    c0, c1 = (field.coerce(p) + q * g for p, q in spec[1:])
+    return make_extension(field, UniPoly(field, (c0, c1, field.one)))
+
+
+def _random_element(rng, field):
+    """Sparse-ish coordinates with small numerators and denominators."""
+    if field.height == 2:
+        return field.element([_random_element(rng, field.base)
+                              for _ in range(field.degree)])
+    return field.element([
+        Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 12)))
+        if rng.random() < 0.8 else 0 for _ in range(field.degree)])
+
+
+def _assert_canonical(x):
+    if x.field.height == 1:
+        assert all(type(v) is int for v in x.vec)
+        assert type(x.den) is int and x.den > 0
+        assert gcd(x.den, *x.vec) == 1
+        assert all(type(c) is Fraction for c in x.coeffs)
+    else:
+        for c in x.coeffs:
+            _assert_canonical(c)
+
+
+@pytest.mark.parametrize("spec", _REFERENCE_TOWERS,
+                         ids=lambda s: "|".join(map(str, s)))
+def test_arithmetic_matches_the_fraction_tuple_reference(spec):
+    field = _reference_tower(spec)
+    rng = random.Random(20261019)
+    for _ in range(20):
+        x, y = _random_element(rng, field), _random_element(rng, field)
+        _assert_canonical(x)
+        product = x * y
+        _assert_canonical(product)
+        assert product == reference_mul(x, y)
+        assert (x + y).coeffs == tuple(a + b for a, b in
+                                       zip(x.coeffs, y.coeffs))
+        assert (x - y).coeffs == tuple(a - b for a, b in
+                                       zip(x.coeffs, y.coeffs))
+        assert (-x).coeffs == tuple(-a for a in x.coeffs)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        assert x * q == q * x == reference_mul(x, field.coerce(q))
+        assert q - x == field.coerce(q) - x
+        k = rng.randint(0, 4)
+        power = field.one
+        for _ in range(k):
+            power = reference_mul(power, x)
+        assert x ** k == power
+        if x:
+            inv = x.inverse()
+            _assert_canonical(inv)
+            assert inv == reference_inverse(x)
+            assert reference_mul(x, inv) == field.one
+            assert y / x == reference_mul(y, inv)
+            assert x ** -k == (reference_inverse(power) if k else field.one)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        # equal values built along different paths are equal and hash so
+        for z in (field.unflatten(field.flatten(x)), (x + y) - y,
+                  field.element(x.coeffs)):
+            assert z == x and hash(z) == hash(x)
+        assert x != x + 1
+        flat = field.flatten(x)
+        assert len(flat) == field.qq_dim()
+        assert all(type(c) is Fraction for c in flat)
+        if field.height == 2:
+            assert flat == [v for c in x.coeffs for v in
+                            field.base.flatten(c)]
+        assert x.canonical_key() == tuple((c.numerator, c.denominator)
+                                          for c in flat)
+
+
+@pytest.mark.parametrize("spec", _REFERENCE_TOWERS[:7],
+                         ids=lambda s: s[0])
+def test_reduction_is_a_ring_map_on_integer_vectors(spec):
+    field = _reference_tower(spec)
+    p, image = field.reduction()
+    rng = random.Random(7)
+    for _ in range(20):
+        x, y = _random_element(rng, field), _random_element(rng, field)
+        ix, iy = image(x), image(y)
+        if ix is None or iy is None:
+            assert x.den % p == 0 or y.den % p == 0
+            continue
+        assert image(x * y) == ix * iy % p
+        assert image(x + y) == (ix + iy) % p
+
+
+def test_is_rational_asks_the_base_coordinate_on_a_height_two_tower(
+        quartic_report):
+    report, _ = quartic_report
+    emb = report.embedding
+    ctx = TowerContext(emb)
+    tower = ctx.tower
+    g = tower.coerce(tower.base.gen())
+    a = tower.gen()
+    assert not any(g.coeffs[1:])
+    assert not g.is_rational()
+    with pytest.raises(ValueError, match="not rational"):
+        g.rational_value()
+    for x in (a, a * g, tower.coerce(3) - g / 2):
+        assert not x.is_rational()
+        with pytest.raises(ValueError, match="not rational"):
+            x.rational_value()
+    half = tower.coerce(Fraction(-7, 2))
+    assert half.is_rational() and half.rational_value() == Fraction(-7, 2)
+    assert render_field_element(g) == "(g)"
+    assert render_field_element(half) == "-7/2"
+    assert render_field_element(tower.coerce(3) - g / 2) == "(3 - 1/2*g)"
+    assert render_field_element(a * g) == "(g)*a"
+    # the same subfield comes back from g read in the ambient field
+    again = primitive_element(emb.ambient, [ctx.flatten(g)])
+    assert again.r == emb.r == 2 and again.minpoly == emb.minpoly
+
+
+def test_inverse_of_a_zero_divisor_is_arithmetic_error():
+    # x^2 - 1 is not irreducible, so a + 1 has no inverse
+    K = FieldTower(QQ, "a", _P(-1, 0, 1))
+    with pytest.raises(ArithmeticError, match="not irreducible"):
+        (K.gen() + 1).inverse()

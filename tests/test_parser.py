@@ -79,6 +79,44 @@ def test_parse_component_over_extension(qi):
         parse_component("1/(a^2 + 1)", qi)
 
 
+@pytest.mark.parametrize("src,ok", [
+    ("a^64", True),
+    ("a^65", False),
+    ("(a*t)^40", True),
+    ("(a*t)^65", False),
+    ("(t - a)^64", True),
+    ("1/(t^2 + a)^33", False),
+])
+def test_power_cap_reads_the_degree_in_t(qi, src, ok):
+    # the generator is reduced as it is read, so it is a constant
+    if ok:
+        parse_component(src, qi)
+        return
+    with pytest.raises(ExpressionError) as exc:
+        parse_component(src, qi)
+    assert exc.value.reason == "power of degree above 64"
+    assert exc.value.column == src.rindex("^") + 2
+
+
+def test_power_of_the_generator_is_reduced(qi):
+    # i^40 = 1 and i^2 = -1
+    t40 = UniPoly(qi, (0,) * 40 + (1,))
+    assert parse_component("(a*t)^40", qi) == RationalFunction(t40)
+    assert parse_component("a^64 + a^2*t", qi) == RationalFunction(
+        UniPoly(qi, (1, -1)))
+
+
+def test_division_by_zero_is_zero_in_t_and_the_generator(qi):
+    # a divisor that vanishes only modulo a^2 + 1 is no division by
+    # zero (test_parse_component_over_extension): it can cancel out
+    with pytest.raises(ExpressionError) as exc:
+        parse_component("t/(a*t - t*a)", qi)
+    assert exc.value.reason == "division by zero"
+    assert (exc.value.line, exc.value.column) == (1, 2)
+    assert parse_component("1/(1/(a^2 + 1))", qi) == RationalFunction(
+        UniPoly.zero(qi))
+
+
 def test_parse_component_over_qq_normalizes():
     rf = parse_component("(t^2 + 1)/(2*t)", QQ)
     assert rf.den == UniPoly(QQ, (0, 1))
@@ -216,7 +254,7 @@ def test_render_second_descent_elements_parse_back(quartic,
     assert repr(phi2).startswith("Parametrization([")
     g, a = tower.coerce(tower.base.gen()), tower.gen()
     elements = phi2.coefficients() + [g, tower.coerce(3) - g / 2, a * g]
-    assert any(c.is_rational() and not c.coeffs[0].is_rational()
+    assert any(not any(c.coeffs[1:]) and not c.coeffs[0].is_rational()
                for c in phi2.coefficients())
     for c in elements:
         num, den = parse_fraction(render_field_element(c),
