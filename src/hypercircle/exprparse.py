@@ -9,6 +9,8 @@ and is reduced as it is read; `parse_fraction` into multivariate
 polynomials over QQ.  Every error carries a line and column.
 """
 
+from fractions import Fraction
+
 from .descent import Parametrization
 from .fields import QQ, make_extension
 from .mpoly import MultiPoly
@@ -31,6 +33,12 @@ _OPS = set("+-*/^()")
 # a constant base counts as degree one.  Over a field the degree is the
 # degree in the parameter, the generator being a constant.
 MAX_POWER_DEGREE = 64
+
+# Cap on (bit size of the base) * exponent for one `^` of a constant,
+# checked before the power is built: the degree cap alone leaves nested
+# powers of constants, such as ((2^64)^64)^64, unbounded.  The bit size
+# of a constant is that of its largest numerator or denominator.
+MAX_POWER_BITS = 1 << 14
 
 
 def tokenize(s):
@@ -186,9 +194,15 @@ class _Parser:
                 self.fail("expected an integer exponent")
             self.advance()
             k = int(etok[1])
-            base = max(self.degree(num), self.degree(den), 1)
-            if base * k > MAX_POWER_DEGREE:
+            degree = max(self.degree(num), self.degree(den))
+            if max(degree, 1) * k > MAX_POWER_DEGREE:
                 self.fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
+            if degree <= 0:
+                bits = max(_bits(num.constant_value()),
+                           _bits(den.constant_value()))
+                if bits * k > MAX_POWER_BITS:
+                    self.fail(f"constant power above {MAX_POWER_BITS} bits",
+                              etok)
             return num ** k, (den if den == self.one else den ** k)
         return num, den
 
@@ -215,6 +229,17 @@ class _Parser:
             raise ExpressionError("unexpected end of expression",
                                   tok[2], tok[3])
         raise ExpressionError(f"unexpected token '{text}'", tok[2], tok[3])
+
+
+def _bits(c):
+    """The bit size of the largest numerator or denominator of a
+    rational or of a field element's coordinates."""
+    if isinstance(c, Fraction):
+        return max(abs(c.numerator), c.denominator).bit_length()
+    if c.field.height == 1:
+        # integer numerators over one denominator
+        return max(c.den, *map(abs, c.vec)).bit_length()
+    return max(map(_bits, c.vec))
 
 
 def _fraction_parser(tokens, var_names):

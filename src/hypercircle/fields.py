@@ -12,19 +12,20 @@ fraction-free linear solve.  An element of QQ(g)(a) keeps a tuple of
 QQ(g) elements.  Either way `coeffs` reads the coordinates over the
 base: Fractions at height one, QQ(g) elements at height two.
 Irreducibility, roots inside a field, primitive elements and subfield
-membership are all decided exactly.  Over QQ, irreducibility is first
-tried modulo a few primes: the factor degrees of f modulo each prime
+membership are all decided exactly.  Over QQ, irreducibility is decided
+modulo primes: the factor degrees of f modulo a few primes
 (distinct-degree factorization, `modp`) bound the degrees a factor over
-QQ can have, and when no proper degree is left f is irreducible.
-Otherwise, and for roots, primitive elements and membership, the
-routines use linear algebra and Groebner bases over the rationals, with
-no factorization: a root or a factor is sought as a generic element
-sum_i u_i * b_i over the QQ-basis b_i of the field, with the u_i
-unknown; the polynomial condition on it, computed over the field, is
-split along flatten into equations over QQ; this path also finds the
-witness factor of a reducible polynomial.  A FieldTower is the only
-model of an extension: every routine that works over one reads it from
-the data it is given.
+QQ can have; a linear factor is sought by the rational root test, and
+any other degree left by factoring f modulo one prime, Hensel lifting
+and Zassenhaus recombination over ZZ (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 14-15).  Over other fields, and for
+roots, primitive elements and membership, the routines use linear
+algebra and Groebner bases over the rationals: a root or a factor is
+sought as a generic element sum_i u_i * b_i over the QQ-basis b_i of the
+field, with the u_i unknown; the polynomial condition on it, computed
+over the field, is split along flatten into equations over QQ.  A
+FieldTower is the only model of an extension: every routine that works
+over one reads it from the data it is given.
 
 QQ and every height-one tower also offer a reduction modulo a prime
 (`reduction`), a ring map into GF(p) on the elements whose denominators
@@ -38,11 +39,12 @@ one inverse.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, isqrt
 
 from . import linalg, modp
 from .groebner import rational_solutions
 from .mpoly import MultiPoly
+from .numtheory import SearchCapExceededError
 from .upoly import UniPoly, rational_roots
 
 
@@ -597,9 +599,21 @@ def make_extension(base, minpoly: UniPoly, name=None):
 def is_irreducible(f: UniPoly):
     """Exact irreducibility over the coefficient field of f.
 
-    Returns (True, None) or (False, witness_factor).  Linear factors are
-    found through roots in the field; higher splits through monic
-    coefficient matching solved over QQ.
+    Returns (True, None) or (False, witness_factor).  The witness is
+    x - r for the least root r of f in the field, or else the monic
+    factor of least degree whose coefficients, constant first, have the
+    least canonical keys.
+
+    Over QQ the factor degrees of f modulo a few primes leave the
+    degrees a factor can have (`_modular_degrees`).  A linear factor is
+    sought by the rational root test; any other degree left is decided
+    by factoring f modulo the prime with the fewest factors, Hensel
+    lifting and Zassenhaus recombination (`_recombine`), which raises
+    SearchCapExceededError past `_RECOMBINATION_CAP` candidates.  An f
+    that is not squarefree is decided by its squarefree part.  Over an
+    extension, and over a squarefree f that no tried prime keeps
+    squarefree, linear factors are found through roots in the field and
+    higher ones by coefficient matching solved over QQ (`_find_split`).
     """
     d = f.degree()
     if d < 1:
@@ -608,30 +622,70 @@ def is_irreducible(f: UniPoly):
         return True, None
     f = f.monic()
     field = f.field
-    if field is QQ and _irreducible_mod_primes(f):
+    degrees, modular = range(1, d // 2 + 1), None
+    if field is QQ:
+        degrees, modular = _modular_degrees(f)
+        if degrees and modular is None:
+            # no tried prime keeps f squarefree; when f is not squarefree
+            # over QQ either, its factors are those of its squarefree part
+            slope = UniPoly(QQ, [k * c for k, c in enumerate(f.coeffs)][1:])
+            common = f.gcd(slope)
+            if common.degree() > 0:
+                part = f // common
+                ok, factor = is_irreducible(part)
+                return False, part if ok else factor
+    if 1 in degrees:
+        roots = roots_in_field(f, field)
+        if roots:
+            x = UniPoly(field, (field.zero, field.one))
+            return False, x - UniPoly.const(field, roots[0])
+    degrees = [k for k in degrees if k > 1]
+    if not degrees:
         return True, None
-    roots = roots_in_field(f, field)
-    if roots:
-        root = roots[0]
-        x = UniPoly(field, (field.zero, field.one))
-        return False, x - UniPoly.const(field, root)
-    for d1 in range(2, d // 2 + 1):
-        factor = _find_split(f, d1)
-        if factor is not None:
-            return False, factor
-    return True, None
+    factors = modular and modp.irreducible_factors(*modular)
+    if factors:
+        factor = _recombine(f, modular[1], factors, degrees)
+    else:
+        splits = (_find_split(f, k) for k in degrees)
+        factor = next((g for g in splits if g is not None), None)
+    return (True, None) if factor is None else (False, factor)
 
 
-# Primes of modp.PRIMES whose degree patterns _irreducible_mod_primes
+# Primes of modp.PRIMES whose degree patterns _modular_degrees
 # intersects.  Polynomials whose Galois group has no element of one
-# cycle, such as the quartics with group V4, are never certified and go
-# on to the exact search.
+# cycle, such as the quartics with group V4, are never certified by the
+# patterns and go on to the factor search.
 _PATTERN_PRIMES = 16
 
+# Once no linear factor is left, _modular_degrees stops at a prime with
+# at most this many factors: splitting and recombining them, at most this
+# many subsets, costs about what one or two more degree patterns do, and
+# the patterns of a group such as V4 never prove irreducibility.
+_FEW_FACTORS = 3
 
-def _irreducible_mod_primes(f: UniPoly):
-    """True when the factor degrees of the monic f over QQ modulo a few
-    primes leave no degree for a proper factor over QQ.
+# When |f(0) * lc| of the integer form is below this, the rational root
+# test costs less than a degree pattern, so _modular_degrees leaves
+# degree 1 to it as soon as no higher degree is left.
+_SMALL_ROOT_TEST = 1 << 16
+
+# Subsets of modular factors `_recombine` tries before it gives up.
+_RECOMBINATION_CAP = 4096
+
+
+def _integer_form(f: UniPoly):
+    """The primitive integer multiple of the monic f over QQ, ascending;
+    its leading coefficient is the common denominator of f."""
+    return _clear_denominators(f.coeffs)[0]
+
+
+def _modular_degrees(f: UniPoly):
+    """(degrees, modular) for the monic f over QQ of degree n.
+
+    degrees are the degrees k <= n/2, ascending, that a monic factor
+    over QQ of f may have, and modular is (the distinct-degree
+    factorization of f modulo p, p, x^p modulo f) at the tried prime p
+    with the fewest factors, or None when no tried prime keeps f
+    squarefree.
 
     A monic factor over QQ of f is integral at every prime p that
     divides no denominator of f, so it reduces to a factor of the same
@@ -639,18 +693,114 @@ def _irreducible_mod_primes(f: UniPoly):
     sum of some of the degrees of the irreducible factors of f modulo p.
     """
     n = f.degree()
+    ints = _integer_form(f)
     allowed = set(range(n + 1))
+    best = None
     for p in modp.PRIMES[:_PATTERN_PRIMES]:
-        fp = _residues(f.coeffs, p)
-        if fp is None or len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
+        if not ints[-1] % p:
             continue
+        fp = modp.monic([c % p for c in ints], p)
+        if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
+            continue
+        xp = modp.powmod([0, 1], p, fp, p)
+        parts = modp.distinct_degree(fp, p, xp)
         sums = {0}
-        for d in modp.degree_pattern(fp, p):
-            sums |= {s + d for s in sums}
+        count = 0
+        for k, g in parts:
+            for _ in range((len(g) - 1) // k):
+                sums |= {s + k for s in sums}
+                count += 1
         allowed &= sums
-        if allowed == {0, n}:
-            return True
-    return False
+        if not any(k in allowed for k in range(1, n // 2 + 1)):
+            return [], None
+        if best is None or count < best[0]:
+            best = (count, parts, p, xp)
+        if 1 not in allowed and best[0] <= _FEW_FACTORS:
+            break
+        if abs(ints[0] * ints[-1]) < _SMALL_ROOT_TEST and not any(
+                k in allowed for k in range(2, n // 2 + 1)):
+            break
+    degrees = [k for k in range(1, n // 2 + 1) if k in allowed]
+    return degrees, best and best[1:]
+
+
+def _irreducible_mod_primes(f: UniPoly):
+    """True when the factor degrees of the monic f over QQ modulo a few
+    primes leave no degree for a proper factor over QQ."""
+    return not _modular_degrees(f)[0]
+
+
+def _recombine(f: UniPoly, p, factors, degrees):
+    """The monic factor over QQ of the monic squarefree f of the least
+    degree in degrees, the least by canonical keys among those; None
+    when f has none.
+
+    With F the primitive integer multiple of f and b its leading
+    coefficient, a factor G of degree k over ZZ is, modulo p, a unit
+    times the product of a subset of the modular factors, whose degrees
+    sum to k.  Mignotte bounds the i-th coefficient of G by C(k, i) M(G),
+    and M(G) <= M(F) |lc(G)/b| <= ||F||_2 |lc(G)/b| (Landau), so b/lc(G)
+    * G has coefficients at most C(k, k/2) ||F||_2 in absolute value.
+    Once the factors are lifted modulo m above twice that bound, it is
+    the symmetric residue of b times the subset's product.  Each
+    candidate's primitive part is tried by division over ZZ (von zur
+    Gathen and Gerhard, Algorithm 15.19).
+    """
+    ints = _integer_form(f)
+    b = ints[-1]
+    top = max(degrees)
+    bound = comb(top, top // 2) * (isqrt(sum(c * c for c in ints)) + 1)
+    m, lifted = modp.hensel_lift(ints, factors, p, 2 * bound)
+    sizes = [len(u) - 1 for u in lifted]
+    tried = 0
+    for k in degrees:
+        found = []
+        for subset in _subsets(sizes, k, 0):
+            tried += 1
+            if tried > _RECOMBINATION_CAP:
+                raise SearchCapExceededError(
+                    f"factor recombination cap of {_RECOMBINATION_CAP} "
+                    "subsets exceeded")
+            g = [b]
+            for i in subset:
+                g = modp.mul(g, lifted[i], m)
+            g = [c - m if 2 * c > m else c for c in g]
+            # the constant term of a factor divides b * F(0)
+            if ints[0] and (not g[0] or b * ints[0] % g[0]):
+                continue
+            content = gcd(*g)
+            g = [c // content for c in g]
+            if _divides_zz(g, ints):
+                found.append(UniPoly(QQ, [Fraction(c, g[-1]) for c in g]))
+        if found:
+            return min(found, key=lambda u: [canonical_key(c)
+                                             for c in u.coeffs])
+    return None
+
+
+def _subsets(sizes, k, start):
+    """Index tuples, increasing and from start on, of the entries of
+    sizes that sum to k."""
+    for i in range(start, len(sizes)):
+        if sizes[i] == k:
+            yield (i,)
+        elif sizes[i] < k:
+            for rest in _subsets(sizes, k - sizes[i], i + 1):
+                yield (i,) + rest
+
+
+def _divides_zz(g, ints):
+    """Whether the integer polynomial g divides ints over ZZ."""
+    r = list(ints)
+    d = len(g) - 1
+    for i in range(len(r) - 1, d - 1, -1):
+        q, rest = divmod(r[i], g[-1])
+        if rest:
+            return False
+        if q:
+            for j in range(d + 1):
+                r[i - d + j] -= q * g[j]
+    return not any(r[:d])
 
 
 def _find_split(f: UniPoly, d1):

@@ -3,10 +3,17 @@
 A polynomial is a list of ints in [0, p), ascending, with no trailing
 zero; the zero polynomial is the empty list.  Only what the modular
 certificates of `upoly` and `fields` use is here: products, remainders,
-monic gcds, powers modulo a polynomial, a root of a polynomial that
-splits into distinct linear factors and the factor degrees of a
-squarefree polynomial from its distinct-degree factorization (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).
+monic gcds, powers modulo a polynomial, and one factoring path for a
+squarefree polynomial (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 14): `distinct_degree` splits it into the products of its
+irreducible factors of each degree, and `equal_degree` splits each
+product by Cantor-Zassenhaus, or by Berlekamp's kernel and a modular
+square root when it has two factors.  `degree_pattern` (the factor degrees)
+and `root` (a root of a polynomial with distinct linear factors) are
+thin uses of the two.  `hensel_lift` lifts the factorization of an
+integer polynomial modulo p to one modulo a power of p (ch. 15) for the
+factor search over QQ in `fields`; `mul`, `add`, `sub` and `divrem`
+work modulo that power as they do modulo p.
 """
 
 # The 32 largest primes below 2^15.  Every certificate holds for any
@@ -21,9 +28,11 @@ PRIMES = (
     32441, 32429,
 )
 
-# Shifts tried by root before it gives up; each one splits a product of
-# two or more distinct linear factors with probability about one half.
+# Shifts equal_degree tries before it gives up; each one splits a
+# product of two or more distinct factors with probability about one
+# half.  Try i shifts by i * _SHIFT_STRIDE mod p.
 _SPLIT_TRIES = 40
+_SHIFT_STRIDE = 7919
 
 
 def trim(f):
@@ -93,15 +102,33 @@ def _mulmod(f, g, m, p):
 
 
 def powmod(f, e, m, p):
-    """f^e modulo the monic nonconstant m."""
+    """f^e modulo the monic nonconstant m, by left-to-right squarings.
+
+    A monic linear base x + c, the one the factoring path raises to
+    large powers, is multiplied in by a shift, a scaled addition and at
+    most one reduction step instead of a full product.
+    """
     out = [1]
-    base = rem(f, m, p)
-    while e:
-        if e & 1:
-            out = _mulmod(out, base, m, p)
-        e >>= 1
-        if e:
-            base = _mulmod(base, base, m, p)
+    if len(f) != 2 or f[1] != 1:
+        base = rem(f, m, p)
+        for bit in bin(e)[2:]:
+            out = _mulmod(out, out, m, p)
+            if bit == "1":
+                out = _mulmod(out, base, m, p)
+        return out
+    d = len(m) - 1
+    shift = f[0]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, m, p)
+        if bit == "1":
+            up = [0] + out
+            if shift:
+                for i, c in enumerate(out):
+                    up[i] += shift * c
+            if len(up) > d:
+                c = up.pop()
+                up = [v - c * w for v, w in zip(up, m)]
+            out = trim([v % p for v in up])
     return out
 
 
@@ -126,19 +153,9 @@ def _minus_x(f, p):
 def root(f, p):
     """A root of the monic nonconstant f, a product of distinct linear
     factors over GF(p), p odd; None when no split is found within the
-    tries (Cantor-Zassenhaus on the shifts x + delta)."""
-    for delta in range(_SPLIT_TRIES):
-        if len(f) == 2:
-            break
-        # gcd((x + delta)^((p - 1)/2) - 1, f): the roots r of f with
-        # r + delta a nonzero square
-        h = powmod([delta, 1], (p - 1) // 2, f, p) or [0]
-        w = gcd(f, trim([(h[0] - 1) % p] + h[1:]), p)
-        if 1 < len(w) < len(f):
-            f = w
-    if len(f) != 2:
-        return None
-    return -f[0] % p
+    tries."""
+    factors = equal_degree(f, 1, p)
+    return None if factors is None else -factors[0][0] % p
 
 
 def linear_part(f, p):
@@ -148,35 +165,289 @@ def linear_part(f, p):
 
 
 def degree_pattern(f, p):
-    """Degrees of the irreducible factors of monic squarefree f.
+    """Degrees of the irreducible factors of monic squarefree f,
+    ascending."""
+    return [d for d, g in distinct_degree(f, p)
+            for _ in range((len(g) - 1) // d)]
 
-    Distinct-degree factorization without division: gcd(x^(p^d) - x, f)
-    is the product of the factors whose degree divides d, so the factors
-    of degree exactly d number its degree, less those of the proper
-    divisors of d, over d.  What is left above deg f / 2 is one factor.
-    """
-    n = len(f) - 1
-    # row i is x^(i*p) mod f; since the coefficients of h lie in GF(p),
-    # h^p = sum_i h_i * x^(i*p), one matrix-vector product
-    xp = powmod([0, 1], p, f, p)
+
+def _frobenius_rows(f, p, xp=None):
+    """Rows x^(i*p) mod f, i < deg f, from xp = x^p modulo f or a
+    multiple of f.  Since the coefficients of h lie in GF(p), h^p mod f
+    is sum_i h_i * row i (`_frobenius`)."""
+    xp = powmod([0, 1], p, f, p) if xp is None else rem(xp, f, p)
     rows = [[1]]
-    for _ in range(n - 1):
+    for _ in range(len(f) - 2):
         rows.append(_mulmod(rows[-1], xp, f, p))
-    count = {}
+    return rows
+
+
+def _frobenius(h, rows, p):
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, v in enumerate(row):
+                acc[j] += c * v
+    return trim([v % p for v in acc])
+
+
+def distinct_degree(f, p, xp=None):
+    """[(d, g_d)] for monic squarefree nonconstant f, ascending in d:
+    g_d is the product of the monic irreducible factors of f of degree d,
+    and degrees with no factor are left out.  xp, when given, is x^p
+    modulo f.
+
+    gcd(x^(p^d) - x, f) is the product of the factors whose degree
+    divides d; once those of lower degree are divided out, of the
+    factors of degree exactly d.  x^(p^d) mod f is the Frobenius image
+    of x^(p^(d-1)).  What is left once 2d exceeds its degree is one
+    factor.
+    """
+    rows = _frobenius_rows(f, p, xp)
+    out = []
+    rest = f
     h = [0, 1]
-    for d in range(1, n // 2 + 1):
-        acc = [0] * n
-        for c, row in zip(h, rows):
-            if c:
-                for j, v in enumerate(row):
-                    acc[j] += c * v
-        h = trim([v % p for v in acc])
-        k = len(gcd(f, _minus_x(h, p), p)) - 1
-        k -= sum(e * c for e, c in count.items() if d % e == 0)
-        if k:
-            count[d] = k // d
-    degrees = [d for d, c in sorted(count.items()) for _ in range(c)]
-    rest = n - sum(degrees)
-    if rest:
-        degrees.append(rest)
-    return degrees
+    d = 0
+    while 2 * (d + 1) <= len(rest) - 1:
+        d += 1
+        h = _frobenius(h, rows, p)
+        g = gcd(rest, _minus_x(h, p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            rest = quo(rest, g, p)
+    if len(rest) > 1:
+        out.append((len(rest) - 1, rest))
+    return out
+
+
+def equal_degree(f, d, p, xp=None):
+    """The monic irreducible factors of f, a monic product of distinct
+    irreducible factors of degree d over GF(p), p odd; None when the
+    tries do not split it completely.  xp, when given, is x^p modulo a
+    multiple of f.
+
+    A piece with two factors is split by `_split_pair`, with no power.
+    Larger pieces by Cantor-Zassenhaus: gcd(b - 1, g) with
+    b = (x + c)^((p^d-1)/2) collects the factors of g modulo which x + c
+    is a nonzero square; each try, with its own shift c, is applied to
+    every piece not yet split.  The shifts step through GF(p) by a large
+    stride, so that they are not the small values where a binomial's
+    factors tend to agree.  Since (p^d-1)/2 = (p-1)/2 * (1 + p + ... +
+    p^(d-1)), b is the product of the Frobenius images of
+    u = (x + c)^((p-1)/2).
+    """
+    e = (p - 1) // 2
+    done = []
+    pieces = [(f, None)]
+    for i in range(_SPLIT_TRIES):
+        todo = []
+        for g, rows in pieces:
+            if len(g) - 1 == d:
+                done.append(g)
+                continue
+            if len(g) - 1 == 2 * d:
+                rows = rows or _frobenius_rows(g, p, xp)
+                pair = _split_pair(g, rows, p)
+                if pair:
+                    done += pair
+                    continue
+            b = u = powmod([i * _SHIFT_STRIDE % p, 1], e, g, p)
+            if d > 1:
+                rows = rows or _frobenius_rows(g, p, xp)
+                for _ in range(d - 1):
+                    u = _frobenius(u, rows, p)
+                    b = _mulmod(b, u, g, p)
+            b = b or [0]
+            w = gcd(g, trim([(b[0] - 1) % p] + b[1:]), p)
+            if 1 < len(w) < len(g):
+                todo += [(w, None), (quo(g, w, p), None)]
+            else:
+                todo.append((g, rows))
+        pieces = todo
+        if not pieces:
+            return done
+    return None
+
+
+def _split_pair(g, rows, p):
+    """The two factors of g, a product of two distinct irreducible
+    factors of one degree, from the Frobenius rows of g; None when the
+    kernel below is not two-dimensional.
+
+    Berlekamp: the h mod g with h^p = h are those congruent to a
+    constant modulo each factor, a plane spanned by 1 and some h.  As
+    h^2 lies in it too, h^2 = s*h + u, so the constants c1, c2 of h
+    modulo the two factors are the roots of y^2 - s*y - u, and
+    gcd(g, h - c1) is one factor.
+    """
+    n = len(g) - 1
+    # column i - 1 of a: the coordinates of x^(i*p) - x^i, for i >= 1
+    a = [[(rows[i][j] if j < len(rows[i]) else 0) - (i == j)
+          for i in range(1, n)] for j in range(n)]
+    pivots = []
+    for c in range(n - 1):
+        r = len(pivots)
+        k = next((k for k in range(r, n) if a[k][c] % p), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for k in range(n):
+            if k != r and a[k][c] % p:
+                m = a[k][c]
+                a[k] = [(v - m * w) % p for v, w in zip(a[k], a[r])]
+        pivots.append(c)
+    free = [c for c in range(n - 1) if c not in pivots]
+    if len(free) != 1:
+        return None
+    h = [0] * n
+    h[free[0] + 1] = 1
+    for r, c in enumerate(pivots):
+        h[c + 1] = -a[r][free[0]] % p
+    h = trim(h)
+    h2 = _mulmod(h, h, g, p) + [0] * n
+    k = next(k for k in range(1, n) if k < len(h) and h[k])
+    s = h2[k] * pow(h[k], -1, p) % p
+    c = (s + _sqrt(s * s + 4 * h2[0], p)) * (p + 1) // 2 % p
+    w = gcd(g, trim([-c % p] + h[1:]), p)
+    return [w, quo(g, w, p)]
+
+
+def _sqrt(a, p):
+    """A square root of the square a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    a %= p
+    if not a:
+        return 0
+    q, e = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def irreducible_factors(parts, p, xp=None):
+    """The monic irreducible factors of a squarefree polynomial from its
+    distinct-degree factorization parts; None when a split is not found.
+    xp, when given, is x^p modulo the polynomial."""
+    out = []
+    for d, g in parts:
+        split = equal_degree(g, d, p, xp)
+        if split is None:
+            return None
+        out += split
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting, modulo powers of p
+
+
+def add(f, g, m):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return trim([c % m for c in out])
+
+
+def sub(f, g, m):
+    return add(f, [-c for c in g], m)
+
+
+def divrem(f, g, m):
+    """(q, r) with f = q*g + r modulo m, for g whose leading coefficient
+    is a unit modulo m."""
+    r = [c % m for c in f]
+    d = len(g) - 1
+    if len(r) <= d:
+        return [], trim(r)
+    inv = pow(g[-1], -1, m)
+    q = [0] * (len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i] * inv % m
+        q[i - d] = c
+        if c:
+            for j in range(d):
+                r[i - d + j] = (r[i - d + j] - c * g[j]) % m
+    return trim(q), trim(r[:d])
+
+
+def quo(f, g, p):
+    """The quotient of f by the nonzero g."""
+    return divrem(f, g, p)[0]
+
+
+def gcdex(f, g, p):
+    """(s, t) with s*f + t*g = 1 for coprime nonzero f, g, with
+    deg s < deg g and deg t < deg f."""
+    r0, r1 = f, g
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = divrem(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def hensel_lift(f, factors, p, bound):
+    """(m, lifted): m = p^(2^k), the least such power above bound, and
+    monic lifted[i] = factors[i] modulo p with f = lc(f) * prod(lifted)
+    modulo m.
+
+    f is an integer polynomial (ascending, its leading coefficient prime
+    to p) that is squarefree modulo p, and factors are its monic
+    irreducible factors modulo p.  Quadratic lifting along a balanced
+    factor tree (von zur Gathen and Gerhard, Algorithms 15.10, 15.17).
+    """
+    m = p
+    while m <= bound:
+        m *= m
+    return m, _lift(f, factors, p, m)
+
+
+def _lift(f, factors, p, m):
+    """The lifted factors of f modulo m, f known modulo m."""
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, m)
+        return [[c * inv % m for c in f]]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = mul(g, u, p)
+    h = [1]
+    for u in factors[half:]:
+        h = mul(h, u, p)
+    s, t = gcdex(g, h, p)
+    q = p
+    while q < m:
+        g, h, s, t = _hensel_step(f, g, h, s, t, q * q)
+        q *= q
+    return _lift(g, factors[:half], p, m) + _lift(h, factors[half:], p, m)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g*h and s*g + t*h = 1 modulo the square root of m, h
+    monic, the same identities modulo m (Algorithm 15.10)."""
+    e = sub(f, mul(g, h, m), m)
+    q, r = divrem(mul(s, e, m), h, m)
+    g = add(g, add(mul(t, e, m), mul(q, g, m), m), m)
+    h = add(h, r, m)
+    b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
+    c, d = divrem(mul(s, b, m), h, m)
+    return g, h, sub(s, d, m), sub(t, add(mul(t, b, m), mul(c, g, m), m), m)

@@ -4,14 +4,16 @@ Coefficients ascend; the zero polynomial has an empty coefficient tuple.
 The Sylvester resultant runs fraction-free Bareiss elimination so it also
 works when the entries are themselves polynomials (exact division only).
 
-A RationalFunction is kept reduced.  Over QQ and over a height-one tower
-QQ(a), coprimality of numerator and denominator is first proved modulo a
+A RationalFunction is kept reduced.  When the numerator or the
+denominator is linear, one evaluation at its root decides exactly
+whether they share it.  When both have degree two or more, over QQ and
+over a height-one tower QQ(a), coprimality is first proved modulo a
 prime (the field's `reduction`, a ring map a -> r into GF(p)): when
 neither leading coefficient vanishes there and the images have a
 constant gcd in GF(p)[t], no common factor of positive degree exists
 over the field, because it would reduce to one of the same degree.
 Only when the images share a factor, or the field has no reduction, is
-the gcd taken exactly by Euclid.  `lcm` uses the same certificate.
+the gcd taken exactly by Euclid.  `lcm` decides the same way.
 """
 
 from fractions import Fraction
@@ -223,9 +225,11 @@ class UniPoly:
             return other.monic()
         if other.is_constant() or self == other:
             return self.monic()
-        if coprime_mod_p(self, other):
+        g = _known_gcd(self, other)
+        if g is None:
+            g = self.gcd(other)
+        if g.is_constant():
             return (self * other).monic()
-        g = self.gcd(other)
         return (self * other).divrem(g)[0].monic()
 
     def compose(self, inner):
@@ -253,6 +257,27 @@ class UniPoly:
     def __repr__(self):
         from .render import render_unipoly
         return f"UniPoly({render_unipoly(self, 'x')})"
+
+
+def _known_gcd(f, g):
+    """The monic gcd of f and the nonconstant g when no Euclid is
+    needed, else None.
+
+    A zero or constant f gives g or 1.  When either is linear, its root
+    decides exactly whether it divides the other.  Otherwise a proof of
+    coprimality modulo a prime (`coprime_mod_p`) gives 1.
+    """
+    field = f.field
+    if f.is_constant():
+        return g.monic() if f.is_zero() else UniPoly.const(field, field.one)
+    if f.degree() == 1 or g.degree() == 1:
+        line, other = (f, g) if f.degree() == 1 else (g, f)
+        if other.evaluate(-line.coeffs[0] / line.coeffs[1]):
+            return UniPoly.const(field, field.one)
+        return line.monic()
+    if coprime_mod_p(f, g):
+        return UniPoly.const(field, field.one)
+    return None
 
 
 def coprime_mod_p(f, g):
@@ -416,8 +441,10 @@ class RationalFunction:
             den = UniPoly.const(field, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if den.degree() > 0 and not coprime_mod_p(num, den):
-            g = num.gcd(den)
+        if den.degree() > 0:
+            g = _known_gcd(num, den)
+            if g is None:
+                g = num.gcd(den)
             if g.degree() > 0:
                 num = num.divrem(g)[0]
                 den = den.divrem(g)[0]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,26 @@ def test_power_cap_on_the_generator_is_input_error(capsys, tmp_path):
     assert out == ""
     assert err == ("input error: x1 (line 2): power of degree above 64 "
                    "at column 7\n")
+
+
+@pytest.mark.parametrize("component,column", [
+    ("t + (((2^64)^64)^64)^64", 18),
+    ("t + (((a + 1)^64)^64)^16", 23),
+])
+def test_nested_constant_powers_are_input_errors(capsys, tmp_path,
+                                                 component, column):
+    # the degree cap counts a constant base as degree one; the bit cap
+    # stops these before they build a 2^18-bit integer or 83,000-bit
+    # coordinates over QQ(sqrt 2)
+    bad = tmp_path / "bad.curve"
+    bad.write_text(f"minpoly = x^2 - 2\nx1 = {component}\n")
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "reparam", str(bad))
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == ("input error: x1 (line 2): constant power above 16384 "
+                   f"bits at column {column}\n")
 
 
 def test_reducible_minpoly_is_input_error(capsys, tmp_path):

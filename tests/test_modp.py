@@ -3,14 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unipoly
+from helpers import input_path, random_field_element, random_unipoly
 
 from hypercircle import fields, modp
+from hypercircle.exprparse import build_problem, parse_curve_file
 from hypercircle.fields import (QQ, FieldElement, FieldTower, is_irreducible,
                                 make_extension)
 from hypercircle.numtheory import is_prime
@@ -151,6 +153,100 @@ def test_degree_pattern_matches_brute_force(seed):
     assert sorted(modp.degree_pattern(f, p)) == _brute_factor_degrees(f, p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(residues, st.integers(min_value=0, max_value=12), monic_gf_polys)
+def test_powmod_of_a_linear_base_matches_naive(c, e, m):
+    assert modp.powmod([c, 1], e, m, P) == _naive_powmod([c, 1], e, m, P)
+
+
+def _random_squarefree(rng, p, n):
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if len(modp.gcd(f, modp.derivative(f, p), p)) == 1:
+            return f
+
+
+def _product_of(factors, p):
+    out = [1]
+    for g in factors:
+        out = modp.mul(out, g, p)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_equal_degree_splits_the_distinct_degree_parts(seed):
+    rng = random.Random(f"factor:{seed}")
+    p = modp.PRIMES[seed % 3]
+    f = _random_squarefree(rng, p, rng.randint(1, 10))
+    parts = modp.distinct_degree(f, p)
+    assert _product_of([g for _, g in parts], p) == f
+    factors = modp.irreducible_factors(parts, p)
+    assert _product_of(factors, p) == f
+    assert sorted(len(g) - 1 for g in factors) == modp.degree_pattern(f, p)
+    for g in factors:
+        assert g[-1] == 1
+        assert modp.degree_pattern(g, p) == [len(g) - 1]
+
+
+def _irreducible_of_degree(rng, p, d):
+    while True:
+        g = _random_squarefree(rng, p, d)
+        if modp.degree_pattern(g, p) == [d]:
+            return g
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_two_factors_split_without_a_power(monkeypatch, seed):
+    # Berlekamp's kernel and a square root split a product of two
+    # irreducible factors of one degree, with no Cantor-Zassenhaus power
+    rng = random.Random(f"pair:{seed}")
+    p = modp.PRIMES[seed % 4]
+    d = 1 + seed % 4
+    u = _irreducible_of_degree(rng, p, d)
+    v = _irreducible_of_degree(rng, p, d)
+    while v == u:
+        v = _irreducible_of_degree(rng, p, d)
+    g = modp.mul(u, v, p)
+    xp = modp.powmod([0, 1], p, g, p)
+
+    def no_power(*args):
+        raise AssertionError("power computed")
+
+    monkeypatch.setattr(modp, "powmod", no_power)
+    assert sorted(modp.equal_degree(g, d, p, xp)) == sorted([u, v])
+
+
+@pytest.mark.parametrize("p", modp.PRIMES[:8] + (3, 5, 13, 17, 97))
+def test_sqrt_of_a_square(p):
+    rng = random.Random(f"sqrt:{p}")
+    for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]:
+        r = modp._sqrt(a * a, p)
+        assert r * r % p == a * a % p
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hensel_lift_lifts_the_factorization(seed):
+    rng = random.Random(f"hensel:{seed}")
+    p = modp.PRIMES[seed % 4]
+    while True:
+        ints = [rng.randint(-10 ** 6, 10 ** 6)
+                for _ in range(rng.randint(2, 9))]
+        ints.append(rng.choice((1, 2, -3, 35)))
+        fp = modp.monic([c % p for c in ints], p)
+        if len(modp.gcd(fp, modp.derivative(fp, p), p)) == 1:
+            break
+    factors = modp.irreducible_factors(modp.distinct_degree(fp, p), p)
+    bound = 10 ** rng.randint(3, 60)
+    m, lifted = modp.hensel_lift(ints, factors, p, bound)
+    # the least p^(2^k) above the bound
+    assert m > bound and (m == p or isqrt(m) <= bound)
+    assert modp.mul([ints[-1] % m], _product_of(lifted, m), m) == \
+        [c % m for c in ints]
+    for g, u in zip(lifted, factors):
+        assert g[-1] == 1
+        assert [c % p for c in g] == u
+
+
 # ---------------------------------------------------------------------------
 # coprimality certificate
 
@@ -219,6 +315,33 @@ def test_reduction_matches_the_exact_gcd(name, seed):
         assert rf.den.coeffs == den.coeffs
         if coprime_mod_p(f, g):
             assert f.gcd(g).degree() == 0
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("seed", range(6))
+def test_planted_common_linear_factor_is_decided_at_its_root(name, seed):
+    K = _get_field(name)
+    rng = random.Random(f"linear:{name}:{seed}")
+    for _ in range(4):
+        line = UniPoly(K, (random_field_element(rng, K, 3),
+                           random_field_element(rng, K, 3) or K.one))
+        f = random_unipoly(rng, K, 3) * line
+        g = random_unipoly(rng, K, 2)
+        g = (g if g.degree() > 0 else UniPoly.x(K)) * line
+        for num, den in ((f, line), (line, g), (line, line), (g, line)):
+            rf = RationalFunction(num, den)
+            assert (rf.num, rf.den) == _exact_reduced(num, den)
+            assert num.lcm(den) == (num * den // num.gcd(den)).monic()
+    # a linear polynomial meets every other one exactly, with no search
+    # for a residue map
+    assert getattr(K, "_reduction", None) is None
+
+
+def test_build_problem_searches_no_residue_map():
+    # every denominator of the bundled quartic is linear
+    phi = build_problem(parse_curve_file(input_path(
+        "quartic.curve").read_text()))
+    assert phi.field._reduction is None
 
 
 def test_every_test_field_has_a_reduction():
@@ -358,6 +481,18 @@ def test_exact_fallback_gives_the_same_answers(monkeypatch, coeffs):
     monkeypatch.setattr(modp, "PRIMES", ())
     assert not fields._irreducible_mod_primes(f.monic())
     assert is_irreducible(f) == certified
+
+
+@pytest.mark.parametrize("coeffs", [(-7, 0, 0, 0, 1), (-2, 0, 1),
+                                    (1, 1) + (0,) * 8 + (1,)])
+def test_certified_irreducible_takes_no_exact_gcd(monkeypatch, coeffs):
+    # the squarefree part over QQ is sought only when no tried prime
+    # keeps f squarefree
+    def no_gcd(self, other):
+        raise AssertionError("gcd over QQ computed")
+
+    monkeypatch.setattr(UniPoly, "gcd", no_gcd)
+    assert is_irreducible(_qq_poly(coeffs)) == (True, None)
 
 
 def test_certificate_decides_without_the_exact_search(monkeypatch):

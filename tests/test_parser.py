@@ -98,6 +98,21 @@ def test_power_cap_reads_the_degree_in_t(qi, src, ok):
     assert exc.value.column == src.rindex("^") + 2
 
 
+@pytest.mark.parametrize("src,column", [
+    ("((2^64)^64)^64", 13),
+    ("(3*t)^64 + ((1/3^40)^40)^40", 26),
+])
+def test_power_cap_reads_the_bits_of_a_constant(src, column):
+    # a constant base counts as degree one, so nested powers of constants
+    # pass the degree cap; the bit cap is checked before the power is
+    # built
+    with pytest.raises(ExpressionError) as exc:
+        parse_fraction(src, ("t",))
+    assert exc.value.reason == "constant power above 16384 bits"
+    assert exc.value.column == column
+    parse_fraction("((2^64)^64)^3 + (3*t)^64", ("t",))
+
+
 def test_power_of_the_generator_is_reduced(qi):
     # i^40 = 1 and i^2 = -1
     t40 = UniPoly(qi, (0,) * 40 + (1,))

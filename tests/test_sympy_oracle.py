@@ -4,6 +4,7 @@ sympy is a test-only extra; the module is skipped when it is absent.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,16 +12,19 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
+from sympy.polys.specialpolys import swinnerton_dyer_poly  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 from helpers import random_composite, random_ecm_composite  # noqa: E402
 
+from hypercircle import fields  # noqa: E402
 from hypercircle.fields import (QQ, FieldTower, canonical_key,  # noqa: E402
                                 is_irreducible, min_poly_over_q,
                                 roots_in_field)
 from hypercircle.groebner import buchberger, eliminate, saturate  # noqa: E402
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order  # noqa: E402
-from hypercircle.numtheory import factorize  # noqa: E402
+from hypercircle.numtheory import (SearchCapExceededError,  # noqa: E402
+                                   factorize)
 from hypercircle.upoly import (RationalFunction, UniPoly,  # noqa: E402
                                rational_roots, resultant)
 
@@ -315,6 +319,106 @@ def test_is_irreducible_over_qq_matches_sympy(seed):
     if not ok:
         assert 0 < factor.degree() < f.degree()
         assert (f.monic() % factor).is_zero()
+
+
+def _rootless_unipoly(rng, degree, span):
+    """A random polynomial of the given degree with no rational root."""
+    while True:
+        f = _random_unipoly(rng, degree, span)
+        if not rational_roots(f):
+            return f
+
+
+def _decided_in_time(f, seconds=2.0):
+    start = time.monotonic()
+    result = is_irreducible(f)
+    assert time.monotonic() - start < seconds
+    return result
+
+
+def _check_against_sympy(f, result):
+    ok, factor = result
+    sym = sympy.Poly(_unipoly_to_sympy(f), X, domain="QQ")
+    assert ok == sym.is_irreducible
+    if not ok:
+        # a witness of the least degree of any factor, dividing f
+        least = min(g.degree() for g, _ in sym.factor_list()[1])
+        assert factor.degree() == least
+        assert factor.is_monic()
+        assert (f.monic() % factor).is_zero()
+        assert sympy.Poly(_unipoly_to_sympy(factor), X,
+                          domain="QQ").is_irreducible
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_planted_factor_without_a_rational_root_matches_sympy(seed):
+    # an irreducible quadratic or cubic times a cofactor, degree 5..10,
+    # none with a rational root: the rational root test finds nothing,
+    # so the modular factor search decides; from seed 12 on the
+    # coefficients need Hensel lifting past the first power of p
+    rng = random.Random(f"planted-irreducible:{seed}")
+    small = 2 + seed % 2
+    degree = 5 + seed % 6
+    span = 6 if seed < 12 else 10 ** 9
+    f = (_rootless_unipoly(rng, small, span) *
+         _rootless_unipoly(rng, degree - small, span))
+    _check_against_sympy(f, _decided_in_time(f))
+
+
+def _swinnerton_dyer(n):
+    poly = sympy.Poly(swinnerton_dyer_poly(n, X), X)
+    return UniPoly(QQ, [Fraction(int(c)) for c in reversed(poly.all_coeffs())])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_swinnerton_dyer_polynomials_are_irreducible(n):
+    # degrees 8 and 16: every modular factor has degree at most 2, so the
+    # degree patterns never decide and recombination tries every subset
+    f = _swinnerton_dyer(n)
+    assert f.degree() == 2 ** n
+    result = _decided_in_time(f)
+    assert result == (True, None)
+    _check_against_sympy(f, result)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, -10, 0, 1), (1, 0, 0, 0, 1), (8, -16, 12, -4, 1),
+    (4, 0, 0, 0, 1), (1, 0, -14, 0, 1), (9, 0, 0, 0, 0, 0, 0, 0, 1),
+])
+def test_quartic_families_need_no_split_search(monkeypatch, coeffs):
+    # every degree pattern of x^4 - 10x^2 + 1, x^4 + 1 and the bundled
+    # quartic (Galois group V4) allows a quadratic factor; x^4 + 4,
+    # x^4 - 14x^2 + 1 and x^8 + 9 have one
+    def no_search(*args):
+        raise AssertionError("split search ran")
+
+    monkeypatch.setattr(fields, "_find_split", no_search)
+    f = UniPoly(QQ, [Fraction(c) for c in coeffs])
+    _check_against_sympy(f, _decided_in_time(f))
+
+
+@pytest.mark.parametrize("coeffs,power", [
+    ((1, 1, 0, 0, 1), 2), ((-1, -1, 0, 0, 0, 1), 2), ((3, 0, 1), 3),
+    ((-2, 0, 0, 1), 2), ((5, 1), 4),
+])
+def test_square_factors_need_no_split_search(monkeypatch, coeffs, power):
+    # no prime keeps a square factor squarefree, so the degree patterns
+    # say nothing; the split search ran past 40 s on (x^4 + x + 1)^2
+    def no_search(*args):
+        raise AssertionError("split search ran")
+
+    monkeypatch.setattr(fields, "_find_split", no_search)
+    base = UniPoly(QQ, [Fraction(c) for c in coeffs])
+    f = base ** power * UniPoly(QQ, (3, 0, 1))
+    _check_against_sympy(f, _decided_in_time(f))
+
+
+def test_recombination_cap_raises(monkeypatch):
+    # degree 8 with four quadratic factors modulo every prime: ten subsets
+    # of degree 2 or 4 to try
+    monkeypatch.setattr(fields, "_RECOMBINATION_CAP", 3)
+    with pytest.raises(SearchCapExceededError):
+        is_irreducible(_swinnerton_dyer(3))
 
 
 @pytest.mark.parametrize("seed", range(30))
