@@ -606,14 +606,16 @@ def is_irreducible(f: UniPoly):
 
     Over QQ the factor degrees of f modulo a few primes leave the
     degrees a factor can have (`_modular_degrees`).  A linear factor is
-    sought by the rational root test; any other degree left is decided
-    by factoring f modulo the prime with the fewest factors, Hensel
-    lifting and Zassenhaus recombination (`_recombine`), which raises
-    SearchCapExceededError past `_RECOMBINATION_CAP` candidates.  An f
-    that is not squarefree is decided by its squarefree part.  Over an
-    extension, and over a squarefree f that no tried prime keeps
-    squarefree, linear factors are found through roots in the field and
-    higher ones by coefficient matching solved over QQ (`_find_split`).
+    sought by the rational root test, which may factor integers, so the
+    primes run on while degree 1 is left.  Any other degree left is
+    decided by factoring f modulo the tried prime with the fewest
+    factors, Hensel lifting and Zassenhaus recombination (`_recombine`),
+    which raises SearchCapExceededError past `_RECOMBINATION_CAP`
+    candidates.  An f that is not squarefree is decided by its
+    squarefree part.  Over an extension, and over a squarefree f that no
+    tried prime keeps squarefree, linear factors are found through roots
+    in the field and higher ones by coefficient matching solved over QQ
+    (`_find_split`).
     """
     d = f.degree()
     if d < 1:
@@ -657,17 +659,6 @@ def is_irreducible(f: UniPoly):
 # patterns and go on to the factor search.
 _PATTERN_PRIMES = 16
 
-# Once no linear factor is left, _modular_degrees stops at a prime with
-# at most this many factors: splitting and recombining them, at most this
-# many subsets, costs about what one or two more degree patterns do, and
-# the patterns of a group such as V4 never prove irreducibility.
-_FEW_FACTORS = 3
-
-# When |f(0) * lc| of the integer form is below this, the rational root
-# test costs less than a degree pattern, so _modular_degrees leaves
-# degree 1 to it as soon as no higher degree is left.
-_SMALL_ROOT_TEST = 1 << 16
-
 # Subsets of modular factors `_recombine` tries before it gives up.
 _RECOMBINATION_CAP = 4096
 
@@ -685,7 +676,11 @@ def _modular_degrees(f: UniPoly):
     over QQ of f may have, and modular is (the distinct-degree
     factorization of f modulo p, p, x^p modulo f) at the tried prime p
     with the fewest factors, or None when no tried prime keeps f
-    squarefree.
+    squarefree.  The primes stop at the first that leaves no degree,
+    or at the first that leaves no degree 1 once the subsets of the
+    best prime's factors are within `_RECOMBINATION_CAP`: the degrees
+    above 1 are then decided exactly by `_recombine`, and further
+    patterns would only save it work.
 
     A monic factor over QQ of f is integral at every prime p that
     divides no denominator of f, so it reduces to a factor of the same
@@ -715,10 +710,7 @@ def _modular_degrees(f: UniPoly):
             return [], None
         if best is None or count < best[0]:
             best = (count, parts, p, xp)
-        if 1 not in allowed and best[0] <= _FEW_FACTORS:
-            break
-        if abs(ints[0] * ints[-1]) < _SMALL_ROOT_TEST and not any(
-                k in allowed for k in range(2, n // 2 + 1)):
+        if 1 not in allowed and 1 << best[0] <= _RECOMBINATION_CAP:
             break
     degrees = [k for k in range(1, n // 2 + 1) if k in allowed]
     return degrees, best and best[1:]

@@ -7,8 +7,7 @@ monic gcds, powers modulo a polynomial, and one factoring path for a
 squarefree polynomial (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 14): `distinct_degree` splits it into the products of its
 irreducible factors of each degree, and `equal_degree` splits each
-product by Cantor-Zassenhaus, or by Berlekamp's kernel and a modular
-square root when it has two factors.  `degree_pattern` (the factor degrees)
+product by Cantor-Zassenhaus.  `degree_pattern` (the factor degrees)
 and `root` (a root of a polynomial with distinct linear factors) are
 thin uses of the two.  `hensel_lift` lifts the factorization of an
 integer polynomial modulo p to one modulo a power of p (ch. 15) for the
@@ -28,11 +27,10 @@ PRIMES = (
     32441, 32429,
 )
 
-# Shifts equal_degree tries before it gives up; each one splits a
-# product of two or more distinct factors with probability about one
-# half.  Try i shifts by i * _SHIFT_STRIDE mod p.
+# Shifts x + c, c < _SPLIT_TRIES, that equal_degree tries before it
+# gives up; each one splits a product of two or more distinct factors
+# with probability about one half.
 _SPLIT_TRIES = 40
-_SHIFT_STRIDE = 7919
 
 
 def trim(f):
@@ -102,33 +100,15 @@ def _mulmod(f, g, m, p):
 
 
 def powmod(f, e, m, p):
-    """f^e modulo the monic nonconstant m, by left-to-right squarings.
-
-    A monic linear base x + c, the one the factoring path raises to
-    large powers, is multiplied in by a shift, a scaled addition and at
-    most one reduction step instead of a full product.
-    """
+    """f^e modulo the monic nonconstant m."""
     out = [1]
-    if len(f) != 2 or f[1] != 1:
-        base = rem(f, m, p)
-        for bit in bin(e)[2:]:
-            out = _mulmod(out, out, m, p)
-            if bit == "1":
-                out = _mulmod(out, base, m, p)
-        return out
-    d = len(m) - 1
-    shift = f[0]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, m, p)
-        if bit == "1":
-            up = [0] + out
-            if shift:
-                for i, c in enumerate(out):
-                    up[i] += shift * c
-            if len(up) > d:
-                c = up.pop()
-                up = [v - c * w for v, w in zip(up, m)]
-            out = trim([v % p for v in up])
+    base = rem(f, m, p)
+    while e:
+        if e & 1:
+            out = _mulmod(out, base, m, p)
+        e >>= 1
+        if e:
+            base = _mulmod(base, base, m, p)
     return out
 
 
@@ -226,15 +206,11 @@ def equal_degree(f, d, p, xp=None):
     tries do not split it completely.  xp, when given, is x^p modulo a
     multiple of f.
 
-    A piece with two factors is split by `_split_pair`, with no power.
-    Larger pieces by Cantor-Zassenhaus: gcd(b - 1, g) with
-    b = (x + c)^((p^d-1)/2) collects the factors of g modulo which x + c
-    is a nonzero square; each try, with its own shift c, is applied to
-    every piece not yet split.  The shifts step through GF(p) by a large
-    stride, so that they are not the small values where a binomial's
-    factors tend to agree.  Since (p^d-1)/2 = (p-1)/2 * (1 + p + ... +
-    p^(d-1)), b is the product of the Frobenius images of
-    u = (x + c)^((p-1)/2).
+    Cantor-Zassenhaus: gcd(b - 1, g) with b = (x + c)^((p^d-1)/2)
+    collects the factors of g modulo which x + c is a nonzero square;
+    each try, with its own shift c, is applied to every piece not yet
+    split.  Since (p^d-1)/2 = (p-1)/2 * (1 + p + ... + p^(d-1)), b is the
+    product of the Frobenius images of u = (x + c)^((p-1)/2).
     """
     e = (p - 1) // 2
     done = []
@@ -245,13 +221,7 @@ def equal_degree(f, d, p, xp=None):
             if len(g) - 1 == d:
                 done.append(g)
                 continue
-            if len(g) - 1 == 2 * d:
-                rows = rows or _frobenius_rows(g, p, xp)
-                pair = _split_pair(g, rows, p)
-                if pair:
-                    done += pair
-                    continue
-            b = u = powmod([i * _SHIFT_STRIDE % p, 1], e, g, p)
+            b = u = powmod([i, 1], e, g, p)
             if d > 1:
                 rows = rows or _frobenius_rows(g, p, xp)
                 for _ in range(d - 1):
@@ -267,75 +237,6 @@ def equal_degree(f, d, p, xp=None):
         if not pieces:
             return done
     return None
-
-
-def _split_pair(g, rows, p):
-    """The two factors of g, a product of two distinct irreducible
-    factors of one degree, from the Frobenius rows of g; None when the
-    kernel below is not two-dimensional.
-
-    Berlekamp: the h mod g with h^p = h are those congruent to a
-    constant modulo each factor, a plane spanned by 1 and some h.  As
-    h^2 lies in it too, h^2 = s*h + u, so the constants c1, c2 of h
-    modulo the two factors are the roots of y^2 - s*y - u, and
-    gcd(g, h - c1) is one factor.
-    """
-    n = len(g) - 1
-    # column i - 1 of a: the coordinates of x^(i*p) - x^i, for i >= 1
-    a = [[(rows[i][j] if j < len(rows[i]) else 0) - (i == j)
-          for i in range(1, n)] for j in range(n)]
-    pivots = []
-    for c in range(n - 1):
-        r = len(pivots)
-        k = next((k for k in range(r, n) if a[k][c] % p), None)
-        if k is None:
-            continue
-        a[r], a[k] = a[k], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for k in range(n):
-            if k != r and a[k][c] % p:
-                m = a[k][c]
-                a[k] = [(v - m * w) % p for v, w in zip(a[k], a[r])]
-        pivots.append(c)
-    free = [c for c in range(n - 1) if c not in pivots]
-    if len(free) != 1:
-        return None
-    h = [0] * n
-    h[free[0] + 1] = 1
-    for r, c in enumerate(pivots):
-        h[c + 1] = -a[r][free[0]] % p
-    h = trim(h)
-    h2 = _mulmod(h, h, g, p) + [0] * n
-    k = next(k for k in range(1, n) if k < len(h) and h[k])
-    s = h2[k] * pow(h[k], -1, p) % p
-    c = (s + _sqrt(s * s + 4 * h2[0], p)) * (p + 1) // 2 % p
-    w = gcd(g, trim([-c % p] + h[1:]), p)
-    return [w, quo(g, w, p)]
-
-
-def _sqrt(a, p):
-    """A square root of the square a modulo the odd prime p
-    (Tonelli-Shanks)."""
-    a %= p
-    if not a:
-        return 0
-    q, e = p - 1, 0
-    while not q & 1:
-        q >>= 1
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, u = 0, t
-        while u != 1:
-            u = u * u % p
-            i += 1
-        b = pow(c, 1 << (e - i - 1), p)
-        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
 
 
 def irreducible_factors(parts, p, xp=None):

@@ -153,12 +153,6 @@ def test_degree_pattern_matches_brute_force(seed):
     assert sorted(modp.degree_pattern(f, p)) == _brute_factor_degrees(f, p)
 
 
-@settings(max_examples=80, deadline=None)
-@given(residues, st.integers(min_value=0, max_value=12), monic_gf_polys)
-def test_powmod_of_a_linear_base_matches_naive(c, e, m):
-    assert modp.powmod([c, 1], e, m, P) == _naive_powmod([c, 1], e, m, P)
-
-
 def _random_squarefree(rng, p, n):
     while True:
         f = [rng.randrange(p) for _ in range(n)] + [1]
@@ -186,42 +180,6 @@ def test_equal_degree_splits_the_distinct_degree_parts(seed):
     for g in factors:
         assert g[-1] == 1
         assert modp.degree_pattern(g, p) == [len(g) - 1]
-
-
-def _irreducible_of_degree(rng, p, d):
-    while True:
-        g = _random_squarefree(rng, p, d)
-        if modp.degree_pattern(g, p) == [d]:
-            return g
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_two_factors_split_without_a_power(monkeypatch, seed):
-    # Berlekamp's kernel and a square root split a product of two
-    # irreducible factors of one degree, with no Cantor-Zassenhaus power
-    rng = random.Random(f"pair:{seed}")
-    p = modp.PRIMES[seed % 4]
-    d = 1 + seed % 4
-    u = _irreducible_of_degree(rng, p, d)
-    v = _irreducible_of_degree(rng, p, d)
-    while v == u:
-        v = _irreducible_of_degree(rng, p, d)
-    g = modp.mul(u, v, p)
-    xp = modp.powmod([0, 1], p, g, p)
-
-    def no_power(*args):
-        raise AssertionError("power computed")
-
-    monkeypatch.setattr(modp, "powmod", no_power)
-    assert sorted(modp.equal_degree(g, d, p, xp)) == sorted([u, v])
-
-
-@pytest.mark.parametrize("p", modp.PRIMES[:8] + (3, 5, 13, 17, 97))
-def test_sqrt_of_a_square(p):
-    rng = random.Random(f"sqrt:{p}")
-    for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]:
-        r = modp._sqrt(a * a, p)
-        assert r * r % p == a * a % p
 
 
 @pytest.mark.parametrize("seed", range(20))
