@@ -28,7 +28,8 @@ from .quadfields import (ConicSpec, crt_set, parametrization_fields,
                          prime_set, verify_pairwise_distinct)
 from .render import (render_field_element, render_fraction, render_mpoly,
                      render_point, render_rational, render_unipoly)
-from .reparam import coefficient_field_degree, optimal_affine_reparametrize
+from .reparam import (coefficient_field_degree, optimal_affine_reparametrize,
+                      require_proper)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,6 +65,7 @@ def _parametrization_json(phi):
 
 def _cmd_reparam(args):
     phi, budget = _read_problem(args.file, args.budget)
+    require_proper(phi)
     rep = optimal_affine_reparametrize(phi, budget)
     report = {
         "command": "reparam",

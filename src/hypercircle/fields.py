@@ -18,14 +18,14 @@ modulo primes: the factor degrees of f modulo a few primes
 QQ can have; a linear factor is sought by the rational root test, and
 any other degree left by factoring f modulo one prime, Hensel lifting
 and Zassenhaus recombination over ZZ (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 14-15).  Over other fields, and for
-roots, primitive elements and membership, the routines use linear
-algebra and Groebner bases over the rationals: a root or a factor is
-sought as a generic element sum_i u_i * b_i over the QQ-basis b_i of the
-field, with the u_i unknown; the polynomial condition on it, computed
-over the field, is split along flatten into equations over QQ.  A
-FieldTower is the only model of an extension: every routine that works
-over one reads it from the data it is given.
+*Modern Computer Algebra*, ch. 14-15).  Over an extension L(a), f is
+factored by Trager's norm: a shift f(x - s*a) whose norm to L is
+squarefree, that norm factored over L (over QQ as above, over QQ(g)
+by the same norm one level down), and one gcd per factor; the roots
+in the field are the linear factors.  Primitive elements and
+membership are linear algebra over QQ.  A FieldTower is the only model
+of an extension: every routine that works over one reads it from the
+data it is given.
 
 QQ and every height-one tower also offer a reduction modulo a prime
 (`reduction`), a ring map into GF(p) on the elements whose denominators
@@ -39,10 +39,10 @@ one inverse.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, isqrt
 
 from . import linalg, modp
-from .groebner import rational_solutions
 from .mpoly import MultiPoly
 from .numtheory import SearchCapExceededError
 from .upoly import UniPoly, rational_roots
@@ -67,12 +67,6 @@ class RationalField:
 
     def qq_dim(self):
         return 1
-
-    def flatten(self, x):
-        return [self.coerce(x)]
-
-    def unflatten(self, vec):
-        return vec[0]
 
     def reduction(self):
         """(p, image): a prime and the residue map QQ -> GF(p); image(c)
@@ -608,14 +602,11 @@ def is_irreducible(f: UniPoly):
     degrees a factor can have (`_modular_degrees`).  A linear factor is
     sought by the rational root test, which may factor integers, so the
     primes run on while degree 1 is left.  Any other degree left is
-    decided by factoring f modulo the tried prime with the fewest
-    factors, Hensel lifting and Zassenhaus recombination (`_recombine`),
-    which raises SearchCapExceededError past `_RECOMBINATION_CAP`
-    candidates.  An f that is not squarefree is decided by its
-    squarefree part.  Over an extension, and over a squarefree f that no
-    tried prime keeps squarefree, linear factors are found through roots
-    in the field and higher ones by coefficient matching solved over QQ
-    (`_find_split`).
+    decided by Hensel lifting and Zassenhaus recombination of the
+    factors of f modulo a prime (`_recombine`), which raises
+    SearchCapExceededError past `_RECOMBINATION_CAP` candidates.  An f
+    that is not squarefree is decided by its squarefree part.  Over an
+    extension f is factored by Trager's norm (`_tower_factors`).
     """
     d = f.degree()
     if d < 1:
@@ -623,34 +614,39 @@ def is_irreducible(f: UniPoly):
     if d == 1:
         return True, None
     f = f.monic()
-    field = f.field
-    degrees, modular = range(1, d // 2 + 1), None
-    if field is QQ:
+    if f.field is not QQ:
+        factors = _tower_factors(f)
+    else:
         degrees, modular = _modular_degrees(f)
         if degrees and modular is None:
             # no tried prime keeps f squarefree; when f is not squarefree
             # over QQ either, its factors are those of its squarefree part
-            slope = UniPoly(QQ, [k * c for k, c in enumerate(f.coeffs)][1:])
-            common = f.gcd(slope)
+            common = f.gcd(_derivative(f))
             if common.degree() > 0:
                 part = f // common
                 ok, factor = is_irreducible(part)
                 return False, part if ok else factor
-    if 1 in degrees:
-        roots = roots_in_field(f, field)
-        if roots:
-            x = UniPoly(field, (field.zero, field.one))
-            return False, x - UniPoly.const(field, roots[0])
-    degrees = [k for k in degrees if k > 1]
-    if not degrees:
-        return True, None
-    factors = modular and modp.irreducible_factors(*modular)
-    if factors:
-        factor = _recombine(f, modular[1], factors, degrees)
-    else:
-        splits = (_find_split(f, k) for k in degrees)
-        factor = next((g for g in splits if g is not None), None)
-    return (True, None) if factor is None else (False, factor)
+        if 1 in degrees:
+            roots = roots_in_field(f, QQ)
+            if roots:
+                return False, UniPoly(QQ, (-roots[0], 1))
+        degrees = [k for k in degrees if k > 1]
+        factors = _recombine(f, degrees, modular) if degrees else [f]
+    return (True, None) if factors == [f] else (False, _least(factors))
+
+
+def _least(factors):
+    """The witness among monic irreducible factors: x - r for the least
+    root r, else the least degree, then the least coefficient keys."""
+    def key(g):
+        if g.degree() == 1:
+            return 1, canonical_key(-g[0])
+        return g.degree(), [canonical_key(c) for c in g.coeffs]
+    return min(factors, key=key)
+
+
+def _derivative(f: UniPoly):
+    return UniPoly(f.field, [k * c for k, c in enumerate(f.coeffs)][1:])
 
 
 # Primes of modp.PRIMES whose degree patterns _modular_degrees
@@ -667,6 +663,20 @@ def _integer_form(f: UniPoly):
     """The primitive integer multiple of the monic f over QQ, ascending;
     its leading coefficient is the common denominator of f."""
     return _clear_denominators(f.coeffs)[0]
+
+
+def _reductions(ints, primes):
+    """(distinct-degree factorization, p, x^p) of the integer polynomial
+    ints modulo each prime p of primes that divides neither its leading
+    coefficient nor its discriminant."""
+    for p in primes:
+        if not ints[-1] % p:
+            continue
+        fp = modp.monic([c % p for c in ints], p)
+        if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
+            continue
+        xp = modp.powmod([0, 1], p, fp, p)
+        yield modp.distinct_degree(fp, p, xp), p, xp
 
 
 def _modular_degrees(f: UniPoly):
@@ -688,17 +698,10 @@ def _modular_degrees(f: UniPoly):
     sum of some of the degrees of the irreducible factors of f modulo p.
     """
     n = f.degree()
-    ints = _integer_form(f)
     allowed = set(range(n + 1))
     best = None
-    for p in modp.PRIMES[:_PATTERN_PRIMES]:
-        if not ints[-1] % p:
-            continue
-        fp = modp.monic([c % p for c in ints], p)
-        if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
-            continue
-        xp = modp.powmod([0, 1], p, fp, p)
-        parts = modp.distinct_degree(fp, p, xp)
+    for parts, p, xp in _reductions(_integer_form(f),
+                                    modp.PRIMES[:_PATTERN_PRIMES]):
         sums = {0}
         count = 0
         for k, g in parts:
@@ -706,10 +709,10 @@ def _modular_degrees(f: UniPoly):
                 sums |= {s + k for s in sums}
                 count += 1
         allowed &= sums
-        if not any(k in allowed for k in range(1, n // 2 + 1)):
-            return [], None
         if best is None or count < best[0]:
             best = (count, parts, p, xp)
+        if not any(k in allowed for k in range(1, n // 2 + 1)):
+            break
         if 1 not in allowed and 1 << best[0] <= _RECOMBINATION_CAP:
             break
     degrees = [k for k in range(1, n // 2 + 1) if k in allowed]
@@ -722,52 +725,67 @@ def _irreducible_mod_primes(f: UniPoly):
     return not _modular_degrees(f)[0]
 
 
-def _recombine(f: UniPoly, p, factors, degrees):
-    """The monic factor over QQ of the monic squarefree f of the least
-    degree in degrees, the least by canonical keys among those; None
-    when f has none.
+def _recombine(f: UniPoly, degrees, modular):
+    """The monic irreducible factors over QQ of the monic squarefree f,
+    given the degrees, ascending, that its factors of degree at most
+    deg f / 2 may have and `_modular_degrees`' modular.
 
-    With F the primitive integer multiple of f and b its leading
-    coefficient, a factor G of degree k over ZZ is, modulo p, a unit
-    times the product of a subset of the modular factors, whose degrees
-    sum to k.  Mignotte bounds the i-th coefficient of G by C(k, i) M(G),
-    and M(G) <= M(F) |lc(G)/b| <= ||F||_2 |lc(G)/b| (Landau), so b/lc(G)
-    * G has coefficients at most C(k, k/2) ||F||_2 in absolute value.
-    Once the factors are lifted modulo m above twice that bound, it is
-    the symmetric residue of b times the subset's product.  Each
-    candidate's primitive part is tried by division over ZZ (von zur
-    Gathen and Gerhard, Algorithm 15.19).
+    f is factored modulo the prime of modular, else modulo the first
+    prime of `modp.primes()` that keeps it squarefree.  With F the
+    primitive integer multiple of f and b its leading coefficient, a
+    factor G of degree k over ZZ is, modulo p, a unit times the product
+    of a subset of the modular factors, whose degrees sum to k.
+    Mignotte bounds the i-th coefficient of G by C(k, i) M(G), and M(G)
+    <= M(F) |lc(G)/b| <= ||F||_2 |lc(G)/b| (Landau), so b/lc(G) * G has
+    coefficients at most C(k, k/2) ||F||_2 in absolute value.  Once the
+    factors are lifted modulo m above twice that bound, it is the
+    symmetric residue of b times the subset's product.  Each candidate's
+    primitive part is tried by division over ZZ and, when it divides, is
+    divided out with its subset; the bound holds for the cofactor too
+    (von zur Gathen and Gerhard, Algorithm 15.19).  What is left once
+    every degree is tried is irreducible.
     """
     ints = _integer_form(f)
-    b = ints[-1]
+    for parts, p, xp in chain([modular] if modular else [],
+                              _reductions(ints, modp.primes())):
+        factors = modp.irreducible_factors(parts, p, xp)
+        if factors is not None:
+            break
     top = max(degrees)
     bound = comb(top, top // 2) * (isqrt(sum(c * c for c in ints)) + 1)
     m, lifted = modp.hensel_lift(ints, factors, p, 2 * bound)
-    sizes = [len(u) - 1 for u in lifted]
+    found = []
     tried = 0
     for k in degrees:
-        found = []
-        for subset in _subsets(sizes, k, 0):
+        if 2 * k > len(ints) - 1:
+            break
+        used = set()
+        for subset in _subsets([len(u) - 1 for u in lifted], k, 0):
+            if used.intersection(subset):
+                continue
             tried += 1
             if tried > _RECOMBINATION_CAP:
                 raise SearchCapExceededError(
                     f"factor recombination cap of {_RECOMBINATION_CAP} "
                     "subsets exceeded")
-            g = [b]
+            g = [ints[-1]]
             for i in subset:
                 g = modp.mul(g, lifted[i], m)
             g = [c - m if 2 * c > m else c for c in g]
             # the constant term of a factor divides b * F(0)
-            if ints[0] and (not g[0] or b * ints[0] % g[0]):
+            if ints[0] and (not g[0] or ints[-1] * ints[0] % g[0]):
                 continue
             content = gcd(*g)
             g = [c // content for c in g]
-            if _divides_zz(g, ints):
+            quotient = _quotient_zz(ints, g)
+            if quotient is not None:
                 found.append(UniPoly(QQ, [Fraction(c, g[-1]) for c in g]))
-        if found:
-            return min(found, key=lambda u: [canonical_key(c)
-                                             for c in u.coeffs])
-    return None
+                ints = quotient
+                used.update(subset)
+        lifted = [u for i, u in enumerate(lifted) if i not in used]
+    if len(ints) > 1:
+        found.append(UniPoly(QQ, [Fraction(c, ints[-1]) for c in ints]))
+    return found
 
 
 def _subsets(sizes, k, start):
@@ -781,87 +799,75 @@ def _subsets(sizes, k, start):
                 yield (i,) + rest
 
 
-def _divides_zz(g, ints):
-    """Whether the integer polynomial g divides ints over ZZ."""
+def _quotient_zz(ints, g):
+    """ints / g over ZZ for integer polynomials, or None when g does not
+    divide ints."""
     r = list(ints)
     d = len(g) - 1
+    q = [0] * (len(r) - d)
     for i in range(len(r) - 1, d - 1, -1):
-        q, rest = divmod(r[i], g[-1])
+        c, rest = divmod(r[i], g[-1])
         if rest:
-            return False
-        if q:
+            return None
+        q[i - d] = c
+        if c:
             for j in range(d + 1):
-                r[i - d + j] -= q * g[j]
-    return not any(r[:d])
-
-
-def _find_split(f: UniPoly, d1):
-    """A monic degree-d1 factor of monic f, or None.
-
-    The unknown coefficients of the factor g and the cofactor h are
-    generic elements of the coefficient field, and g * h = f is split
-    into a zero-dimensional system over QQ.
-    """
-    field = f.field
-    d = f.degree()
-    dim = field.qq_dim()
-    nvars = d * dim
-    one = MultiPoly.const(field, nvars, field.one)
-    g = [_generic_element(field, nvars, k * dim) for k in range(d1)]
-    h = [_generic_element(field, nvars, (d1 + k) * dim)
-         for k in range(d - d1)]
-    prod = [MultiPoly.const(field, nvars, -c) for c in f.coeffs]
-    for i, gi in enumerate(g + [one]):
-        for j, hj in enumerate(h + [one]):
-            prod[i + j] = prod[i + j] + gi * hj
-    eqs = []
-    for p in prod:
-        eqs.extend(_qq_equations(p))
-    sols = rational_solutions(eqs, nvars)
-    if not sols:
-        return None
-    sol = sols[0]
-    coeffs = [field.unflatten(list(sol[k * dim:(k + 1) * dim]))
-              for k in range(d1)]
-    return UniPoly(field, coeffs + [field.one])
-
-
-def _generic_element(field, nvars, start):
-    """sum_i u_(start+i) * b_i over the QQ-basis b_i of field: an
-    element with unknown QQ coordinates, as a MultiPoly over field."""
-    dim = field.qq_dim()
-    terms = {}
-    for i in range(dim):
-        unit = [Fraction(0)] * dim
-        unit[i] = Fraction(1)
-        e = [0] * nvars
-        e[start + i] = 1
-        terms[tuple(e)] = field.unflatten(unit)
-    return MultiPoly(field, nvars, terms, _clean=True)
-
-
-def _qq_equations(p):
-    """The nonzero QQ coordinates of the MultiPoly p over a field, each
-    a MultiPoly over QQ; p vanishes exactly where they all do."""
-    field = p.field
-    coords = [{} for _ in range(field.qq_dim())]
-    for e, c in p.terms.items():
-        for k, ck in enumerate(field.flatten(c)):
-            if ck:
-                coords[k][e] = ck
-    return [MultiPoly(QQ, p.arity, t, _clean=True) for t in coords if t]
+                r[i - d + j] -= c * g[j]
+    return None if any(r[:d]) else q
 
 
 # ---------------------------------------------------------------------------
-# roots inside a field
+# factors and roots over an extension
+
+
+def _tower_factors(f: UniPoly):
+    """The monic irreducible factors of the squarefree part of the monic
+    f over a tower K = L(a) of degree n over L, by Trager's norm
+    (B. Trager, SYMSAC 1976).
+
+    With h the squarefree part, g(x) = h(x - s*a) for s = 0, 1, -1, 2,
+    ... has the norm N over L, the product of its n conjugates: the
+    determinant of multiplication by g, which `descent` computes.  At
+    most C(n * deg h, 2) shifts leave N with a square factor.  Once N is
+    squarefree, each irreducible factor N_i of N over L, of a degree
+    divisible by n, gives one irreducible factor gcd(g, N_i)(x + s*a) of
+    h.  Over L = QQ the N_i come from `_recombine`, over L = QQ(g) from
+    this function one level down.
+    """
+    from .descent import alpha_decompose
+    field = f.field
+    f = f // f.gcd(_derivative(f))
+    if f.degree() == 1:
+        return [f]
+    a = field.gen()
+    one = MultiPoly.const(field, 1, field.one)
+    s = 0
+    while True:
+        g = f.shift_compose(field.one, -s * a)
+        _, norm = alpha_decompose(one, MultiPoly(
+            field, 1, {(k,): c for k, c in enumerate(g.coeffs) if c},
+            _clean=True))
+        norm = UniPoly.from_mpoly(norm)
+        degrees, modular = (_modular_degrees(norm) if field.base is QQ
+                            else ([], None))
+        # a prime that keeps N squarefree proves it squarefree over QQ
+        if modular or norm.gcd(_derivative(norm)).degree() == 0:
+            break
+        s = -s if s > 0 else 1 - s
+    if field.base is not QQ:
+        parts = _tower_factors(norm)
+    else:
+        degrees = [k for k in degrees if not k % field.degree]
+        parts = _recombine(norm, degrees, modular) if degrees else [norm]
+    return [g.gcd(_coerce_unipoly(mu, field)).shift_compose(field.one, s * a)
+            for mu in parts]
 
 
 def roots_in_field(f: UniPoly, field):
     """All roots of f lying in the given field, canonically sorted.
 
-    Over QQ this is the rational root theorem; over an extension f is
-    evaluated at a generic element and the resulting restriction of
-    scalars system is solved over QQ.
+    Over QQ this is the rational root theorem; over an extension they
+    are read off the linear factors of f (`_tower_factors`).
     """
     if f.is_zero():
         raise ValueError("every element is a root of the zero polynomial")
@@ -873,15 +879,8 @@ def roots_in_field(f: UniPoly, field):
         return []
     if d == 1:
         return [-f[0] / f[1]]
-    dim = field.qq_dim()
-    u = _generic_element(field, dim, 0)
-    val = MultiPoly.zero(field, dim)
-    for c in reversed(f.coeffs):
-        val = val * u + c
-    sols = rational_solutions(_qq_equations(val), dim)
-    roots = [field.unflatten(list(sol)) for sol in sols]
-    roots.sort(key=lambda x: x.canonical_key())
-    return roots
+    return sorted((-g[0] for g in _tower_factors(f.monic())
+                   if g.degree() == 1), key=canonical_key)
 
 
 def _coerce_unipoly(f: UniPoly, field):

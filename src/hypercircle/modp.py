@@ -15,6 +15,8 @@ factor search over QQ in `fields`; `mul`, `add`, `sub` and `divrem`
 work modulo that power as they do modulo p.
 """
 
+from .numtheory import is_prime
+
 # The 32 largest primes below 2^15.  Every certificate holds for any
 # prime; a small one keeps residues and their products in one or two
 # 30-bit digits of a Python int and needs few squarings for x^p, and a
@@ -26,6 +28,21 @@ PRIMES = (
     32537, 32533, 32531, 32507, 32503, 32497, 32491, 32479, 32467, 32443,
     32441, 32429,
 )
+
+
+def primes():
+    """PRIMES, then the primes above 2^15 in ascending order, without
+    end: a search over them for a prime that keeps a squarefree
+    polynomial over QQ squarefree ends, since only the finitely many
+    primes that divide its discriminant or its leading coefficient
+    fail."""
+    yield from PRIMES
+    p = 1 << 15
+    while True:
+        p += 1
+        if is_prime(p):
+            yield p
+
 
 # Shifts x + c, c < _SPLIT_TRIES, that equal_degree tries before it
 # gives up; each one splits a product of two or more distinct factors

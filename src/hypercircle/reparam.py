@@ -9,6 +9,8 @@ is read off the coefficients of phi along an infinity direction, with
 no point on the curve and no further solve (_shifts).
 """
 
+from math import gcd
+
 from .descent import Parametrization, witness_ideal
 from .fields import (RationalField, TowerContext, primitive_element,
                      trivial_embedding)
@@ -186,22 +188,43 @@ def parametrize_line(gens, m, field, directions=(),
     raise InternalInconsistencyError("line extraction failed")
 
 
+def _center(phi):
+    """b0 = -g_(e-1)/e for the monic denominator g of degree e > 0, else
+    -f_(d-1)/(d*f_d) for the first nonconstant numerator f: phi(t + b0)
+    has no t^(e-1) term in its denominator, or no t^(d-1) term in f."""
+    f = phi.denominator
+    if f.degree() == 0:
+        f = next(p for p in phi.numerators if p.degree() > 0)
+    d = f.degree()
+    return -f[d - 1] / (f[d] * d)
+
+
+def require_proper(phi):
+    """Raise ValueError when phi is visibly not proper: when phi(t + b0),
+    b0 from `_center`, is a function of t^m for some m > 1, that is,
+    when m, the gcd of the exponents of every nonzero coefficient of its
+    numerators and denominator, exceeds 1.  Then phi(t) = psi((t -
+    b0)^m) for a psi, so phi traces its curve m times."""
+    centered = phi.compose_affine(phi.field.one, _center(phi))
+    m = 0
+    for f in centered.numerators + (centered.denominator,):
+        m = gcd(m, *(k for k, c in enumerate(f.coeffs) if c))
+    if m > 1:
+        raise ValueError("parametrization is not proper")
+
+
 def _shifts(phi, tower, points):
     """Candidate shifts (a, b) of phi over tower, one per infinity
     direction v over the base K'.
 
     The slope a is sum v_i*gen^i.  The good shifts of a proper phi are
     (c*a, b + d*a), c, d in K', and at one the monic denominator
-    g(a*t + b)/a^e lies in K'[t], so (e*b + g_(e-1))/a does: b0 =
-    -g_(e-1)/e is a good offset, or -f_(d-1)/(d*f_d) for a nonconstant
-    numerator f when e = 0.  b is b0 moved along a to the slice t_k = 0,
-    k the last coordinate v moves: the point of the witness line there.
+    g(a*t + b)/a^e lies in K'[t], so (e*b + g_(e-1))/a does: b0
+    (`_center`) is a good offset.  b is b0 moved along a to the slice
+    t_k = 0, k the last coordinate v moves: the point of the witness
+    line there.
     """
-    f = phi.denominator
-    if f.degree() == 0:
-        f = next(p for p in phi.numerators if p.degree() > 0)
-    d = f.degree()
-    b0 = -f[d - 1] / (f[d] * d)
+    b0 = _center(phi)
     for v in _point_directions(points):
         k = max(i for i, c in enumerate(v) if c)
         a = tower.element(v)

@@ -124,6 +124,49 @@ def test_constant_parametrization_is_input_error(capsys, tmp_path):
     assert "input error" in err
 
 
+IMPROPER_CURVES = [
+    ("x^3 - 2", "(t - a)^2", "(t - a)^4 + 1"),
+    ("x^2 - 2", "(t - a)^2 + a", "((t - a)^2 + a)^3 + 1"),
+    ("x^4 - 2", "(t - a)^2", "(t - a)^6 + (t - a)^2"),
+]
+
+
+def _improper_curve(tmp_path, minpoly, x1, x2):
+    path = tmp_path / "improper.curve"
+    path.write_text(f"minpoly = {minpoly}\nx1 = {x1}\nx2 = {x2}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("minpoly, x1, x2", IMPROPER_CURVES)
+def test_improper_parametrization_is_input_error(capsys, tmp_path, minpoly,
+                                                 x1, x2):
+    # each is a function of (t - a)^2; reparam answered r = 3 on the
+    # first, exited 1 on the second and ran past 30 s on the third
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "reparam",
+                             _improper_curve(tmp_path, minpoly, x1, x2),
+                             "--json")
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "input error: parametrization is not proper\n"
+
+
+@pytest.mark.parametrize("minpoly, x1, x2", IMPROPER_CURVES)
+def test_infinity_of_an_improper_parametrization_answers(capsys, tmp_path,
+                                                         minpoly, x1, x2):
+    # the witness variety and its points at infinity are defined for any
+    # parametrization; on the third curve the infinity points took a
+    # restriction-of-scalars solve past 30 s
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "infinity",
+                           _improper_curve(tmp_path, minpoly, x1, x2),
+                           "--json")
+    assert time.monotonic() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["status"] == "success"
+
+
 def test_budget_exhaustion_is_exit_3(capsys):
     code, out, err = run_cli(capsys, "reparam",
                              str(input_path("quartic.curve")),

@@ -1,12 +1,14 @@
 """Number field towers: arithmetic, minimal polynomials, subfields, roots."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from helpers import (random_field_element, reference_inverse, reference_mul)
+from helpers import (random_field_element, reference_inverse, reference_mul,
+                     repo_root)
 
 from hypercircle.fields import (
     QQ,
@@ -410,3 +412,15 @@ def test_inverse_of_a_zero_divisor_is_arithmetic_error():
     K = FieldTower(QQ, "a", _P(-1, 0, 1))
     with pytest.raises(ArithmeticError, match="not irreducible"):
         (K.gen() + 1).inverse()
+
+
+def test_fields_imports_nothing_from_groebner():
+    # roots and factors over an extension come from Trager's norm; a
+    # restriction-of-scalars solve over QQ would need groebner
+    source = repo_root() / "src" / "hypercircle" / "fields.py"
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            assert not any("groebner" in name for name in names)

@@ -458,7 +458,6 @@ def test_certificate_decides_without_the_exact_search(monkeypatch):
         raise AssertionError("exact search ran")
 
     monkeypatch.setattr(fields, "roots_in_field", no_search)
-    monkeypatch.setattr(fields, "_find_split", no_search)
     assert is_irreducible(_qq_poly((1, 1) + (0,) * 8 + (1,))) == (True, None)
     assert is_irreducible(_qq_poly((-2, 0, 0, 0, 0, 0, 0, 0, 1))) == \
         (True, None)

@@ -25,6 +25,7 @@ from hypercircle.reparam import (
     coefficient_field_degree,
     optimal_affine_reparametrize,
     parametrize_line,
+    require_proper,
     verify_reparametrization,
 )
 from hypercircle.upoly import RationalFunction, UniPoly
@@ -505,3 +506,21 @@ def test_shift_offset_from_a_numerator_when_the_denominator_is_one(qi):
                                    trivial_embedding(qi))
     assert got == base.compose_affine(qi.one, qi.one).map_coefficients(
         lambda c: c.rational_value(), QQ)
+
+
+def test_bundled_curves_pass_the_properness_guard(quartic, gaussian_cusp,
+                                                   gaussian_twist):
+    for phi in (quartic, gaussian_cusp, gaussian_twist):
+        require_proper(phi)
+
+
+def test_properness_guard_centers_on_the_denominator(qi):
+    # 1/((t - a)^2 + 1) is 1/(t^2 + 1) at t + a: a function of t^2
+    proper = Parametrization.from_components(
+        [parse_component("t/((t - a)^2 + 1)", qi)])
+    require_proper(proper)
+    improper = Parametrization.from_components(
+        [parse_component("1/((t - a)^2 + 1)", qi),
+         parse_component("(t - a)^4/((t - a)^2 + 1)", qi)])
+    with pytest.raises(ValueError, match="not proper"):
+        require_proper(improper)

@@ -18,9 +18,10 @@ from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 from helpers import random_composite, random_ecm_composite  # noqa: E402
 
 from hypercircle import fields  # noqa: E402
-from hypercircle.fields import (QQ, FieldTower, canonical_key,  # noqa: E402
-                                is_irreducible, min_poly_over_q,
-                                roots_in_field)
+from hypercircle.descent import alpha_decompose  # noqa: E402
+from hypercircle.fields import (QQ, FieldTower, SubfieldEmbedding,  # noqa: E402
+                                TowerContext, canonical_key, is_irreducible,
+                                min_poly_over_q, roots_in_field)
 from hypercircle.groebner import buchberger, eliminate, saturate  # noqa: E402
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order  # noqa: E402
 from hypercircle.numtheory import (SearchCapExceededError,  # noqa: E402
@@ -224,13 +225,17 @@ def _element_to_sympy(x, alpha):
                 for k, c in enumerate(x.coeffs)), sympy.Integer(0))
 
 
+def _field_poly_to_sympy(f, alpha):
+    return sum((_element_to_sympy(c, alpha) * X ** k
+                for k, c in enumerate(f.coeffs)), sympy.Integer(0))
+
+
 def _sympy_roots_in_field(f, alpha):
     """Roots of f from the linear factors of sympy's factorization over
     QQ(alpha), read back in the alpha-power basis."""
     K = f.field
-    expr = sum((_element_to_sympy(c, alpha) * X ** k
-                for k, c in enumerate(f.coeffs)), sympy.Integer(0))
-    _, factors = sympy.factor_list(sympy.expand(expr), X, extension=alpha)
+    _, factors = sympy.factor_list(
+        sympy.expand(_field_poly_to_sympy(f, alpha)), X, extension=alpha)
     roots = []
     for fac, _ in factors:
         lin = sympy.Poly(fac, X)
@@ -266,6 +271,127 @@ def test_roots_in_field_match_sympy(name, seed):
         assert roots_in_field(f, K) == _sympy_roots_in_field(f, alpha)
 
 
+# ---------------------------------------------------------------------------
+# factors over QQ(a) and QQ(g)(a) by Trager's norm
+
+# The quartic of the bundled curve: a = 1 + i*(sqrt(2) - 1) generates
+# QQ(zeta_8), and gamma = -12 + 8a - 3a^2 + a^3, a root of
+# x^2 + 12x + 40, generates its subfield QQ(i).
+QUARTIC_FIELD = ((8, -16, 12, -4, 1), 1 + sympy.I * (sympy.sqrt(2) - 1))
+FACTOR_FIELDS = {"QQ(3^(1/3))": ROOT_FIELDS["QQ(3^(1/3))"],
+                 "QQ(2^(1/4))": ROOT_FIELDS["QQ(2^(1/4))"],
+                 "quartic": QUARTIC_FIELD}
+
+
+def _check_factors(f, factors, alpha):
+    """factors are the irreducible factors of the squarefree part of f
+    over QQ(alpha): as many as sympy finds, of the same degrees, monic,
+    and multiplying to a squarefree divisor of f of their total degree."""
+    _, theirs = sympy.factor_list(
+        sympy.expand(_field_poly_to_sympy(f, alpha)), X, extension=alpha)
+    assert sorted(g.degree() for g in factors) == sorted(
+        sympy.degree(h, X) for h, _ in theirs)
+    K = f.field
+    product = UniPoly.const(K, K.one)
+    for g in factors:
+        assert g.is_monic()
+        product = product * g
+    assert (f % product).is_zero()
+    slope = UniPoly(K, [k * c for k, c in enumerate(product.coeffs)][1:])
+    assert product.gcd(slope).degree() == 0
+
+
+def _planted(rng, K, linear, quadratic):
+    def element():
+        return K.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                          for _ in range(K.degree)])
+
+    x = UniPoly.x(K)
+    f = UniPoly.const(K, K.one)
+    for _ in range(linear):
+        f = f * (x - UniPoly.const(K, element()))
+    for _ in range(quadratic):
+        f = f * UniPoly(K, (element(), element(), K.one))
+    return f
+
+
+@pytest.mark.parametrize("name", list(FACTOR_FIELDS))
+def test_planted_factors_over_a_number_field_match_sympy(name):
+    mp, alpha = FACTOR_FIELDS[name]
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    f = _planted(random.Random(f"field-factors:{name}"), K, 2, 1)
+    factors = fields._tower_factors(f)
+    _check_factors(f, factors, alpha)
+    assert roots_in_field(f, K) == _sympy_roots_in_field(f, alpha)
+    ok, witness = is_irreducible(f)
+    least = min(g.degree() for g in factors)
+    assert not ok and witness in factors and witness.degree() == least
+
+
+def test_planted_factors_over_the_quartic_tower_match_sympy():
+    # QQ(g)(a) is the quartic field again, so its factors, pushed back
+    # into QQ(a), are sympy's over QQ(a)
+    mp, alpha = QUARTIC_FIELD
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    a = K.gen()
+    ctx = TowerContext(SubfieldEmbedding(K, -12 + 8 * a - 3 * a * a
+                                         + a * a * a))
+    f = _planted(random.Random("tower-factors"), ctx.tower, 2, 1)
+
+    def flat(g):
+        return g.map_coefficients(ctx.flatten, K)
+
+    _check_factors(flat(f), [flat(g) for g in fields._tower_factors(f)],
+                   alpha)
+    roots = [ctx.flatten(r) for r in roots_in_field(f, ctx.tower)]
+    assert sorted(roots, key=canonical_key) == \
+        _sympy_roots_in_field(flat(f), alpha)
+
+
+def test_repeated_root_is_found_once():
+    mp, alpha = ROOT_FIELDS["QQ(3^(1/3))"]
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    a = K.gen()
+    x = UniPoly.x(K)
+    f = (x - UniPoly.const(K, a + 1)) ** 2 * (x + UniPoly.const(K, a * a))
+    assert roots_in_field(f, K) == _sympy_roots_in_field(f, alpha) == \
+        sorted([a + 1, -a * a], key=canonical_key)
+    _check_factors(f, fields._tower_factors(f), alpha)
+
+
+def test_square_norm_takes_a_shifted_norm():
+    # x^2 - 2 has coefficients in QQ, so its norm over QQ(2^(1/4)) is
+    # (x^2 - 2)^4; the shift x - a gives a squarefree norm
+    mp, alpha = ROOT_FIELDS["QQ(2^(1/4))"]
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    a = K.gen()
+    f = UniPoly(K, (-2, 0, 1))
+    _, norm = alpha_decompose(MultiPoly.const(K, 1, K.one),
+                              MultiPoly(K, 1, {(0,): K.coerce(-2),
+                                               (2,): K.one}))
+    assert norm == MultiPoly(QQ, 1, {(8,): 1, (6,): -8, (4,): 24,
+                                     (2,): -32, (0,): 16})
+    assert roots_in_field(f, K) == _sympy_roots_in_field(f, alpha) == \
+        sorted([a * a, -a * a], key=canonical_key)
+    _check_factors(f, fields._tower_factors(f), alpha)
+
+
+def test_planted_quartic_over_a_cubic_field_is_fast():
+    # the restriction-of-scalars solve ran past 70 s on this input
+    mp, alpha = ROOT_FIELDS["QQ(3^(1/3))"]
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    a = K.gen()
+    x = UniPoly.x(K)
+    f = ((x - UniPoly.const(K, 1 + a)) * (x + UniPoly.const(K, a * a)) *
+         UniPoly(K, (K.one, a, K.one)))
+    start = time.monotonic()
+    roots = roots_in_field(f, K)
+    factors = fields._tower_factors(f)
+    assert time.monotonic() - start < 1.0
+    assert roots == sorted([1 + a, -a * a], key=canonical_key)
+    _check_factors(f, factors, alpha)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", list(ROOT_FIELDS))
 def test_rational_function_reduction_matches_sympy_gcd(name, seed):
@@ -282,14 +408,11 @@ def test_rational_function_reduction_matches_sympy_gcd(name, seed):
                                       for _ in range(K.degree)])
                            for _ in range(degree)] + [K.one])
 
-    def to_sympy(f):
-        return sum((_element_to_sympy(c, alpha) * X ** k
-                    for k, c in enumerate(f.coeffs)), sympy.Integer(0))
-
     common = poly(rng.randint(0, 2))
     num, den = poly(2) * common, poly(2) * common
     rf = RationalFunction(num, den)
-    g = sympy.gcd(sympy.expand(to_sympy(num)), sympy.expand(to_sympy(den)),
+    g = sympy.gcd(sympy.expand(_field_poly_to_sympy(num, alpha)),
+                  sympy.expand(_field_poly_to_sympy(den, alpha)),
                   extension=alpha)
     g_degree = sympy.Poly(g, X).degree() if g.has(X) else 0
     assert rf.den.degree() == den.degree() - g_degree
@@ -385,14 +508,10 @@ def test_swinnerton_dyer_polynomials_are_irreducible(n):
     (1, 0, -10, 0, 1), (1, 0, 0, 0, 1), (8, -16, 12, -4, 1),
     (4, 0, 0, 0, 1), (1, 0, -14, 0, 1), (9, 0, 0, 0, 0, 0, 0, 0, 1),
 ])
-def test_quartic_families_need_no_split_search(monkeypatch, coeffs):
+def test_quartic_families_need_no_split_search(coeffs):
     # every degree pattern of x^4 - 10x^2 + 1, x^4 + 1 and the bundled
     # quartic (Galois group V4) allows a quadratic factor; x^4 + 4,
     # x^4 - 14x^2 + 1 and x^8 + 9 have one
-    def no_search(*args):
-        raise AssertionError("split search ran")
-
-    monkeypatch.setattr(fields, "_find_split", no_search)
     f = UniPoly(QQ, [Fraction(c) for c in coeffs])
     _check_against_sympy(f, _decided_in_time(f))
 
@@ -401,13 +520,9 @@ def test_quartic_families_need_no_split_search(monkeypatch, coeffs):
     ((1, 1, 0, 0, 1), 2), ((-1, -1, 0, 0, 0, 1), 2), ((3, 0, 1), 3),
     ((-2, 0, 0, 1), 2), ((5, 1), 4),
 ])
-def test_square_factors_need_no_split_search(monkeypatch, coeffs, power):
+def test_square_factors_need_no_split_search(coeffs, power):
     # no prime keeps a square factor squarefree, so the degree patterns
     # say nothing; the split search ran past 40 s on (x^4 + x + 1)^2
-    def no_search(*args):
-        raise AssertionError("split search ran")
-
-    monkeypatch.setattr(fields, "_find_split", no_search)
     base = UniPoly(QQ, [Fraction(c) for c in coeffs])
     f = base ** power * UniPoly(QQ, (3, 0, 1))
     _check_against_sympy(f, _decided_in_time(f))
