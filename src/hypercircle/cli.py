@@ -202,59 +202,74 @@ def _cmd_conic_fields(args):
     return report, summary, EXIT_OK
 
 
-def _build_argparser():
-    top = argparse.ArgumentParser(
-        prog="hypercircle",
-        description="Exact reparametrization of rational curves over "
-                    "number fields, and quadratic conic fields.")
-    sub = top.add_subparsers(dest="command", required=True)
+def _file_arguments(p):
+    p.add_argument("file", help="curve description file")
+    p.add_argument("--budget", type=int, default=None,
+                   help="S-pairs one Groebner basis may reduce")
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="suppress the stderr summary")
 
-    def with_file(p):
-        p.add_argument("file", help="curve description file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="S-pairs one Groebner basis may reduce")
-        common(p)
-
-    p = sub.add_parser("reparam",
-                       help="optimal affine reparametrization")
-    with_file(p)
-    p.set_defaults(handler=_cmd_reparam)
-
-    p = sub.add_parser("witness", help="witness ideal of the curve")
-    with_file(p)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("infinity",
-                       help="points at infinity of the witness variety")
-    with_file(p)
-    p.set_defaults(handler=_cmd_infinity)
-
-    p = sub.add_parser("hypercircle",
-                       help="hypercircle traced by a unit")
+def _hypercircle_arguments(p):
     p.add_argument("minpoly", help="minimal polynomial in x")
     p.add_argument("unit", help="(a*t+b)/(c*t+d) over the extension")
-    common(p)
-    p.set_defaults(handler=_cmd_hypercircle)
 
-    p = sub.add_parser("conic-fields",
-                       help="quadratic parametrization fields of "
-                            "a*x^2 + b*y^2 + c")
+
+def _conic_fields_arguments(p):
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.add_argument("--method", choices=("prime", "crt"), default="prime")
     p.add_argument("--count", type=int, default=4)
-    common(p)
-    p.set_defaults(handler=_cmd_conic_fields)
+
+
+def _commands():
+    """(name, help, arguments, handler) of every subcommand, in help
+    order; handlers are read when a parser is built."""
+    return (
+        ("reparam", "optimal affine reparametrization", _file_arguments,
+         _cmd_reparam),
+        ("witness", "witness ideal of the curve", _file_arguments,
+         _cmd_witness),
+        ("infinity", "points at infinity of the witness variety",
+         _file_arguments, _cmd_infinity),
+        ("hypercircle", "hypercircle traced by a unit",
+         _hypercircle_arguments, _cmd_hypercircle),
+        ("conic-fields", "quadratic parametrization fields of "
+                         "a*x^2 + b*y^2 + c", _conic_fields_arguments,
+         _cmd_conic_fields),
+    )
+
+
+def _build_argparser(command=None):
+    """The argument parser of `main`, with only the subparser of command
+    when it names a subcommand, else with all of them.
+
+    A parse that dispatches to one subcommand reads no other subparser,
+    and building the other four would take most of a quick command's
+    time.  The top-level usage, which an unrecognized argument prints,
+    names every subcommand either way.
+    """
+    top = argparse.ArgumentParser(
+        prog="hypercircle",
+        description="Exact reparametrization of rational curves over "
+                    "number fields, and quadratic conic fields.")
+    commands = _commands()
+    table = [row for row in commands if row[0] == command]
+    metavar = "{" + ",".join(row[0] for row in commands) + "}"
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar=metavar if table else None)
+    for name, help_text, arguments, handler in table or commands:
+        p = sub.add_parser(name, help=help_text)
+        arguments(p)
+        p.add_argument("--json", action="store_true",
+                       help="suppress the stderr summary")
+        p.set_defaults(handler=handler)
     return top
 
 
 def main(argv=None):
-    args = _build_argparser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_argparser(argv[0] if argv else None).parse_args(argv)
     start = time.monotonic()
     try:
         report, summary, code = args.handler(args)

@@ -601,12 +601,15 @@ def is_irreducible(f: UniPoly):
     Over QQ the factor degrees of f modulo a few primes leave the
     degrees a factor can have (`_modular_degrees`).  A linear factor is
     sought by the rational root test, which may factor integers, so the
-    primes run on while degree 1 is left.  Any other degree left is
-    decided by Hensel lifting and Zassenhaus recombination of the
-    factors of f modulo a prime (`_recombine`), which raises
-    SearchCapExceededError past `_RECOMBINATION_CAP` candidates.  An f
-    that is not squarefree is decided by its squarefree part.  Over an
-    extension f is factored by Trager's norm (`_tower_factors`).
+    primes run on while degree 1 is left, until one leaves it alone with
+    one linear factor modulo it; that factor is lifted and tested
+    exactly (`_lifts_to_root`), and the rational root test runs only
+    when it lifts to a root.  Any other degree left is decided by Hensel
+    lifting and Zassenhaus recombination of the factors of f modulo a
+    prime (`_recombine`), which raises SearchCapExceededError past
+    `_RECOMBINATION_CAP` candidates.  An f that is not squarefree is
+    decided by its squarefree part.  Over an extension f is factored by
+    Trager's norm (`_tower_factors`).
     """
     d = f.degree()
     if d < 1:
@@ -686,37 +689,64 @@ def _modular_degrees(f: UniPoly):
     over QQ of f may have, and modular is (the distinct-degree
     factorization of f modulo p, p, x^p modulo f) at the tried prime p
     with the fewest factors, or None when no tried prime keeps f
-    squarefree.  The primes stop at the first that leaves no degree,
-    or at the first that leaves no degree 1 once the subsets of the
-    best prime's factors are within `_RECOMBINATION_CAP`: the degrees
-    above 1 are then decided exactly by `_recombine`, and further
-    patterns would only save it work.
+    squarefree.  The primes stop at the first that leaves no degree; at
+    the first that leaves degree 1 alone with one linear factor modulo
+    it, which `_lifts_to_root` decides exactly; or at the first that
+    leaves no degree 1 once the subsets of the best prime's factors are
+    within `_RECOMBINATION_CAP`: the degrees above 1 are then decided
+    exactly by `_recombine`, and further patterns would only save it
+    work.
 
     A monic factor over QQ of f is integral at every prime p that
     divides no denominator of f, so it reduces to a factor of the same
     degree modulo p.  When f stays squarefree modulo p, that degree is a
     sum of some of the degrees of the irreducible factors of f modulo p.
     """
-    n = f.degree()
-    allowed = set(range(n + 1))
+    ints = _integer_form(f)
+    degrees = list(range(1, f.degree() // 2 + 1))
     best = None
-    for parts, p, xp in _reductions(_integer_form(f),
-                                    modp.PRIMES[:_PATTERN_PRIMES]):
+    for parts, p, xp in _reductions(ints, modp.PRIMES[:_PATTERN_PRIMES]):
         sums = {0}
         count = 0
         for k, g in parts:
             for _ in range((len(g) - 1) // k):
                 sums |= {s + k for s in sums}
                 count += 1
-        allowed &= sums
+        degrees = [k for k in degrees if k in sums]
         if best is None or count < best[0]:
             best = (count, parts, p, xp)
-        if not any(k in allowed for k in range(1, n // 2 + 1)):
+        if degrees == [1] and len(parts[0][1]) == 2:
+            if not _lifts_to_root(ints, parts[0][1], p):
+                degrees = []
             break
-        if 1 not in allowed and 1 << best[0] <= _RECOMBINATION_CAP:
+        if not degrees:
             break
-    degrees = [k for k in range(1, n // 2 + 1) if k in allowed]
+        if degrees[0] > 1 and 1 << best[0] <= _RECOMBINATION_CAP:
+            break
     return degrees, best and best[1:]
+
+
+def _lifts_to_root(ints, linear, p):
+    """Whether linear, the only linear factor modulo p of the integer
+    polynomial F = ints, which p keeps squarefree, lifts to a root of F
+    over QQ.
+
+    A rational root u/v of F in lowest terms makes v*x - u a factor of F
+    over ZZ, so v divides b, the leading coefficient of F, which p does
+    not divide.  Hence u/v reduces to the root r of the linear factor,
+    and b*u/v is an integer, of absolute value at most ||F||_2 (the
+    bound of `_recombine` at degree 1): once the factor is lifted modulo
+    m above twice that, b*u/v is the symmetric residue of b*r modulo m.
+    """
+    b = ints[-1]
+    rest = modp.quo(modp.monic([c % p for c in ints], p), linear, p)
+    bound = isqrt(sum(c * c for c in ints)) + 1
+    m, lifted = modp.hensel_lift(ints, [linear, rest], p, 2 * bound)
+    num = -b * lifted[0][0] % m
+    if 2 * num > m:
+        num -= m
+    common = gcd(num, b)
+    return _quotient_zz(ints, [-num // common, b // common]) is not None
 
 
 def _irreducible_mod_primes(f: UniPoly):
@@ -828,7 +858,8 @@ def _tower_factors(f: UniPoly):
     With h the squarefree part, g(x) = h(x - s*a) for s = 0, 1, -1, 2,
     ... has the norm N over L, the product of its n conjugates: the
     determinant of multiplication by g, which `descent` computes.  At
-    most C(n * deg h, 2) shifts leave N with a square factor.  Once N is
+    most C(n * deg h, 2) shifts leave N with a square factor.  When h
+    lies in L[x] its norm is h^n, so the shifts start at s = 1.  Once N is
     squarefree, each irreducible factor N_i of N over L, of a degree
     divisible by n, gives one irreducible factor gcd(g, N_i)(x + s*a) of
     h.  Over L = QQ the N_i come from `_recombine`, over L = QQ(g) from
@@ -841,7 +872,7 @@ def _tower_factors(f: UniPoly):
         return [f]
     a = field.gen()
     one = MultiPoly.const(field, 1, field.one)
-    s = 0
+    s = 1 if all(not any(c.vec[1:]) for c in f.coeffs) else 0
     while True:
         g = f.shift_compose(field.one, -s * a)
         _, norm = alpha_decompose(one, MultiPoly(

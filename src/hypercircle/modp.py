@@ -329,14 +329,16 @@ def hensel_lift(f, factors, p, bound):
     modulo m.
 
     f is an integer polynomial (ascending, its leading coefficient prime
-    to p) that is squarefree modulo p, and factors are its monic
-    irreducible factors modulo p.  Quadratic lifting along a balanced
-    factor tree (von zur Gathen and Gerhard, Algorithms 15.10, 15.17).
+    to p) that is squarefree modulo p, and factors are pairwise coprime
+    monic factors modulo p whose product is f / lc(f) modulo p, such as
+    its irreducible factors.  Quadratic lifting along a balanced factor
+    tree (von zur Gathen and Gerhard, Algorithms 15.10, 15.17); when p
+    is above bound, the factors are already lifted.
     """
     m = p
     while m <= bound:
         m *= m
-    return m, _lift(f, factors, p, m)
+    return m, list(factors) if m == p else _lift(f, factors, p, m)
 
 
 def _lift(f, factors, p, m):

@@ -400,3 +400,91 @@ def test_module_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["set"] == [5, 41]
+
+
+# ---------------------------------------------------------------------------
+# argument handling: main builds only the subparser its command names,
+# and must answer every invocation as the parser with all of them does
+
+ARGUMENT_CASES = [
+    [], ["--help"], ["-h"],
+    ["reparam", "--help"], ["witness", "--help"], ["infinity", "-h"],
+    ["hypercircle", "--help"], ["conic-fields", "--help"],
+    ["reparam"], ["hypercircle", "x^2 + 1"], ["conic-fields", "1", "1"],
+    ["bogus"], ["bogus", "-h"],
+    ["conic-fields", "1", "1", "-6", "--method", "foo"],
+    ["reparam", "a.curve", "--budget", "x"],
+    ["conic-fields", "1", "1", "-6", "--count", "x"],
+    ["witness", "a.curve", "extra"],
+    ["conic-fields", "1", "1", "-6", "--bogus"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("columns", ["80", "36"])
+@pytest.mark.parametrize("argv", ARGUMENT_CASES, ids=" ".join)
+def test_argument_handling_matches_the_full_parser(capsys, monkeypatch,
+                                                   argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    full = cli._build_argparser()
+    assert _parse_outcome(capsys, main, argv) == \
+        _parse_outcome(capsys, full.parse_args, argv)
+
+
+def test_main_reads_its_command_from_sys_argv(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["conic-fields", "1", "1", "-6", "--method", "foo"]
+    monkeypatch.setattr(sys, "argv", ["hypercircle"] + argv)
+    full = cli._build_argparser()
+    assert _parse_outcome(capsys, lambda _: main(), None) == \
+        _parse_outcome(capsys, full.parse_args, argv)
+
+
+def _counting_parsers(monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("command", [row[0] for row in cli._commands()])
+def test_a_command_builds_only_its_own_subparser(monkeypatch, command):
+    built = _counting_parsers(monkeypatch)
+    cli._build_argparser(command)
+    assert built == ["hypercircle", f"hypercircle {command}"]
+
+
+def test_the_full_parser_has_every_subcommand(monkeypatch):
+    built = _counting_parsers(monkeypatch)
+    cli._build_argparser("bogus")
+    assert built == ["hypercircle"] + [f"hypercircle {row[0]}"
+                                       for row in cli._commands()]
+
+
+def test_import_builds_no_parser():
+    # a parser built at import time would be paid by every process,
+    # whatever its command
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import hypercircle.cli\n"
+            "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

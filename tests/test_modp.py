@@ -16,7 +16,8 @@ from hypercircle.exprparse import build_problem, parse_curve_file
 from hypercircle.fields import (QQ, FieldElement, FieldTower, is_irreducible,
                                 make_extension)
 from hypercircle.numtheory import is_prime
-from hypercircle.upoly import RationalFunction, UniPoly, coprime_mod_p
+from hypercircle.upoly import (RationalFunction, UniPoly, coprime_mod_p,
+                              rational_roots)
 
 P = modp.PRIMES[0]
 residues = st.integers(min_value=0, max_value=P - 1)
@@ -461,3 +462,51 @@ def test_certificate_decides_without_the_exact_search(monkeypatch):
     assert is_irreducible(_qq_poly((1, 1) + (0,) * 8 + (1,))) == (True, None)
     assert is_irreducible(_qq_poly((-2, 0, 0, 0, 0, 0, 0, 0, 1))) == \
         (True, None)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-2, 0, 0, 0, 0, 1), (2, 0, 0, 0, 0, 1), (-3, 0, 0, 0, 0, 1),
+    (3, 0, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 1),
+    (-2, 0, 0, 0, 0, 0, 0, 1),
+])
+def test_a_lone_linear_factor_stops_the_pattern_primes(monkeypatch, coeffs):
+    # degree 1 is allowed modulo every prime; once a prime leaves it
+    # alone, with one linear factor, lifting that factor decides it, and
+    # the rational root test, which may factor integers, does not run
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return distinct_degree(*args)
+
+    def no_search(*args):
+        raise AssertionError("rational root test ran")
+
+    distinct_degree = modp.distinct_degree
+    monkeypatch.setattr(modp, "distinct_degree", counting)
+    monkeypatch.setattr(fields, "roots_in_field", no_search)
+    assert is_irreducible(_qq_poly(coeffs)) == (True, None)
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("root", [
+    Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(10 ** 12, 7),
+    Fraction(-3, 10 ** 9),
+])
+def test_a_lone_linear_factor_lifts_to_its_root(root):
+    # (x - root) * (x^4 + x + 1) modulo a prime with one linear factor:
+    # the factor lifts (past the first power of p for the large roots)
+    # to the root; that polynomial plus 7 has no rational root
+    f = _qq_poly((-root, 1)) * _qq_poly((1, 1, 0, 0, 1))
+    g = f + _qq_poly((7,))
+    assert not rational_roots(g)
+    lone = 0
+    for h, lifts in ((f, True), (g, False)):
+        ints = fields._integer_form(h)
+        for parts, p, _ in fields._reductions(ints, modp.PRIMES):
+            if parts[0][0] == 1 and len(parts[0][1]) == 2:
+                lone += 1
+                assert fields._lifts_to_root(ints, parts[0][1], p) == lifts
+    assert lone
+    assert fields._modular_degrees(f)[0] == [1]
+    assert is_irreducible(f) == (False, _qq_poly((-root, 1)))

@@ -376,6 +376,53 @@ def test_square_norm_takes_a_shifted_norm():
     _check_factors(f, fields._tower_factors(f), alpha)
 
 
+def _counting_norms(monkeypatch):
+    """The fields of the norms `_tower_factors` computes from now on."""
+    fields_seen = []
+
+    def counting(num, den):
+        fields_seen.append(num.field)
+        return alpha_decompose(num, den)
+
+    monkeypatch.setattr("hypercircle.descent.alpha_decompose", counting)
+    return fields_seen
+
+
+def test_a_polynomial_over_the_base_takes_one_norm(monkeypatch):
+    # x^2 - 7 over QQ(7^(1/4)) has its norm (x^2 - 7)^4 at s = 0, which
+    # is never squarefree, so the shifts start at s = 1
+    alpha = sympy.root(7, 4)
+    K = FieldTower(QQ, "a", UniPoly(QQ, (-7, 0, 0, 0, 1)))
+    a = K.gen()
+    f = UniPoly(K, (-7, 0, 1))
+    norms = _counting_norms(monkeypatch)
+    roots = roots_in_field(f, K)
+    assert norms == [K]
+    assert roots == _sympy_roots_in_field(f, alpha) == \
+        sorted([a * a, -a * a], key=canonical_key)
+    _check_factors(f, fields._tower_factors(f), alpha)
+
+
+@pytest.mark.parametrize("c", [-7, -2, 3])
+def test_a_polynomial_over_the_base_of_the_quartic_tower_takes_one_norm(
+        monkeypatch, c):
+    # x^2 - c over QQ(g)(a) has its coefficients in QQ(g): one norm down
+    # to QQ(g), at s = 1, and one from there down to QQ
+    mp, alpha = QUARTIC_FIELD
+    K = FieldTower(QQ, "a", UniPoly(QQ, mp))
+    a = K.gen()
+    ctx = TowerContext(SubfieldEmbedding(K, -12 + 8 * a - 3 * a * a
+                                         + a * a * a))
+    T = ctx.tower
+    f = UniPoly(T, (c, 0, 1))
+    norms = _counting_norms(monkeypatch)
+    roots = roots_in_field(f, T)
+    assert norms == [T, T.base]
+    flat = f.map_coefficients(ctx.flatten, K)
+    assert sorted((ctx.flatten(r) for r in roots), key=canonical_key) == \
+        _sympy_roots_in_field(flat, alpha)
+
+
 def test_planted_quartic_over_a_cubic_field_is_fast():
     # the restriction-of-scalars solve ran past 70 s on this input
     mp, alpha = ROOT_FIELDS["QQ(3^(1/3))"]
@@ -526,6 +573,22 @@ def test_square_factors_need_no_split_search(coeffs, power):
     base = UniPoly(QQ, [Fraction(c) for c in coeffs])
     f = base ** power * UniPoly(QQ, (3, 0, 1))
     _check_against_sympy(f, _decided_in_time(f))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("c", [2, -2, 3, -3, 5, -5, 8, -32, 128,
+                               Fraction(243, 32), 10 ** 30])
+def test_binomials_match_sympy(n, c):
+    # x^n - c: degree 1 is allowed modulo every prime, and is decided by
+    # lifting a lone linear factor; a root, when there is one, is the
+    # witness x - r
+    f = UniPoly(QQ, [Fraction(-c)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
+    result = _decided_in_time(f)
+    _check_against_sympy(f, result)
+    roots = sympy.Poly(_unipoly_to_sympy(f), X).ground_roots()
+    if roots:
+        r = min(roots)
+        assert result[1] == UniPoly(QQ, (-Fraction(int(r.p), int(r.q)), 1))
 
 
 def test_recombination_cap_raises(monkeypatch):
