@@ -94,7 +94,7 @@ def _residues(coeffs, p):
     return None if None in out else modp.trim(out)
 
 
-_QQ_REDUCTION = (modp.PRIMES[0], lambda c: _residue(c, modp.PRIMES[0]))
+_QQ_REDUCTION = (modp.PRIMES[0], lambda c, p=modp.PRIMES[0]: _residue(c, p))
 
 # Primes of modp.PRIMES a height-one tower tries for a simple root of its
 # minimal polynomial.  A root exists modulo a positive density of primes,
@@ -141,9 +141,10 @@ class ReduciblePolynomialError(ValueError):
     """Raised when a would-be minimal polynomial factors; carries a witness."""
 
     def __init__(self, factor):
+        from .render import render_unipoly
         self.factor = factor
-        super().__init__(
-            f"reducible minimal polynomial, witness factor {factor!r}")
+        super().__init__("reducible minimal polynomial, witness factor "
+                         + render_unipoly(factor, "x"))
 
 
 class FieldTower:
@@ -599,14 +600,11 @@ def is_irreducible(f: UniPoly):
     least canonical keys.
 
     Over QQ the factor degrees of f modulo a few primes leave the
-    degrees a factor can have (`_modular_degrees`).  A linear factor is
-    sought by the rational root test, which may factor integers, so the
-    primes run on while degree 1 is left, until one leaves it alone with
-    one linear factor modulo it; that factor is lifted and tested
-    exactly (`_lifts_to_root`), and the rational root test runs only
-    when it lifts to a root.  Any other degree left is decided by Hensel
-    lifting and Zassenhaus recombination of the factors of f modulo a
-    prime (`_recombine`), which raises SearchCapExceededError past
+    degrees a factor can have (`_modular_degrees`).  Degree 1 is decided
+    by `rational_roots`, which lifts the linear factors of f modulo a
+    prime.  Any other degree left is decided by Hensel lifting and
+    Zassenhaus recombination of the factors of f modulo a prime
+    (`_recombine`), which raises SearchCapExceededError past
     `_RECOMBINATION_CAP` candidates.  An f that is not squarefree is
     decided by its squarefree part.  Over an extension f is factored by
     Trager's norm (`_tower_factors`).
@@ -624,7 +622,7 @@ def is_irreducible(f: UniPoly):
         if degrees and modular is None:
             # no tried prime keeps f squarefree; when f is not squarefree
             # over QQ either, its factors are those of its squarefree part
-            common = f.gcd(_derivative(f))
+            common = f.gcd(f.derivative())
             if common.degree() > 0:
                 part = f // common
                 ok, factor = is_irreducible(part)
@@ -646,10 +644,6 @@ def _least(factors):
             return 1, canonical_key(-g[0])
         return g.degree(), [canonical_key(c) for c in g.coeffs]
     return min(factors, key=key)
-
-
-def _derivative(f: UniPoly):
-    return UniPoly(f.field, [k * c for k, c in enumerate(f.coeffs)][1:])
 
 
 # Primes of modp.PRIMES whose degree patterns _modular_degrees
@@ -691,7 +685,8 @@ def _modular_degrees(f: UniPoly):
     with the fewest factors, or None when no tried prime keeps f
     squarefree.  The primes stop at the first that leaves no degree; at
     the first that leaves degree 1 alone with one linear factor modulo
-    it, which `_lifts_to_root` decides exactly; or at the first that
+    it, which `rational_roots` decides by lifting, so further patterns
+    would only spare it that lift; or at the first that
     leaves no degree 1 once the subsets of the best prime's factors are
     within `_RECOMBINATION_CAP`: the degrees above 1 are then decided
     exactly by `_recombine`, and further patterns would only save it
@@ -716,43 +711,12 @@ def _modular_degrees(f: UniPoly):
         if best is None or count < best[0]:
             best = (count, parts, p, xp)
         if degrees == [1] and len(parts[0][1]) == 2:
-            if not _lifts_to_root(ints, parts[0][1], p):
-                degrees = []
             break
         if not degrees:
             break
         if degrees[0] > 1 and 1 << best[0] <= _RECOMBINATION_CAP:
             break
     return degrees, best and best[1:]
-
-
-def _lifts_to_root(ints, linear, p):
-    """Whether linear, the only linear factor modulo p of the integer
-    polynomial F = ints, which p keeps squarefree, lifts to a root of F
-    over QQ.
-
-    A rational root u/v of F in lowest terms makes v*x - u a factor of F
-    over ZZ, so v divides b, the leading coefficient of F, which p does
-    not divide.  Hence u/v reduces to the root r of the linear factor,
-    and b*u/v is an integer, of absolute value at most ||F||_2 (the
-    bound of `_recombine` at degree 1): once the factor is lifted modulo
-    m above twice that, b*u/v is the symmetric residue of b*r modulo m.
-    """
-    b = ints[-1]
-    rest = modp.quo(modp.monic([c % p for c in ints], p), linear, p)
-    bound = isqrt(sum(c * c for c in ints)) + 1
-    m, lifted = modp.hensel_lift(ints, [linear, rest], p, 2 * bound)
-    num = -b * lifted[0][0] % m
-    if 2 * num > m:
-        num -= m
-    common = gcd(num, b)
-    return _quotient_zz(ints, [-num // common, b // common]) is not None
-
-
-def _irreducible_mod_primes(f: UniPoly):
-    """True when the factor degrees of the monic f over QQ modulo a few
-    primes leave no degree for a proper factor over QQ."""
-    return not _modular_degrees(f)[0]
 
 
 def _recombine(f: UniPoly, degrees, modular):
@@ -867,7 +831,7 @@ def _tower_factors(f: UniPoly):
     """
     from .descent import alpha_decompose
     field = f.field
-    f = f // f.gcd(_derivative(f))
+    f = f // f.gcd(f.derivative())
     if f.degree() == 1:
         return [f]
     a = field.gen()
@@ -882,7 +846,7 @@ def _tower_factors(f: UniPoly):
         degrees, modular = (_modular_degrees(norm) if field.base is QQ
                             else ([], None))
         # a prime that keeps N squarefree proves it squarefree over QQ
-        if modular or norm.gcd(_derivative(norm)).degree() == 0:
+        if modular or norm.gcd(norm.derivative()).degree() == 0:
             break
         s = -s if s > 0 else 1 - s
     if field.base is not QQ:

@@ -5,14 +5,15 @@ zero; the zero polynomial is the empty list.  Only what the modular
 certificates of `upoly` and `fields` use is here: products, remainders,
 monic gcds, powers modulo a polynomial, and one factoring path for a
 squarefree polynomial (von zur Gathen and Gerhard, *Modern Computer
-Algebra*, ch. 14): `distinct_degree` splits it into the products of its
-irreducible factors of each degree, and `equal_degree` splits each
-product by Cantor-Zassenhaus.  `degree_pattern` (the factor degrees)
-and `root` (a root of a polynomial with distinct linear factors) are
-thin uses of the two.  `hensel_lift` lifts the factorization of an
-integer polynomial modulo p to one modulo a power of p (ch. 15) for the
-factor search over QQ in `fields`; `mul`, `add`, `sub` and `divrem`
-work modulo that power as they do modulo p.
+Algebra*, ch. 14): `linear_part` is the product of its linear factors,
+`distinct_degree` splits it into the products of its irreducible
+factors of each degree, and `equal_degree` splits each product by
+Cantor-Zassenhaus; `root` (a root of a polynomial with distinct linear
+factors) is a thin use of it.  `hensel_lift` lifts the factorization
+of an integer polynomial modulo p to one modulo a power of p (ch. 15)
+for the rational roots in `upoly` and the factor search over QQ in
+`fields`; `mul`, `add`, `sub` and `divrem` work modulo that power as
+they do modulo p.
 """
 
 from .numtheory import is_prime
@@ -159,13 +160,6 @@ def linear_part(f, p):
     """gcd(x^p - x, f) for monic nonconstant f: the product of the
     distinct linear factors of f."""
     return gcd(f, _minus_x(powmod([0, 1], p, f, p), p), p)
-
-
-def degree_pattern(f, p):
-    """Degrees of the irreducible factors of monic squarefree f,
-    ascending."""
-    return [d for d, g in distinct_degree(f, p)
-            for _ in range((len(g) - 1) // d)]
 
 
 def _frobenius_rows(f, p, xp=None):

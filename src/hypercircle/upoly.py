@@ -17,10 +17,9 @@ the gcd taken exactly by Euclid.  `lcm` decides the same way.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import modp
-from .numtheory import factorize
 
 
 class UniPoly:
@@ -232,6 +231,10 @@ class UniPoly:
             return (self * other).monic()
         return (self * other).divrem(g)[0].monic()
 
+    def derivative(self):
+        return UniPoly(self.field,
+                       [k * c for k, c in enumerate(self.coeffs)][1:])
+
     def compose(self, inner):
         """self(inner(x)) by Horner."""
         inner = self._coerce_other(inner)
@@ -370,52 +373,65 @@ def resultant(f: UniPoly, g: UniPoly):
 def rational_roots(f: UniPoly):
     """All rational roots of a polynomial over the rationals, sorted.
 
-    Rational root theorem on the cleared-denominator integer polynomial.
-    A root p/q in lowest terms makes q x - p an integer factor, so q - p
-    divides f(1) and q + p divides f(-1); a candidate that passes those
-    is tested by Horner's rule on the integer q^d f(p/q).
+    Loos' p-adic method (R. Loos, SIAM J. Comput. 12, 1983).  Let F be
+    the squarefree part of f, less its factor x^k and with denominators
+    cleared, and b its leading coefficient.  A root u/v of F in lowest
+    terms makes v*x - u a factor of F over ZZ, so v divides b, and b*u/v
+    is an integer of absolute value at most ||F||_2 (Mignotte's bound at
+    degree 1).  At the first prime p that divides no b and keeps F
+    squarefree, u/v reduces to a root of the linear part of F modulo p.
+    Its linear factors, split by Cantor-Zassenhaus, are Hensel lifted
+    with their cofactor modulo m above twice that bound, so b*u/v is the
+    symmetric residue modulo m of b times the root of one of them; each
+    such candidate is tested exactly by Horner's rule on the integer
+    v^d F(u/v).
     """
     if f.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     if f.degree() == 0:
         return []
+    df = f.derivative()
+    common = _known_gcd(df, f)
+    if common is None:
+        common = f.gcd(df)
+    f = f // common
     den = 1
     for c in f.coeffs:
         c = Fraction(c)
         den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(Fraction(c) * den) for c in f.coeffs]
-    roots = []
     k = 0
     while ints[k] == 0:
         k += 1
-    if k > 0:
-        roots.append(Fraction(0))
-        ints = ints[k:]
-    if len(ints) > 1:
-        at_one = sum(ints)
-        at_minus_one = sum(ints[::2]) - sum(ints[1::2])
-        for p in _divisors(abs(ints[0])):
-            for q in _divisors(abs(ints[-1])):
-                if gcd(p, q) != 1:
-                    continue
-                for num, lo, hi in ((p, q - p, q + p), (-p, q + p, q - p)):
-                    if (_divides(lo, at_one) and _divides(hi, at_minus_one)
-                            and _homogeneous_value(ints, num, q) == 0):
-                        roots.append(Fraction(num, q))
+    roots = [Fraction(0)] if k else []
+    ints = ints[k:]
+    if len(ints) == 1:
+        return roots
+    b = ints[-1]
+    for p in modp.primes():
+        if not b % p:
+            continue
+        fp = modp.monic([c % p for c in ints], p)
+        if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
+            continue
+        line = modp.linear_part(fp, p)
+        if len(line) == 1:
+            return roots
+        linear = [line] if len(line) == 2 else modp.equal_degree(line, 1, p)
+        if linear is not None:
+            break
+    rest = modp.quo(fp, line, p)
+    factors = linear if len(rest) == 1 else linear + [rest]
+    bound = 2 * (isqrt(sum(c * c for c in ints)) + 1)
+    m, lifted = modp.hensel_lift(ints, factors, p, bound)
+    for u in lifted[:len(linear)]:
+        num = -b * u[0] % m
+        if 2 * num > m:
+            num -= m
+        c = gcd(num, b)
+        if _homogeneous_value(ints, num // c, b // c) == 0:
+            roots.append(Fraction(num, b))
     return sorted(roots)
-
-
-def _divisors(n):
-    if n == 0:
-        return []
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(set(divs))
-
-
-def _divides(d: int, n: int) -> bool:
-    return n == 0 if d == 0 else n % d == 0
 
 
 def _homogeneous_value(ints, p: int, q: int) -> int:

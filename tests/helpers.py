@@ -2,6 +2,7 @@
 generators, and reference algebra that only tests use."""
 
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from hypercircle.exprparse import parse_fraction
@@ -11,7 +12,7 @@ from hypercircle.groebner import (PositiveDimensionalError, buchberger,
 from hypercircle.hypercircles import (InternalInconsistencyError,
                                       ProjectivePoint)
 from hypercircle.mpoly import GREVLEX, MultiPoly
-from hypercircle.numtheory import is_prime
+from hypercircle.numtheory import factorize, is_prime
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
@@ -203,6 +204,51 @@ def spoly(f, g, order=GREVLEX):
         return MultiPoly(f.field, f.arity, {shift: f.field.one / c})
 
     return cofactor(ef, cf) * f - cofactor(eg, cg) * g
+
+
+def reference_rational_roots(f):
+    """The rational roots of f over QQ, sorted, by the rational root
+    theorem: a root u/v in lowest terms of the primitive integer
+    multiple F of f has u dividing F(0) and v its leading coefficient,
+    so v - u divides F(1) and v + u divides F(-1); a pair of divisors
+    that passes those is tried by Horner's rule on v^d F(u/v)."""
+    den = 1
+    for c in f.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in f.coeffs]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    roots = set()
+    while not ints[0]:
+        roots.add(Fraction(0))
+        ints = ints[1:]
+
+    def divisors(n):
+        out = [1]
+        for p, e in factorize(abs(n)).items():
+            out = [d * p ** i for d in out for i in range(e + 1)]
+        return out
+
+    def divides(d, n):
+        return n == 0 if d == 0 else n % d == 0
+
+    at_one = sum(ints)
+    at_minus_one = sum(ints[::2]) - sum(ints[1::2])
+    for u in divisors(ints[0]):
+        for v in divisors(ints[-1]):
+            if gcd(u, v) != 1:
+                continue
+            for num, lo, hi in ((u, v - u, v + u), (-u, v + u, v - u)):
+                if not (divides(lo, at_one) and divides(hi, at_minus_one)):
+                    continue
+                acc = 0
+                v_power = 1
+                for c in reversed(ints):
+                    acc = acc * num + c * v_power
+                    v_power *= v
+                if acc == 0:
+                    roots.add(Fraction(num, v))
+    return sorted(roots)
 
 
 def substitute(p, assignment):

@@ -197,32 +197,63 @@ def test_nonpositive_budget_is_input_error(capsys, budget):
 
 
 def test_primality_beyond_the_exact_bound_is_exit_3():
-    # (x - 1)(x^2 - N), N = 10^30 + 57, is reducible, so no modular
-    # certificate proves it irreducible; the rational root test factors
-    # the constant term N, whose primality no exact test here decides in
+    # conic-fields factors its coefficients: N = 10^30 + 57 is a strong
+    # probable prime whose primality no exact test here decides in
     # bounded time
     proc = subprocess.run(
-        [sys.executable, "-m", "hypercircle", "hypercircle",
-         "x^3 - x^2 - 1000000000000000000000000000057*x"
-         " + 1000000000000000000000000000057", "t"],
+        [sys.executable, "-m", "hypercircle", "conic-fields", "1", "1",
+         "-1000000000000000000000000000057"],
         capture_output=True, text=True, timeout=1)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget exhausted: ")
+    assert "strong probable prime is beyond the exact Miller-Rabin bound" \
+        in proc.stderr
 
 
 def test_pollard_rho_cap_is_exit_3():
-    # (x - 1)(x^2 - N) with N = (10^20 + 39) * (10^20 + 129): the
-    # rational root test factors N, and neither rho nor ECM splits it
+    # N = (10^20 + 39) * (10^20 + 129): neither rho nor ECM splits it
     # within the modular multiplications one factorize call may spend
     proc = subprocess.run(
-        [sys.executable, "-m", "hypercircle", "hypercircle",
-         "x^3 - x^2 - 10000000000000000016800000000000000005031*x"
-         " + 10000000000000000016800000000000000005031", "t"],
+        [sys.executable, "-m", "hypercircle", "conic-fields", "1", "1",
+         "-10000000000000000016800000000000000005031"],
         capture_output=True, text=True, timeout=5)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget exhausted: Pollard rho")
+
+
+@pytest.mark.parametrize("n", [
+    "1000000000000000000000000000057",
+    "10000000000000000016800000000000000005031",
+])
+def test_a_rational_root_is_found_without_factoring_integers(n):
+    # (x - 1)(x^2 - N) with N a large probable prime or a product of
+    # two 20-digit primes: the lifted linear factors modulo a prime
+    # find the root 1, and no integer is factored
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercircle", "hypercircle",
+         f"x^3 - x^2 - {n}*x + {n}", "t"],
+        capture_output=True, text=True, timeout=1)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("input error: reducible minimal polynomial, "
+                           "witness factor x - 1\n")
+
+
+def test_the_witness_factor_is_rendered(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "hypercircle", "x^4 - 4", "t")
+    assert (code, out) == (2, "")
+    assert err == ("input error: reducible minimal polynomial, witness "
+                   "factor x^2 - 2\n")
+    curve = tmp_path / "reducible.curve"
+    curve.write_text("minpoly = x^2 - 4\nx1 = t\n")
+    code, out, err = run_cli(capsys, "reparam", str(curve))
+    assert (code, out) == (2, "")
+    assert err == ("input error: reducible minimal polynomial, witness "
+                   "factor x + 2\n")
 
 
 def test_witness_of_a_high_power_is_bounded(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import input_path, random_field_element, random_unipoly
 
-from hypercircle import fields, modp
+from hypercircle import fields, modp, numtheory
 from hypercircle.exprparse import build_problem, parse_curve_file
 from hypercircle.fields import (QQ, FieldElement, FieldTower, is_irreducible,
                                 make_extension)
@@ -151,7 +151,14 @@ def test_degree_pattern_matches_brute_force(seed):
     f = [rng.randrange(p) for _ in range(n)] + [1]
     if len(modp.gcd(f, modp.derivative(f, p), p)) > 1:
         f = [1, 1, 1]  # x^2 + x + 1, squarefree modulo 5 and 7
-    assert sorted(modp.degree_pattern(f, p)) == _brute_factor_degrees(f, p)
+    assert _factor_degrees(f, p) == _brute_factor_degrees(f, p)
+
+
+def _factor_degrees(f, p):
+    """Degrees of the irreducible factors of monic squarefree f modulo
+    p, ascending, read off its distinct-degree factorization."""
+    return [d for d, g in modp.distinct_degree(f, p)
+            for _ in range((len(g) - 1) // d)]
 
 
 def _random_squarefree(rng, p, n):
@@ -177,10 +184,10 @@ def test_equal_degree_splits_the_distinct_degree_parts(seed):
     assert _product_of([g for _, g in parts], p) == f
     factors = modp.irreducible_factors(parts, p)
     assert _product_of(factors, p) == f
-    assert sorted(len(g) - 1 for g in factors) == modp.degree_pattern(f, p)
+    assert sorted(len(g) - 1 for g in factors) == _factor_degrees(f, p)
     for g in factors:
         assert g[-1] == 1
-        assert modp.degree_pattern(g, p) == [len(g) - 1]
+        assert _factor_degrees(g, p) == [len(g) - 1]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -423,7 +430,7 @@ def test_planted_products_are_never_certified(seed):
                    for _ in range(d1)] + [1]) *
          _qq_poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(d2)] + [1]))
-    assert not fields._irreducible_mod_primes(f)
+    assert fields._modular_degrees(f)[0]
 
 
 IRREDUCIBILITY_CASES = [
@@ -438,7 +445,7 @@ def test_exact_fallback_gives_the_same_answers(monkeypatch, coeffs):
     f = _qq_poly(coeffs)
     certified = is_irreducible(f)
     monkeypatch.setattr(modp, "PRIMES", ())
-    assert not fields._irreducible_mod_primes(f.monic())
+    assert fields._modular_degrees(f.monic())[0]
     assert is_irreducible(f) == certified
 
 
@@ -464,6 +471,10 @@ def test_certificate_decides_without_the_exact_search(monkeypatch):
         (True, None)
 
 
+def _no_factorize(*args):
+    raise AssertionError("an integer was factored")
+
+
 @pytest.mark.parametrize("coeffs", [
     (-2, 0, 0, 0, 0, 1), (2, 0, 0, 0, 0, 1), (-3, 0, 0, 0, 0, 1),
     (3, 0, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 1),
@@ -471,20 +482,17 @@ def test_certificate_decides_without_the_exact_search(monkeypatch):
 ])
 def test_a_lone_linear_factor_stops_the_pattern_primes(monkeypatch, coeffs):
     # degree 1 is allowed modulo every prime; once a prime leaves it
-    # alone, with one linear factor, lifting that factor decides it, and
-    # the rational root test, which may factor integers, does not run
+    # alone, with one linear factor, the patterns stop and the lifted
+    # linear factors of rational_roots decide it, factoring no integer
     calls = []
 
     def counting(*args):
         calls.append(args[1])
         return distinct_degree(*args)
 
-    def no_search(*args):
-        raise AssertionError("rational root test ran")
-
     distinct_degree = modp.distinct_degree
     monkeypatch.setattr(modp, "distinct_degree", counting)
-    monkeypatch.setattr(fields, "roots_in_field", no_search)
+    monkeypatch.setattr(numtheory, "factorize", _no_factorize)
     assert is_irreducible(_qq_poly(coeffs)) == (True, None)
     assert len(calls) <= 3
 
@@ -493,20 +501,20 @@ def test_a_lone_linear_factor_stops_the_pattern_primes(monkeypatch, coeffs):
     Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(10 ** 12, 7),
     Fraction(-3, 10 ** 9),
 ])
-def test_a_lone_linear_factor_lifts_to_its_root(root):
+def test_a_lone_linear_factor_lifts_to_its_root(monkeypatch, root):
     # (x - root) * (x^4 + x + 1) modulo a prime with one linear factor:
     # the factor lifts (past the first power of p for the large roots)
     # to the root; that polynomial plus 7 has no rational root
+    monkeypatch.setattr(numtheory, "factorize", _no_factorize)
     f = _qq_poly((-root, 1)) * _qq_poly((1, 1, 0, 0, 1))
     g = f + _qq_poly((7,))
+    assert rational_roots(f) == [root]
     assert not rational_roots(g)
     lone = 0
-    for h, lifts in ((f, True), (g, False)):
+    for h in (f, g):
         ints = fields._integer_form(h)
         for parts, p, _ in fields._reductions(ints, modp.PRIMES):
-            if parts[0][0] == 1 and len(parts[0][1]) == 2:
-                lone += 1
-                assert fields._lifts_to_root(ints, parts[0][1], p) == lifts
+            lone += parts[0][0] == 1 and len(parts[0][1]) == 2
     assert lone
     assert fields._modular_degrees(f)[0] == [1]
     assert is_irreducible(f) == (False, _qq_poly((-root, 1)))

@@ -1,13 +1,15 @@
 """Dense univariate polynomials, resultants, rational functions."""
 
+import ast
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unipoly
+from helpers import random_unipoly, reference_rational_roots, repo_root
 
 from hypercircle.fields import QQ, make_extension
 from hypercircle.upoly import (
@@ -140,6 +142,51 @@ def test_rational_roots():
 def test_rational_roots_include_repeated_once():
     f = _P(-1, 1) * _P(-1, 1) * _P(5, 1)
     assert rational_roots(f) == [Fraction(-5), Fraction(1)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rational_roots_match_the_rational_root_theorem(seed):
+    # planted roots, some repeated, 0 and non-integers among them, times
+    # a cofactor with coefficients up to 10^12, scaled by a rational
+    rng = random.Random(f"rational-roots:{seed}")
+    f = _P(Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12),
+                    rng.randint(1, 10 ** 12)))
+    for _ in range(rng.randint(0, 4)):
+        root = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        f = f * _P(-root, 1) ** rng.randint(1, 3)
+    span = 10 ** rng.randint(0, 12)
+    g = _P(*[rng.randint(-span, span) for _ in range(rng.randint(0, 3))],
+           rng.randint(1, 12))
+    f = f * g
+    assert rational_roots(f) == reference_rational_roots(f)
+
+
+@pytest.mark.parametrize("roots, cofactor", [
+    ([Fraction(k, 13 - k) for k in range(1, 13)], _P(1)),
+    ([Fraction(k, 13 - k) for k in range(1, 13)], _P(1, 1, 0, 0, 1)),
+    ([Fraction(10 ** 15 + k) for k in (1, 3, 7, 9, 13)], _P(1)),
+])
+def test_many_or_large_rational_roots_are_found_quickly(roots, cofactor):
+    # the rational root test took 0.27-6.2 s on these, enumerating the
+    # divisors of their leading and constant coefficients
+    f = cofactor
+    for r in roots:
+        f = f * _P(-r, 1)
+    start = time.perf_counter()
+    assert rational_roots(f) == sorted(roots)
+    assert time.perf_counter() - start < 1
+
+
+def test_upoly_imports_nothing_from_numtheory():
+    # rational roots come from linear factors lifted modulo a prime, not
+    # from the divisors of factored integers
+    source = repo_root() / "src" / "hypercircle" / "upoly.py"
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            assert not any("numtheory" in name for name in names)
 
 
 def test_rational_function_reduces_and_normalizes():
