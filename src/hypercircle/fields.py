@@ -15,10 +15,10 @@ Irreducibility, roots inside a field, primitive elements and subfield
 membership are all decided exactly.  Over QQ, irreducibility is decided
 modulo primes: the factor degrees of f modulo a few primes
 (distinct-degree factorization, `modp`) bound the degrees a factor over
-QQ can have; a linear factor is sought by the rational root test, and
-any other degree left by factoring f modulo one prime, Hensel lifting
-and Zassenhaus recombination over ZZ (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 14-15).  Over an extension L(a), f is
+QQ can have, and every degree left is sought by factoring f modulo one
+prime, Hensel lifting and Zassenhaus recombination over ZZ (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15), the one
+lift, which also gives the rational roots.  Over an extension L(a), f is
 factored by Trager's norm: a shift f(x - s*a) whose norm to L is
 squarefree, that norm factored over L (over QQ as above, over QQ(g)
 by the same norm one level down), and one gcd per factor; the roots
@@ -595,15 +595,15 @@ def is_irreducible(f: UniPoly):
     """Exact irreducibility over the coefficient field of f.
 
     Returns (True, None) or (False, witness_factor).  The witness is
-    x - r for the least root r of f in the field, or else the monic
+    x - r for the least root r of f in the field (least rational, over
+    QQ; least canonical key, over an extension), or else the monic
     factor of least degree whose coefficients, constant first, have the
     least canonical keys.
 
     Over QQ the factor degrees of f modulo a few primes leave the
-    degrees a factor can have (`_modular_degrees`).  Degree 1 is decided
-    by `rational_roots`, which lifts the linear factors of f modulo a
-    prime.  Any other degree left is decided by Hensel lifting and
-    Zassenhaus recombination of the factors of f modulo a prime
+    degrees a factor can have (`_modular_degrees`), and every degree
+    left, 1 included, is decided by one Hensel lifting and Zassenhaus
+    recombination of the factors of f modulo the best of those primes
     (`_recombine`), which raises SearchCapExceededError past
     `_RECOMBINATION_CAP` candidates.  An f that is not squarefree is
     decided by its squarefree part.  Over an extension f is factored by
@@ -627,11 +627,6 @@ def is_irreducible(f: UniPoly):
                 part = f // common
                 ok, factor = is_irreducible(part)
                 return False, part if ok else factor
-        if 1 in degrees:
-            roots = roots_in_field(f, QQ)
-            if roots:
-                return False, UniPoly(QQ, (-roots[0], 1))
-        degrees = [k for k in degrees if k > 1]
         factors = _recombine(f, degrees, modular) if degrees else [f]
     return (True, None) if factors == [f] else (False, _least(factors))
 
@@ -641,7 +636,7 @@ def _least(factors):
     root r, else the least degree, then the least coefficient keys."""
     def key(g):
         if g.degree() == 1:
-            return 1, canonical_key(-g[0])
+            return 1, -g[0] if g.field is QQ else canonical_key(-g[0])
         return g.degree(), [canonical_key(c) for c in g.coeffs]
     return min(factors, key=key)
 
@@ -662,10 +657,10 @@ def _integer_form(f: UniPoly):
     return _clear_denominators(f.coeffs)[0]
 
 
-def _reductions(ints, primes):
-    """(distinct-degree factorization, p, x^p) of the integer polynomial
-    ints modulo each prime p of primes that divides neither its leading
-    coefficient nor its discriminant."""
+def _reductions(ints, primes, top=None):
+    """(distinct-degree factorization up to degree top, p, x^p) of the
+    integer polynomial ints modulo each prime p of primes that divides
+    neither its leading coefficient nor its discriminant."""
     for p in primes:
         if not ints[-1] % p:
             continue
@@ -673,7 +668,7 @@ def _reductions(ints, primes):
         if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
             continue
         xp = modp.powmod([0, 1], p, fp, p)
-        yield modp.distinct_degree(fp, p, xp), p, xp
+        yield modp.distinct_degree(fp, p, xp, top), p, xp
 
 
 def _modular_degrees(f: UniPoly):
@@ -685,12 +680,12 @@ def _modular_degrees(f: UniPoly):
     with the fewest factors, or None when no tried prime keeps f
     squarefree.  The primes stop at the first that leaves no degree; at
     the first that leaves degree 1 alone with one linear factor modulo
-    it, which `rational_roots` decides by lifting, so further patterns
-    would only spare it that lift; or at the first that
-    leaves no degree 1 once the subsets of the best prime's factors are
-    within `_RECOMBINATION_CAP`: the degrees above 1 are then decided
-    exactly by `_recombine`, and further patterns would only save it
-    work.
+    it, which is then the prime returned, since `_recombine` decides
+    degree 1 there by lifting that factor and its cofactor, so further
+    patterns would only spare it that lift; or at the first that leaves
+    no degree 1 once the subsets of the best prime's factors are within
+    `_RECOMBINATION_CAP`: the degrees above 1 are then decided exactly
+    by `_recombine`, and further patterns would only save it work.
 
     A monic factor over QQ of f is integral at every prime p that
     divides no denominator of f, so it reduces to a factor of the same
@@ -708,11 +703,10 @@ def _modular_degrees(f: UniPoly):
                 sums |= {s + k for s in sums}
                 count += 1
         degrees = [k for k in degrees if k in sums]
-        if best is None or count < best[0]:
+        lone = degrees == [1] and len(parts[0][1]) == 2
+        if lone or best is None or count < best[0]:
             best = (count, parts, p, xp)
-        if degrees == [1] and len(parts[0][1]) == 2:
-            break
-        if not degrees:
+        if lone or not degrees:
             break
         if degrees[0] > 1 and 1 << best[0] <= _RECOMBINATION_CAP:
             break
@@ -720,15 +714,18 @@ def _modular_degrees(f: UniPoly):
 
 
 def _recombine(f: UniPoly, degrees, modular):
-    """The monic irreducible factors over QQ of the monic squarefree f,
-    given the degrees, ascending, that its factors of degree at most
-    deg f / 2 may have and `_modular_degrees`' modular.
+    """The monic irreducible factors over QQ of the monic squarefree f
+    whose degrees are in degrees, ascending and at most deg f / 2, then
+    their cofactor; modular is `_modular_degrees`' or None.
 
     f is factored modulo the prime of modular, else modulo the first
     prime of `modp.primes()` that keeps it squarefree.  With F the
     primitive integer multiple of f and b its leading coefficient, a
     factor G of degree k over ZZ is, modulo p, a unit times the product
-    of a subset of the modular factors, whose degrees sum to k.
+    of a subset of the modular factors, whose degrees sum to k.  Parts
+    of degree above max(degrees), which no subset holds, are not split
+    but lifted as one cofactor, as Loos lifts the linear factors with
+    theirs (R. Loos, SIAM J. Comput. 12, 1983).
     Mignotte bounds the i-th coefficient of G by C(k, i) M(G), and M(G)
     <= M(F) |lc(G)/b| <= ||F||_2 |lc(G)/b| (Landau), so b/lc(G) * G has
     coefficients at most C(k, k/2) ||F||_2 in absolute value.  Once the
@@ -736,16 +733,25 @@ def _recombine(f: UniPoly, degrees, modular):
     symmetric residue of b times the subset's product.  Each candidate's
     primitive part is tried by division over ZZ and, when it divides, is
     divided out with its subset; the bound holds for the cofactor too
-    (von zur Gathen and Gerhard, Algorithm 15.19).  What is left once
-    every degree is tried is irreducible.
+    (von zur Gathen and Gerhard, Algorithm 15.19).  When degrees holds
+    every degree a factor of f may have, the cofactor is irreducible.
     """
     ints = _integer_form(f)
+    top = max(degrees)
     for parts, p, xp in chain([modular] if modular else [],
-                              _reductions(ints, modp.primes())):
-        factors = modp.irreducible_factors(parts, p, xp)
+                              _reductions(ints, modp.primes(), top)):
+        factors = modp.irreducible_factors(
+            [(d, g) for d, g in parts if d <= top], p, xp)
         if factors is not None:
             break
-    top = max(degrees)
+    if not factors:
+        return [f]
+    rest = [1]
+    for d, g in parts:
+        if d > top:
+            rest = modp.mul(rest, g, p)
+    if len(rest) > 1:
+        factors.append(rest)
     bound = comb(top, top // 2) * (isqrt(sum(c * c for c in ints)) + 1)
     m, lifted = modp.hensel_lift(ints, factors, p, 2 * bound)
     found = []
@@ -861,8 +867,9 @@ def _tower_factors(f: UniPoly):
 def roots_in_field(f: UniPoly, field):
     """All roots of f lying in the given field, canonically sorted.
 
-    Over QQ this is the rational root theorem; over an extension they
-    are read off the linear factors of f (`_tower_factors`).
+    Either way they are read off the linear factors of f: over QQ those
+    `_recombine` lifts for `rational_roots`, over an extension those of
+    Trager's norm (`_tower_factors`).
     """
     if f.is_zero():
         raise ValueError("every element is a root of the zero polynomial")

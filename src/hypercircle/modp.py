@@ -11,9 +11,9 @@ factors of each degree, and `equal_degree` splits each product by
 Cantor-Zassenhaus; `root` (a root of a polynomial with distinct linear
 factors) is a thin use of it.  `hensel_lift` lifts the factorization
 of an integer polynomial modulo p to one modulo a power of p (ch. 15)
-for the rational roots in `upoly` and the factor search over QQ in
-`fields`; `mul`, `add`, `sub` and `divrem` work modulo that power as
-they do modulo p.
+for the one factor search over QQ, `fields._recombine`, which also
+gives the rational roots of `upoly`; `mul`, `add`, `sub` and `divrem`
+work modulo that power as they do modulo p.
 """
 
 from .numtheory import is_prime
@@ -182,11 +182,12 @@ def _frobenius(h, rows, p):
     return trim([v % p for v in acc])
 
 
-def distinct_degree(f, p, xp=None):
+def distinct_degree(f, p, xp=None, top=None):
     """[(d, g_d)] for monic squarefree nonconstant f, ascending in d:
     g_d is the product of the monic irreducible factors of f of degree d,
     and degrees with no factor are left out.  xp, when given, is x^p
-    modulo f.
+    modulo f.  With top, the factors of degree above top stay in one
+    last part, labelled with its degree.
 
     gcd(x^(p^d) - x, f) is the product of the factors whose degree
     divides d; once those of lower degree are divided out, of the
@@ -194,14 +195,16 @@ def distinct_degree(f, p, xp=None):
     of x^(p^(d-1)).  What is left once 2d exceeds its degree is one
     factor.
     """
-    rows = _frobenius_rows(f, p, xp)
+    h = xp = powmod([0, 1], p, f, p) if xp is None else xp
+    rows = None
     out = []
     rest = f
-    h = [0, 1]
     d = 0
-    while 2 * (d + 1) <= len(rest) - 1:
+    while 2 * (d + 1) <= len(rest) - 1 and d != top:
         d += 1
-        h = _frobenius(h, rows, p)
+        if d > 1:
+            rows = rows or _frobenius_rows(f, p, xp)
+            h = _frobenius(h, rows, p)
         g = gcd(rest, _minus_x(h, p), p)
         if len(g) > 1:
             out.append((d, g))

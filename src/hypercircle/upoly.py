@@ -17,7 +17,6 @@ the gcd taken exactly by Euclid.  `lcm` decides the same way.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
 
 from . import modp
 
@@ -373,19 +372,13 @@ def resultant(f: UniPoly, g: UniPoly):
 def rational_roots(f: UniPoly):
     """All rational roots of a polynomial over the rationals, sorted.
 
-    Loos' p-adic method (R. Loos, SIAM J. Comput. 12, 1983).  Let F be
-    the squarefree part of f, less its factor x^k and with denominators
-    cleared, and b its leading coefficient.  A root u/v of F in lowest
-    terms makes v*x - u a factor of F over ZZ, so v divides b, and b*u/v
-    is an integer of absolute value at most ||F||_2 (Mignotte's bound at
-    degree 1).  At the first prime p that divides no b and keeps F
-    squarefree, u/v reduces to a root of the linear part of F modulo p.
-    Its linear factors, split by Cantor-Zassenhaus, are Hensel lifted
-    with their cofactor modulo m above twice that bound, so b*u/v is the
-    symmetric residue modulo m of b times the root of one of them; each
-    such candidate is tested exactly by Horner's rule on the integer
-    v^d F(u/v).
+    The roots other than 0 of the squarefree part of f, less its factor
+    x, are those of its linear factors over QQ, which `fields._recombine`
+    finds by Hensel lifting its linear factors modulo a prime, with
+    their cofactor, past the degree-1 coefficient bound (Loos' p-adic
+    method, R. Loos, SIAM J. Comput. 12, 1983).
     """
+    from .fields import _recombine
     if f.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     if f.degree() == 0:
@@ -394,54 +387,11 @@ def rational_roots(f: UniPoly):
     common = _known_gcd(df, f)
     if common is None:
         common = f.gcd(df)
-    f = f // common
-    den = 1
-    for c in f.coeffs:
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(Fraction(c) * den) for c in f.coeffs]
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    roots = [Fraction(0)] if k else []
-    ints = ints[k:]
-    if len(ints) == 1:
-        return roots
-    b = ints[-1]
-    for p in modp.primes():
-        if not b % p:
-            continue
-        fp = modp.monic([c % p for c in ints], p)
-        if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
-            continue
-        line = modp.linear_part(fp, p)
-        if len(line) == 1:
-            return roots
-        linear = [line] if len(line) == 2 else modp.equal_degree(line, 1, p)
-        if linear is not None:
-            break
-    rest = modp.quo(fp, line, p)
-    factors = linear if len(rest) == 1 else linear + [rest]
-    bound = 2 * (isqrt(sum(c * c for c in ints)) + 1)
-    m, lifted = modp.hensel_lift(ints, factors, p, bound)
-    for u in lifted[:len(linear)]:
-        num = -b * u[0] % m
-        if 2 * num > m:
-            num -= m
-        c = gcd(num, b)
-        if _homogeneous_value(ints, num // c, b // c) == 0:
-            roots.append(Fraction(num, b))
-    return sorted(roots)
-
-
-def _homogeneous_value(ints, p: int, q: int) -> int:
-    """q^d f(p/q) for f with integer coefficients `ints`, constant first."""
-    acc = 0
-    q_power = 1
-    for c in reversed(ints):
-        acc = acc * p + c * q_power
-        q_power *= q
-    return acc
+    f = (f // common).monic()
+    roots = [] if f[0] else [Fraction(0)]
+    f = UniPoly(f.field, f.coeffs[len(roots):])
+    factors = _recombine(f, [1], None) if f.degree() > 1 else [f]
+    return sorted(roots + [-g[0] for g in factors if g.degree() == 1])
 
 
 class RationalFunction:

@@ -2,7 +2,7 @@
 generators, and reference algebra that only tests use."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 from hypercircle.exprparse import parse_fraction
@@ -249,6 +249,30 @@ def reference_rational_roots(f):
                 if acc == 0:
                     roots.add(Fraction(num, v))
     return sorted(roots)
+
+
+def swinnerton_dyer(primes):
+    """The integer coefficients, constant first, of the monic product of
+    x + e_1 sqrt(p_1) + ... + e_k sqrt(p_k) over every choice of signs
+    e_i: irreducible of degree 2^k over QQ, with factors of degree at
+    most 2 modulo every prime.  Each step writes f(x + s), s^2 = p, as
+    A + s B by Taylor's formula and takes f(x + s) f(x - s) = A^2 - p B^2.
+    """
+    f = [0, 1]
+    for p in primes:
+        halves = [[0] * len(f), [0] * len(f)]
+        for j in range(len(f)):
+            for i in range(j, len(f)):
+                halves[j % 2][i - j] += comb(i, j) * f[i] * p ** (j // 2)
+        a, b = halves
+        f = [0] * (2 * len(f) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(a):
+                f[i + j] += x * y
+        for i, x in enumerate(b):
+            for j, y in enumerate(b):
+                f[i + j] -= p * x * y
+    return f
 
 
 def substitute(p, assignment):

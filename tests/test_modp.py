@@ -1,7 +1,9 @@
 """GF(p) polynomials and the certificates proved modulo a prime."""
 
+import ast
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import input_path, random_field_element, random_unipoly
+from helpers import (input_path, random_field_element, random_unipoly,
+                     repo_root, swinnerton_dyer)
 
 from hypercircle import fields, modp, numtheory
 from hypercircle.exprparse import build_problem, parse_curve_file
@@ -188,6 +191,22 @@ def test_equal_degree_splits_the_distinct_degree_parts(seed):
     for g in factors:
         assert g[-1] == 1
         assert _factor_degrees(g, p) == [len(g) - 1]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_distinct_degree_up_to_top_keeps_the_rest_whole(seed):
+    rng = random.Random(f"top:{seed}")
+    p = rng.choice((5, 7))
+    f = _random_squarefree(rng, p, rng.randint(4, 12))
+    top = rng.randint(1, 2)
+    full = modp.distinct_degree(f, p)
+    capped = modp.distinct_degree(f, p, top=top)
+    small = [(d, g) for d, g in full if d <= top]
+    big = [g for d, g in full if d > top]
+    assert capped[:len(small)] == small
+    rest = capped[len(small):]
+    assert [g for _, g in rest] == ([_product_of(big, p)] if big else [])
+    assert all(d == len(g) - 1 > top for d, g in rest)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -518,3 +537,82 @@ def test_a_lone_linear_factor_lifts_to_its_root(monkeypatch, root):
     assert lone
     assert fields._modular_degrees(f)[0] == [1]
     assert is_irreducible(f) == (False, _qq_poly((-root, 1)))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-2, 0, 0, 0, 0, 1), (3, 0, 0, 0, 0, 1), (-3, 0, 0, 0, 0, 0, 0, 1),
+])
+def test_x_to_the_p_is_computed_once_per_pattern_prime(monkeypatch, coeffs):
+    # the lone linear factor is split and lifted at the pattern prime
+    # that found it, with that prime's x^p; no prime computes it twice
+    powers = []
+    calls = []
+
+    def counting_powmod(f, e, m, p):
+        if f == [0, 1] and e == p:
+            powers.append(p)
+        return powmod(f, e, m, p)
+
+    def counting_distinct_degree(*args):
+        calls.append(args[1])
+        return distinct_degree(*args)
+
+    powmod = modp.powmod
+    distinct_degree = modp.distinct_degree
+    monkeypatch.setattr(modp, "powmod", counting_powmod)
+    monkeypatch.setattr(modp, "distinct_degree", counting_distinct_degree)
+    assert is_irreducible(_qq_poly(coeffs)) == (True, None)
+    assert calls and powers == calls
+
+
+@pytest.mark.parametrize("primes", [modp.PRIMES, (33049,)])
+@pytest.mark.parametrize("cofactor, roots", [
+    ((1,), []), ((-3, 7), [Fraction(3, 7)]),
+])
+def test_a_linear_search_lifts_only_the_linear_factors(monkeypatch, primes,
+                                                       cofactor, roots):
+    # the degree-16 Swinnerton-Dyer polynomial has factors of degree at
+    # most 2 modulo every prime, and 16 linear ones modulo 33049, where
+    # 2, 3, 5 and 7 are squares; the search for rational roots splits
+    # only the linear factors and lifts the rest as one cofactor, so it
+    # tries one subset per linear factor
+    lifts = []
+
+    def counting_lift(ints, factors, p, bound):
+        lifts.append((ints, len(factors), p))
+        return hensel_lift(ints, factors, p, bound)
+
+    hensel_lift = modp.hensel_lift
+    monkeypatch.setattr(modp, "hensel_lift", counting_lift)
+    monkeypatch.setattr(modp, "PRIMES", primes)
+    f = _qq_poly(swinnerton_dyer([2, 3, 5, 7])) * _qq_poly(cofactor)
+    start = time.perf_counter()
+    assert rational_roots(f) == roots
+    assert time.perf_counter() - start < 1
+    assert len(lifts) <= 1
+    for ints, count, p in lifts:
+        # at most the linear factors modulo p and their cofactor
+        linear = modp.linear_part(modp.monic([c % p for c in ints], p), p)
+        assert count <= len(linear)
+
+
+def test_one_function_lifts_modulo_powers_of_p():
+    # rational roots, irreducibility over QQ and the factors of Trager's
+    # norm all come from one Hensel-Zassenhaus search
+    callers = []
+    for path in sorted((repo_root() / "src" / "hypercircle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(c, ast.Call) and "hensel_lift" in (
+                        getattr(c.func, "attr", None),
+                        getattr(c.func, "id", None))
+                       for c in ast.walk(node)):
+                    callers.append((path.stem, node.name))
+    assert callers == [("fields", "_recombine")]
+
+
+def test_the_witness_root_is_the_least_rational():
+    # roots -2 and -3/2: the least canonical key (numerator first) would
+    # be -3/2
+    f = _qq_poly((2, 1)) * _qq_poly((3, 2)) * _qq_poly((1, 0, 1))
+    assert is_irreducible(f) == (False, _qq_poly((2, 1)))
