@@ -602,9 +602,10 @@ def is_irreducible(f: UniPoly):
 
     Over QQ the factor degrees of f modulo a few primes leave the
     degrees a factor can have (`_modular_degrees`), and every degree
-    left, 1 included, is decided by one Hensel lifting and Zassenhaus
+    left, 1 included, is searched by one Hensel lifting and Zassenhaus
     recombination of the factors of f modulo the best of those primes
-    (`_recombine`), which raises SearchCapExceededError past
+    (`_recombine`), up to the least degree that yields a factor, since
+    the witness has that degree; it raises SearchCapExceededError past
     `_RECOMBINATION_CAP` candidates.  An f that is not squarefree is
     decided by its squarefree part.  Over an extension f is factored by
     Trager's norm (`_tower_factors`).
@@ -627,7 +628,8 @@ def is_irreducible(f: UniPoly):
                 part = f // common
                 ok, factor = is_irreducible(part)
                 return False, part if ok else factor
-        factors = _recombine(f, degrees, modular) if degrees else [f]
+        factors = (_recombine(f, degrees, modular, first=True) if degrees
+                   else [f])
     return (True, None) if factors == [f] else (False, _least(factors))
 
 
@@ -713,7 +715,7 @@ def _modular_degrees(f: UniPoly):
     return degrees, best and best[1:]
 
 
-def _recombine(f: UniPoly, degrees, modular):
+def _recombine(f: UniPoly, degrees, modular, first=False):
     """The monic irreducible factors over QQ of the monic squarefree f
     whose degrees are in degrees, ascending and at most deg f / 2, then
     their cofactor; modular is `_modular_degrees`' or None.
@@ -735,6 +737,8 @@ def _recombine(f: UniPoly, degrees, modular):
     divided out with its subset; the bound holds for the cofactor too
     (von zur Gathen and Gerhard, Algorithm 15.19).  When degrees holds
     every degree a factor of f may have, the cofactor is irreducible.
+    With first, the search stops after the least degree that yields a
+    factor, and the cofactor, irreducible or not, holds the rest.
     """
     ints = _integer_form(f)
     top = max(degrees)
@@ -783,6 +787,8 @@ def _recombine(f: UniPoly, degrees, modular):
                 ints = quotient
                 used.update(subset)
         lifted = [u for i, u in enumerate(lifted) if i not in used]
+        if first and found:
+            break
     if len(ints) > 1:
         found.append(UniPoly(QQ, [Fraction(c, ints[-1]) for c in ints]))
     return found

@@ -586,9 +586,11 @@ def test_a_linear_search_lifts_only_the_linear_factors(monkeypatch, primes,
     monkeypatch.setattr(modp, "hensel_lift", counting_lift)
     monkeypatch.setattr(modp, "PRIMES", primes)
     f = _qq_poly(swinnerton_dyer([2, 3, 5, 7])) * _qq_poly(cofactor)
-    start = time.perf_counter()
+    # CPU time of this process, a few ms here, so that other processes on
+    # the machine do not count; the lift counts below pin the cost
+    start = time.process_time()
     assert rational_roots(f) == roots
-    assert time.perf_counter() - start < 1
+    assert time.process_time() - start < 1
     assert len(lifts) <= 1
     for ints, count, p in lifts:
         # at most the linear factors modulo p and their cofactor
@@ -616,3 +618,28 @@ def test_the_witness_root_is_the_least_rational():
     # be -3/2
     f = _qq_poly((2, 1)) * _qq_poly((3, 2)) * _qq_poly((1, 0, 1))
     assert is_irreducible(f) == (False, _qq_poly((2, 1)))
+
+
+def test_a_rational_root_ends_the_irreducibility_search():
+    # the degree-32 Swinnerton-Dyer polynomial needs more than the
+    # recombination cap of subsets to be proved irreducible; the witness
+    # x - 1 is of least degree, so the search stops at degree 1
+    f = _qq_poly(swinnerton_dyer([2, 3, 5, 7, 11])) * _qq_poly((-1, 1))
+    assert is_irreducible(f) == (False, _qq_poly((-1, 1)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_witness_is_the_least_of_all_factors(seed):
+    # stopping at the least degree that yields a factor gives the witness
+    # that the search over every degree gives; odd seeds have no linear
+    # factor, so their witness comes from a search of degree 2 or more
+    rng = random.Random(f"least-witness:{seed}")
+    f = _qq_poly((1,))
+    while f.degree() < 4:
+        g = _qq_poly([rng.randint(-4, 4)
+                      for _ in range(rng.randint(1 + seed % 2, 3))] + [1])
+        if g.degree() > 0 and is_irreducible(g)[0] and f.gcd(g).degree() < 1:
+            f = f * g
+    degrees = list(range(1, f.degree() // 2 + 1))
+    factors = fields._recombine(f, degrees, None)
+    assert is_irreducible(f) == (False, fields._least(factors))
