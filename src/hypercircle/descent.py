@@ -50,11 +50,11 @@ QQ(g)(a) over a subfield, needs only data over that tower.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .fields import QQ
 from .groebner import DEFAULT_PAIR_BUDGET, buchberger, eliminate
 from .mpoly import GREVLEX, MultiPoly, Packing, addmul
+from .numtheory import clear_denominators
 from .upoly import RationalFunction, UniPoly
 
 
@@ -155,14 +155,9 @@ def _clear(dicts, base):
     """
     if base is not QQ:
         return 1, dicts
-    L = 1
-    for d in dicts:
-        for c in d.values():
-            q = c.denominator
-            if L % q:
-                L = L // gcd(L, q) * q
-    return L, [{e: c.numerator * (L // c.denominator)
-                for e, c in d.items()} for d in dicts]
+    ints, L = clear_denominators([c for d in dicts for c in d.values()])
+    it = iter(ints)
+    return L, [dict(zip(d, it)) for d in dicts]
 
 
 def _fold(tower):

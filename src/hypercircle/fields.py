@@ -12,13 +12,11 @@ fraction-free linear solve.  An element of QQ(g)(a) keeps a tuple of
 QQ(g) elements.  Either way `coeffs` reads the coordinates over the
 base: Fractions at height one, QQ(g) elements at height two.
 Irreducibility, roots inside a field, primitive elements and subfield
-membership are all decided exactly.  Over QQ, irreducibility is decided
-modulo primes: the factor degrees of f modulo a few primes
-(distinct-degree factorization, `modp`) bound the degrees a factor over
-QQ can have, and every degree left is sought by factoring f modulo one
-prime, Hensel lifting and Zassenhaus recombination over ZZ (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15), the one
-lift, which also gives the rational roots.  Over an extension L(a), f is
+membership are all decided exactly.  Over QQ, f with its denominators
+cleared goes to the factor search over ZZ of `modp` (degree patterns
+modulo a few primes, one Hensel lift, Zassenhaus recombination), and
+only the factors it returns become polynomials over QQ again; the
+witness of reducibility is chosen here.  Over an extension L(a), f is
 factored by Trager's norm: a shift f(x - s*a) whose norm to L is
 squarefree, that norm factored over L (over QQ as above, over QQ(g)
 by the same norm one level down), and one gcd per factor; the roots
@@ -39,12 +37,11 @@ one inverse.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import comb, gcd, isqrt
+from math import gcd
 
 from . import linalg, modp
 from .mpoly import MultiPoly
-from .numtheory import SearchCapExceededError
+from .numtheory import clear_denominators
 from .upoly import UniPoly, rational_roots
 
 
@@ -203,7 +200,7 @@ class FieldTower:
             raise ValueError("coefficient vector too long")
         cs += [base.zero] * (self.degree - len(cs))
         if self.height == 1:
-            nums, den = _clear_denominators(cs)
+            nums, den = clear_denominators(cs)
             return FieldElement(self, tuple(nums), den)
         return TowerElement(self, tuple(cs))
 
@@ -234,7 +231,7 @@ class FieldTower:
         if self._int_powers is None:
             d = self.degree
             table = self._power_table()
-            nums, T = _clear_denominators([c for row in table for c in row])
+            nums, T = clear_denominators([c for row in table for c in row])
             self._int_powers = ([tuple(nums[k * d:(k + 1) * d])
                                  for k in range(len(table))], T)
         return self._int_powers
@@ -273,18 +270,6 @@ class FieldTower:
 
     def __repr__(self):
         return f"{self.base!r}({self.name})"
-
-
-def _clear_denominators(cs):
-    """(numerators, den) for rationals cs: den their least common
-    denominator and numerators the ints c * den.  For reduced fractions
-    the numerators and den have no common factor."""
-    den = 1
-    for c in cs:
-        q = c.denominator
-        if den % q:
-            den = den // gcd(den, q) * q
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _reduced(field, vec, den):
@@ -600,15 +585,13 @@ def is_irreducible(f: UniPoly):
     factor of least degree whose coefficients, constant first, have the
     least canonical keys.
 
-    Over QQ the factor degrees of f modulo a few primes leave the
-    degrees a factor can have (`_modular_degrees`), and every degree
-    left, 1 included, is searched by one Hensel lifting and Zassenhaus
-    recombination of the factors of f modulo the best of those primes
-    (`_recombine`), up to the least degree that yields a factor, since
-    the witness has that degree; it raises SearchCapExceededError past
-    `_RECOMBINATION_CAP` candidates.  An f that is not squarefree is
-    decided by its squarefree part.  Over an extension f is factored by
-    Trager's norm (`_tower_factors`).
+    Over QQ the integer form of f goes to the factor search of `modp`:
+    `modp.degree_patterns` leaves the degrees a factor can have, and
+    `modp.factor_zz` searches them, 1 included, up to the least degree
+    that yields a factor, since the witness has that degree; it raises
+    SearchCapExceededError past `modp._RECOMBINATION_CAP` candidates.
+    An f that is not squarefree is decided by its squarefree part.  Over
+    an extension f is factored by Trager's norm (`_tower_factors`).
     """
     d = f.degree()
     if d < 1:
@@ -619,7 +602,8 @@ def is_irreducible(f: UniPoly):
     if f.field is not QQ:
         factors = _tower_factors(f)
     else:
-        degrees, modular = _modular_degrees(f)
+        ints = clear_denominators(f.coeffs)[0]
+        degrees, modular = modp.degree_patterns(ints)
         if degrees and modular is None:
             # no tried prime keeps f squarefree; when f is not squarefree
             # over QQ either, its factors are those of its squarefree part
@@ -628,8 +612,9 @@ def is_irreducible(f: UniPoly):
                 part = f // common
                 ok, factor = is_irreducible(part)
                 return False, part if ok else factor
-        factors = (_recombine(f, degrees, modular, first=True) if degrees
-                   else [f])
+        factors = ([_monic_qq(g) for g in
+                    modp.factor_zz(ints, degrees, modular, first=True)]
+                   if degrees else [f])
     return (True, None) if factors == [f] else (False, _least(factors))
 
 
@@ -643,183 +628,9 @@ def _least(factors):
     return min(factors, key=key)
 
 
-# Primes of modp.PRIMES whose degree patterns _modular_degrees
-# intersects.  Polynomials whose Galois group has no element of one
-# cycle, such as the quartics with group V4, are never certified by the
-# patterns and go on to the factor search.
-_PATTERN_PRIMES = 16
-
-# Subsets of modular factors `_recombine` tries before it gives up.
-_RECOMBINATION_CAP = 4096
-
-
-def _integer_form(f: UniPoly):
-    """The primitive integer multiple of the monic f over QQ, ascending;
-    its leading coefficient is the common denominator of f."""
-    return _clear_denominators(f.coeffs)[0]
-
-
-def _reductions(ints, primes, top=None):
-    """(distinct-degree factorization up to degree top, p, x^p) of the
-    integer polynomial ints modulo each prime p of primes that divides
-    neither its leading coefficient nor its discriminant."""
-    for p in primes:
-        if not ints[-1] % p:
-            continue
-        fp = modp.monic([c % p for c in ints], p)
-        if len(modp.gcd(fp, modp.derivative(fp, p), p)) > 1:
-            continue
-        xp = modp.powmod([0, 1], p, fp, p)
-        yield modp.distinct_degree(fp, p, xp, top), p, xp
-
-
-def _modular_degrees(f: UniPoly):
-    """(degrees, modular) for the monic f over QQ of degree n.
-
-    degrees are the degrees k <= n/2, ascending, that a monic factor
-    over QQ of f may have, and modular is (the distinct-degree
-    factorization of f modulo p, p, x^p modulo f) at the tried prime p
-    with the fewest factors, or None when no tried prime keeps f
-    squarefree.  The primes stop at the first that leaves no degree; at
-    the first that leaves degree 1 alone with one linear factor modulo
-    it, which is then the prime returned, since `_recombine` decides
-    degree 1 there by lifting that factor and its cofactor, so further
-    patterns would only spare it that lift; or at the first that leaves
-    no degree 1 once the subsets of the best prime's factors are within
-    `_RECOMBINATION_CAP`: the degrees above 1 are then decided exactly
-    by `_recombine`, and further patterns would only save it work.
-
-    A monic factor over QQ of f is integral at every prime p that
-    divides no denominator of f, so it reduces to a factor of the same
-    degree modulo p.  When f stays squarefree modulo p, that degree is a
-    sum of some of the degrees of the irreducible factors of f modulo p.
-    """
-    ints = _integer_form(f)
-    degrees = list(range(1, f.degree() // 2 + 1))
-    best = None
-    for parts, p, xp in _reductions(ints, modp.PRIMES[:_PATTERN_PRIMES]):
-        sums = {0}
-        count = 0
-        for k, g in parts:
-            for _ in range((len(g) - 1) // k):
-                sums |= {s + k for s in sums}
-                count += 1
-        degrees = [k for k in degrees if k in sums]
-        lone = degrees == [1] and len(parts[0][1]) == 2
-        if lone or best is None or count < best[0]:
-            best = (count, parts, p, xp)
-        if lone or not degrees:
-            break
-        if degrees[0] > 1 and 1 << best[0] <= _RECOMBINATION_CAP:
-            break
-    return degrees, best and best[1:]
-
-
-def _recombine(f: UniPoly, degrees, modular, first=False):
-    """The monic irreducible factors over QQ of the monic squarefree f
-    whose degrees are in degrees, ascending and at most deg f / 2, then
-    their cofactor; modular is `_modular_degrees`' or None.
-
-    f is factored modulo the prime of modular, else modulo the first
-    prime of `modp.primes()` that keeps it squarefree.  With F the
-    primitive integer multiple of f and b its leading coefficient, a
-    factor G of degree k over ZZ is, modulo p, a unit times the product
-    of a subset of the modular factors, whose degrees sum to k.  Parts
-    of degree above max(degrees), which no subset holds, are not split
-    but lifted as one cofactor, as Loos lifts the linear factors with
-    theirs (R. Loos, SIAM J. Comput. 12, 1983).
-    Mignotte bounds the i-th coefficient of G by C(k, i) M(G), and M(G)
-    <= M(F) |lc(G)/b| <= ||F||_2 |lc(G)/b| (Landau), so b/lc(G) * G has
-    coefficients at most C(k, k/2) ||F||_2 in absolute value.  Once the
-    factors are lifted modulo m above twice that bound, it is the
-    symmetric residue of b times the subset's product.  Each candidate's
-    primitive part is tried by division over ZZ and, when it divides, is
-    divided out with its subset; the bound holds for the cofactor too
-    (von zur Gathen and Gerhard, Algorithm 15.19).  When degrees holds
-    every degree a factor of f may have, the cofactor is irreducible.
-    With first, the search stops after the least degree that yields a
-    factor, and the cofactor, irreducible or not, holds the rest.
-    """
-    ints = _integer_form(f)
-    top = max(degrees)
-    for parts, p, xp in chain([modular] if modular else [],
-                              _reductions(ints, modp.primes(), top)):
-        factors = modp.irreducible_factors(
-            [(d, g) for d, g in parts if d <= top], p, xp)
-        if factors is not None:
-            break
-    if not factors:
-        return [f]
-    rest = [1]
-    for d, g in parts:
-        if d > top:
-            rest = modp.mul(rest, g, p)
-    if len(rest) > 1:
-        factors.append(rest)
-    bound = comb(top, top // 2) * (isqrt(sum(c * c for c in ints)) + 1)
-    m, lifted = modp.hensel_lift(ints, factors, p, 2 * bound)
-    found = []
-    tried = 0
-    for k in degrees:
-        if 2 * k > len(ints) - 1:
-            break
-        used = set()
-        for subset in _subsets([len(u) - 1 for u in lifted], k, 0):
-            if used.intersection(subset):
-                continue
-            tried += 1
-            if tried > _RECOMBINATION_CAP:
-                raise SearchCapExceededError(
-                    f"factor recombination cap of {_RECOMBINATION_CAP} "
-                    "subsets exceeded")
-            g = [ints[-1]]
-            for i in subset:
-                g = modp.mul(g, lifted[i], m)
-            g = [c - m if 2 * c > m else c for c in g]
-            # the constant term of a factor divides b * F(0)
-            if ints[0] and (not g[0] or ints[-1] * ints[0] % g[0]):
-                continue
-            content = gcd(*g)
-            g = [c // content for c in g]
-            quotient = _quotient_zz(ints, g)
-            if quotient is not None:
-                found.append(UniPoly(QQ, [Fraction(c, g[-1]) for c in g]))
-                ints = quotient
-                used.update(subset)
-        lifted = [u for i, u in enumerate(lifted) if i not in used]
-        if first and found:
-            break
-    if len(ints) > 1:
-        found.append(UniPoly(QQ, [Fraction(c, ints[-1]) for c in ints]))
-    return found
-
-
-def _subsets(sizes, k, start):
-    """Index tuples, increasing and from start on, of the entries of
-    sizes that sum to k."""
-    for i in range(start, len(sizes)):
-        if sizes[i] == k:
-            yield (i,)
-        elif sizes[i] < k:
-            for rest in _subsets(sizes, k - sizes[i], i + 1):
-                yield (i,) + rest
-
-
-def _quotient_zz(ints, g):
-    """ints / g over ZZ for integer polynomials, or None when g does not
-    divide ints."""
-    r = list(ints)
-    d = len(g) - 1
-    q = [0] * (len(r) - d)
-    for i in range(len(r) - 1, d - 1, -1):
-        c, rest = divmod(r[i], g[-1])
-        if rest:
-            return None
-        q[i - d] = c
-        if c:
-            for j in range(d + 1):
-                r[i - d + j] -= c * g[j]
-    return None if any(r[:d]) else q
+def _monic_qq(ints):
+    """The monic polynomial over QQ of an integer coefficient list."""
+    return UniPoly(QQ, [Fraction(c, ints[-1]) for c in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +649,8 @@ def _tower_factors(f: UniPoly):
     lies in L[x] its norm is h^n, so the shifts start at s = 1.  Once N is
     squarefree, each irreducible factor N_i of N over L, of a degree
     divisible by n, gives one irreducible factor gcd(g, N_i)(x + s*a) of
-    h.  Over L = QQ the N_i come from `_recombine`, over L = QQ(g) from
-    this function one level down.
+    h.  Over L = QQ the N_i come from `modp.factor_zz` on the integer
+    form of N, over L = QQ(g) from this function one level down.
     """
     from .descent import alpha_decompose
     field = f.field
@@ -855,8 +666,8 @@ def _tower_factors(f: UniPoly):
             field, 1, {(k,): c for k, c in enumerate(g.coeffs) if c},
             _clean=True))
         norm = UniPoly.from_mpoly(norm)
-        degrees, modular = (_modular_degrees(norm) if field.base is QQ
-                            else ([], None))
+        ints = clear_denominators(norm.coeffs)[0] if field.base is QQ else []
+        degrees, modular = modp.degree_patterns(ints) if ints else ([], None)
         # a prime that keeps N squarefree proves it squarefree over QQ
         if modular or norm.gcd(norm.derivative()).degree() == 0:
             break
@@ -865,7 +676,9 @@ def _tower_factors(f: UniPoly):
         parts = _tower_factors(norm)
     else:
         degrees = [k for k in degrees if not k % field.degree]
-        parts = _recombine(norm, degrees, modular) if degrees else [norm]
+        parts = ([_monic_qq(g) for g in
+                  modp.factor_zz(ints, degrees, modular)]
+                 if degrees else [norm])
     return [g.gcd(_coerce_unipoly(mu, field)).shift_compose(field.one, s * a)
             for mu in parts]
 
@@ -874,8 +687,8 @@ def roots_in_field(f: UniPoly, field):
     """All roots of f lying in the given field, canonically sorted.
 
     Either way they are read off the linear factors of f: over QQ those
-    `_recombine` lifts for `rational_roots`, over an extension those of
-    Trager's norm (`_tower_factors`).
+    `modp.factor_zz` lifts for `rational_roots`, over an extension those
+    of Trager's norm (`_tower_factors`).
     """
     if f.is_zero():
         raise ValueError("every element is a root of the zero polynomial")
@@ -986,7 +799,7 @@ class SubfieldEmbedding:
             rows, pivots = linalg.rref(aug, QQ)
             if pivots != list(range(n)):
                 raise ArithmeticError("tower basis is degenerate")
-            nums, E = _clear_denominators([c for row in rows
+            nums, E = clear_denominators([c for row in rows
                                            for c in row[n:]])
             self._basis_inverse = ([nums[i * n:(i + 1) * n]
                                     for i in range(n)], E)

@@ -37,6 +37,7 @@ from math import gcd
 from operator import itemgetter
 
 from .mpoly import GREVLEX, LEX, MultiPoly, Packing, addmul, block_order
+from .numtheory import clear_denominators
 from .upoly import UniPoly
 
 DEFAULT_PAIR_BUDGET = 100000
@@ -125,15 +126,6 @@ def _pseudo_reduce(terms, basis, lms, tops, pk):
     return rem
 
 
-def _integer_terms(terms):
-    """Rational terms times the lcm of their denominators."""
-    den = 1
-    for c in terms.values():
-        den = den // gcd(den, c.denominator) * c.denominator
-    return {e: c.numerator * (den // c.denominator)
-            for e, c in terms.items()}
-
-
 def _primitive(terms, e):
     """Integer terms divided by their content, positive at e."""
     g = gcd(*terms.values())
@@ -183,7 +175,8 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     if qq:
         # primitive integer polynomials with positive leading coefficients
         reduce, normalize = _pseudo_reduce, _primitive
-        inputs = [_integer_terms(g.terms) for g in gens]
+        inputs = [dict(zip(g.terms, clear_denominators(g.terms.values())[0]))
+                  for g in gens]
     else:
         # monic polynomials over the field
         reduce, inputs = _reduce_full, [g.terms for g in gens]

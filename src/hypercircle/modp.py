@@ -1,4 +1,4 @@
-"""Dense polynomials over GF(p), for certificates proved modulo a prime.
+"""Dense polynomials over GF(p), and the one factor search over ZZ.
 
 A polynomial is a list of ints in [0, p), ascending, with no trailing
 zero; the zero polynomial is the empty list.  Only what the modular
@@ -9,14 +9,24 @@ Algebra*, ch. 14): `linear_part` is the product of its linear factors,
 `distinct_degree` splits it into the products of its irreducible
 factors of each degree, and `equal_degree` splits each product by
 Cantor-Zassenhaus; `root` (a root of a polynomial with distinct linear
-factors) is a thin use of it.  `hensel_lift` lifts the factorization
-of an integer polynomial modulo p to one modulo a power of p (ch. 15)
-for the one factor search over QQ, `fields._recombine`, which also
-gives the rational roots of `upoly`; `mul`, `add`, `sub` and `divrem`
-work modulo that power as they do modulo p.
+factors) is a thin use of it.  `mul`, `add`, `sub` and `divrem` work
+modulo a power of p as they do modulo p.
+
+Over ZZ a polynomial is a primitive squarefree list of ints, ascending;
+`clear_denominators` (from `numtheory`) gives it for a monic one over
+QQ.  `degree_patterns` reads the degrees a factor may have off its
+factorizations modulo a few primes, and `factor_zz` factors it modulo
+the best of them, lifts that factorization to a power of p
+(`hensel_lift`) and recombines the lifted factors (ch. 15).
+Irreducibility over QQ, the Trager norm over QQ(a) and the rational
+roots of `upoly` all come from this one search.
 """
 
-from .numtheory import is_prime
+import math
+from itertools import chain
+
+# clear_denominators is re-exported for upoly, which imports no numtheory
+from .numtheory import SearchCapExceededError, clear_denominators, is_prime
 
 # The 32 largest primes below 2^15.  Every certificate holds for any
 # prime; a small one keeps residues and their products in one or two
@@ -267,7 +277,8 @@ def irreducible_factors(parts, p, xp=None):
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting, modulo powers of p
+# factors over ZZ: Hensel lifting modulo powers of p, degree patterns and
+# Zassenhaus recombination
 
 
 def add(f, g, m):
@@ -368,3 +379,175 @@ def _hensel_step(f, g, h, s, t, m):
     b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
     c, d = divrem(mul(s, b, m), h, m)
     return g, h, sub(s, d, m), sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
+
+# Primes of PRIMES whose degree patterns `degree_patterns` intersects.
+# Polynomials whose Galois group has no element of one cycle, such as
+# the quartics with group V4, are never certified by the patterns and go
+# on to the factor search.
+_PATTERN_PRIMES = 16
+
+# Subsets of modular factors `factor_zz` tries before it gives up.
+_RECOMBINATION_CAP = 4096
+
+
+def _reductions(ints, primes, top=None):
+    """(distinct-degree factorization up to degree top, p, x^p) of the
+    integer polynomial ints modulo each prime p of primes that divides
+    neither its leading coefficient nor its discriminant."""
+    for p in primes:
+        if not ints[-1] % p:
+            continue
+        fp = monic([c % p for c in ints], p)
+        if len(gcd(fp, derivative(fp, p), p)) > 1:
+            continue
+        xp = powmod([0, 1], p, fp, p)
+        yield distinct_degree(fp, p, xp, top), p, xp
+
+
+def degree_patterns(ints):
+    """(degrees, modular) for the primitive integer polynomial ints of
+    degree n.
+
+    degrees are the degrees k <= n/2, ascending, that a factor over ZZ
+    may have, and modular is (the distinct-degree factorization of ints
+    modulo p, p, x^p modulo it) at the tried prime p with the fewest
+    factors, or None when no tried prime keeps ints squarefree.  The
+    primes stop at the first that leaves no degree; at the first that
+    leaves degree 1 alone with one linear factor modulo it, which is
+    then the prime returned, since `factor_zz` decides degree 1 there by
+    lifting that factor and its cofactor; or at the first that leaves no
+    degree 1 once the subsets of the best prime's factors are within
+    `_RECOMBINATION_CAP`, since `factor_zz` then decides the degrees
+    above 1 exactly.  Further patterns would only save it work.
+
+    A factor over ZZ reduces modulo a prime p that does not divide the
+    leading coefficient to a factor of the same degree; when ints stays
+    squarefree modulo p, that degree is a sum of the degrees of some
+    irreducible factors of ints modulo p.
+    """
+    degrees = list(range(1, (len(ints) - 1) // 2 + 1))
+    best = None
+    for parts, p, xp in _reductions(ints, PRIMES[:_PATTERN_PRIMES]):
+        sums = {0}
+        count = 0
+        for k, g in parts:
+            for _ in range((len(g) - 1) // k):
+                sums |= {s + k for s in sums}
+                count += 1
+        degrees = [k for k in degrees if k in sums]
+        lone = degrees == [1] and len(parts[0][1]) == 2
+        if lone or best is None or count < best[0]:
+            best = (count, parts, p, xp)
+        if lone or not degrees:
+            break
+        if degrees[0] > 1 and 1 << best[0] <= _RECOMBINATION_CAP:
+            break
+    return degrees, best and best[1:]
+
+
+def factor_zz(ints, degrees, modular=None, first=False):
+    """The primitive irreducible factors over ZZ of the primitive
+    squarefree integer polynomial ints whose degrees are in degrees,
+    ascending and at most deg ints / 2, then their primitive cofactor;
+    modular is `degree_patterns`' or None.
+
+    ints is factored modulo the prime of modular, else modulo the first
+    prime of `primes()` that keeps it squarefree.  With b the leading
+    coefficient of ints, a factor G of degree k over ZZ is, modulo p, a
+    unit times the product of a subset of the modular factors, whose
+    degrees sum to k.  Parts of degree above max(degrees), which no
+    subset holds, are not split but lifted as one cofactor, as Loos
+    lifts the linear factors with theirs (R. Loos, SIAM J. Comput. 12,
+    1983).  Mignotte bounds the i-th coefficient of G by C(k, i) M(G),
+    and M(G) <= M(F) |lc(G)/b| <= ||F||_2 |lc(G)/b| (Landau), F = ints,
+    so b/lc(G) * G has coefficients at most C(k, k/2) ||F||_2 in
+    absolute value.  Once the factors are lifted modulo m above twice
+    that bound, it is the symmetric residue of b times the subset's
+    product.  Each candidate's primitive part is tried by division over
+    ZZ and, when it divides, is divided out with its subset; the bound
+    holds for the cofactor too (von zur Gathen and Gerhard, Algorithm
+    15.19).  When degrees holds every degree a factor of ints may have,
+    the cofactor is irreducible.  With first, the search stops after the
+    least degree that yields a factor, and the cofactor, irreducible or
+    not, holds the rest.  It gives up past `_RECOMBINATION_CAP` subsets.
+    """
+    top = max(degrees)
+    for parts, p, xp in chain([modular] if modular else [],
+                              _reductions(ints, primes(), top)):
+        factors = irreducible_factors(
+            [(d, g) for d, g in parts if d <= top], p, xp)
+        if factors is not None:
+            break
+    if not factors:
+        return [ints]
+    rest = [1]
+    for d, g in parts:
+        if d > top:
+            rest = mul(rest, g, p)
+    if len(rest) > 1:
+        factors.append(rest)
+    bound = math.comb(top, top // 2) * (
+        math.isqrt(sum(c * c for c in ints)) + 1)
+    m, lifted = hensel_lift(ints, factors, p, 2 * bound)
+    found = []
+    tried = 0
+    for k in degrees:
+        if 2 * k > len(ints) - 1:
+            break
+        used = set()
+        for subset in _subsets([len(u) - 1 for u in lifted], k, 0):
+            if used.intersection(subset):
+                continue
+            tried += 1
+            if tried > _RECOMBINATION_CAP:
+                raise SearchCapExceededError(
+                    f"factor recombination cap of {_RECOMBINATION_CAP} "
+                    "subsets exceeded")
+            g = [ints[-1]]
+            for i in subset:
+                g = mul(g, lifted[i], m)
+            g = [c - m if 2 * c > m else c for c in g]
+            # the constant term of a factor divides b * F(0)
+            if ints[0] and (not g[0] or ints[-1] * ints[0] % g[0]):
+                continue
+            content = math.gcd(*g)
+            g = [c // content for c in g]
+            quotient = _quotient_zz(ints, g)
+            if quotient is not None:
+                found.append(g)
+                ints = quotient
+                used.update(subset)
+        lifted = [u for i, u in enumerate(lifted) if i not in used]
+        if first and found:
+            break
+    if len(ints) > 1:
+        found.append(ints)
+    return found
+
+
+def _subsets(sizes, k, start):
+    """Index tuples, increasing and from start on, of the entries of
+    sizes that sum to k."""
+    for i in range(start, len(sizes)):
+        if sizes[i] == k:
+            yield (i,)
+        elif sizes[i] < k:
+            for rest in _subsets(sizes, k - sizes[i], i + 1):
+                yield (i,) + rest
+
+
+def _quotient_zz(ints, g):
+    """ints / g over ZZ for integer polynomials, or None when g does not
+    divide ints."""
+    r = list(ints)
+    d = len(g) - 1
+    q = [0] * (len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c, rest = divmod(r[i], g[-1])
+        if rest:
+            return None
+        q[i - d] = c
+        if c:
+            for j in range(d + 1):
+                r[i - d + j] -= c * g[j]
+    return None if any(r[:d]) else q

@@ -1,8 +1,8 @@
 """Exact integer and rational helpers.
 
-Primality, factorization, Chinese remaindering, quadratic residues and
-squarefree parts.  Everything here works on plain ``int`` and
-``fractions.Fraction`` and never rounds.
+Primality, factorization, Chinese remaindering, quadratic residues,
+squarefree parts and common denominators.  Everything here works on
+plain ``int`` and ``fractions.Fraction`` and never rounds.
 """
 
 from fractions import Fraction
@@ -428,6 +428,18 @@ def _ecm_plan(b1: int):
 
 def _ladder_mults(k: int) -> int:
     return 11 * k.bit_length() - 6
+
+
+def clear_denominators(values):
+    """(ints, lcm): lcm the least common denominator of the rationals
+    values, a collection read twice, and ints the c * lcm, in order; for
+    reduced fractions they have no common factor."""
+    den = 1
+    for c in values:
+        q = c.denominator
+        if den % q:
+            den = den // gcd(den, q) * q
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 def squarefree_part(q) -> int:

@@ -14,6 +14,8 @@ constant gcd in GF(p)[t], no common factor of positive degree exists
 over the field, because it would reduce to one of the same degree.
 Only when the images share a factor, or the field has no reduction, is
 the gcd taken exactly by Euclid.  `lcm` decides the same way.
+
+Rational roots are the linear factors over ZZ that `modp` lifts.
 """
 
 from fractions import Fraction
@@ -373,12 +375,11 @@ def rational_roots(f: UniPoly):
     """All rational roots of a polynomial over the rationals, sorted.
 
     The roots other than 0 of the squarefree part of f, less its factor
-    x, are those of its linear factors over QQ, which `fields._recombine`
-    finds by Hensel lifting its linear factors modulo a prime, with
-    their cofactor, past the degree-1 coefficient bound (Loos' p-adic
-    method, R. Loos, SIAM J. Comput. 12, 1983).
+    x, are those of the linear factors over ZZ of its integer form,
+    which `modp.factor_zz` finds by Hensel lifting its linear factors
+    modulo a prime, with their cofactor, past the degree-1 coefficient
+    bound (Loos' p-adic method, R. Loos, SIAM J. Comput. 12, 1983).
     """
-    from .fields import _recombine
     if f.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     if f.degree() == 0:
@@ -389,9 +390,10 @@ def rational_roots(f: UniPoly):
         common = f.gcd(df)
     f = (f // common).monic()
     roots = [] if f[0] else [Fraction(0)]
-    f = UniPoly(f.field, f.coeffs[len(roots):])
-    factors = _recombine(f, [1], None) if f.degree() > 1 else [f]
-    return sorted(roots + [-g[0] for g in factors if g.degree() == 1])
+    ints = modp.clear_denominators(f.coeffs[len(roots):])[0]
+    factors = modp.factor_zz(ints, [1]) if len(ints) > 2 else [ints]
+    return sorted(roots + [Fraction(-g[0], g[1])
+                           for g in factors if len(g) == 2])
 
 
 class RationalFunction:

@@ -440,6 +440,11 @@ def _qq_poly(coeffs):
     return UniPoly(QQ, [Fraction(c) for c in coeffs])
 
 
+def _integer_form(f):
+    """The primitive integer multiple of f over QQ, ascending."""
+    return numtheory.clear_denominators(f.monic().coeffs)[0]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_planted_products_are_never_certified(seed):
     rng = random.Random(f"irr-planted:{seed}")
@@ -449,7 +454,7 @@ def test_planted_products_are_never_certified(seed):
                    for _ in range(d1)] + [1]) *
          _qq_poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(d2)] + [1]))
-    assert fields._modular_degrees(f)[0]
+    assert modp.degree_patterns(_integer_form(f))[0]
 
 
 IRREDUCIBILITY_CASES = [
@@ -464,7 +469,7 @@ def test_exact_fallback_gives_the_same_answers(monkeypatch, coeffs):
     f = _qq_poly(coeffs)
     certified = is_irreducible(f)
     monkeypatch.setattr(modp, "PRIMES", ())
-    assert fields._modular_degrees(f.monic())[0]
+    assert modp.degree_patterns(_integer_form(f))[0]
     assert is_irreducible(f) == certified
 
 
@@ -531,11 +536,11 @@ def test_a_lone_linear_factor_lifts_to_its_root(monkeypatch, root):
     assert not rational_roots(g)
     lone = 0
     for h in (f, g):
-        ints = fields._integer_form(h)
-        for parts, p, _ in fields._reductions(ints, modp.PRIMES):
+        ints = _integer_form(h)
+        for parts, p, _ in modp._reductions(ints, modp.PRIMES):
             lone += parts[0][0] == 1 and len(parts[0][1]) == 2
     assert lone
-    assert fields._modular_degrees(f)[0] == [1]
+    assert modp.degree_patterns(_integer_form(f))[0] == [1]
     assert is_irreducible(f) == (False, _qq_poly((-root, 1)))
 
 
@@ -610,7 +615,63 @@ def test_one_function_lifts_modulo_powers_of_p():
                         getattr(c.func, "id", None))
                        for c in ast.walk(node)):
                     callers.append((path.stem, node.name))
-    assert callers == [("fields", "_recombine")]
+    assert callers == [("modp", "factor_zz")]
+
+
+# Every import of the package made inside a function of src/hypercircle:
+# (module, function, imported module).  A module imports what lies below
+# it at the top; an import inside a function reaches across or up, and
+# each one here has its reason.
+FUNCTION_IMPORTS = sorted([
+    # rendering is loaded only when something is printed
+    ("fields", "FieldElement.__repr__", "render"),
+    ("fields", "ReduciblePolynomialError.__init__", "render"),
+    ("mpoly", "MultiPoly.__repr__", "render"),
+    ("upoly", "RationalFunction.__repr__", "render"),
+    ("upoly", "UniPoly.__repr__", "render"),
+    # the solvers take QQ and roots over the target field from fields;
+    # they stay in groebner, where hcbench traces triangular_solve and
+    # rational_solutions
+    ("groebner", "_solution_key", "fields"),
+    ("groebner", "rational_solutions", "fields"),
+    ("groebner", "triangular_solve", "fields"),
+    # the Trager norm is the determinant that descent computes
+    ("fields", "_tower_factors", "descent"),
+])
+
+
+def _package_imports(node):
+    """The modules of the package that the import nodes under node name."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.ImportFrom) and n.level:
+            out.append(n.module or "")
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = ([n.module] if isinstance(n, ast.ImportFrom)
+                     else [a.name for a in n.names])
+            out += [m.split(".", 1)[1] for m in names
+                    if m.startswith("hypercircle.")]
+    return out
+
+
+def test_imports_inside_functions_are_the_listed_ones():
+    # the factor search over ZZ lives in modp, so upoly's rational roots
+    # no longer reach up into fields, and modp stands on numtheory alone
+    found = []
+    for path in sorted((repo_root() / "src" / "hypercircle").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem == "modp":
+            assert set(_package_imports(tree)) == {"numtheory"}
+        scopes = [("", tree)]
+        while scopes:
+            prefix, scope = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((prefix + node.name + ".", node))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found += [(path.stem, prefix + node.name, module)
+                              for module in _package_imports(node)]
+    assert sorted(found) == FUNCTION_IMPORTS
 
 
 def test_the_witness_root_is_the_least_rational():
@@ -641,5 +702,6 @@ def test_the_witness_is_the_least_of_all_factors(seed):
         if g.degree() > 0 and is_irreducible(g)[0] and f.gcd(g).degree() < 1:
             f = f * g
     degrees = list(range(1, f.degree() // 2 + 1))
-    factors = fields._recombine(f, degrees, None)
-    assert is_irreducible(f) == (False, fields._least(factors))
+    factors = modp.factor_zz(_integer_form(f), degrees)
+    assert is_irreducible(f) == (False, fields._least(
+        [_qq_poly([Fraction(c, g[-1]) for c in g]) for g in factors]))

@@ -17,7 +17,7 @@ from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 from helpers import random_composite, random_ecm_composite  # noqa: E402
 
-from hypercircle import fields  # noqa: E402
+from hypercircle import fields, modp  # noqa: E402
 from hypercircle.descent import alpha_decompose  # noqa: E402
 from hypercircle.fields import (QQ, FieldTower, SubfieldEmbedding,  # noqa: E402
                                 TowerContext, canonical_key, is_irreducible,
@@ -535,6 +535,53 @@ def test_planted_factor_without_a_rational_root_matches_sympy(seed):
     _check_against_sympy(f, _decided_in_time(f))
 
 
+def _irreducible_zz(rng, degree, lead, size):
+    """A primitive irreducible integer polynomial of the given degree,
+    ascending, with leading coefficient lead and other coefficients of
+    absolute value at most size."""
+    while True:
+        ints = [rng.randint(-size, size) for _ in range(degree)] + [lead]
+        sym = sympy.Poly(list(reversed(ints)), X, domain="ZZ")
+        if ints[0] and sympy.gcd_list(ints) == 1 and sym.is_irreducible:
+            return ints
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_integer_factor_search_matches_sympy_factor_list(seed):
+    # the complete factor list over ZZ, every degree and no early stop,
+    # as the Trager norm asks for it, of a product of 2-4 irreducible
+    # factors of total degree up to 12; odd seeds have leading
+    # coefficients above 1, and every third seed coefficients near 10^9,
+    # which lift past the first power of p
+    rng = random.Random(f"factor-zz:{seed}")
+    size = 10 ** 9 if seed % 3 == 0 else 9
+    factors = []
+    room = 12
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(1, min(4, room - 1))
+        lead = rng.randint(2, 7) if seed % 2 else 1
+        g = _irreducible_zz(rng, degree, lead, size)
+        if g not in factors:
+            factors.append(g)
+            room -= degree
+    ints = [1]
+    for g in factors:
+        ints = [sum(ints[j] * g[k - j] for j in range(len(ints))
+                    if 0 <= k - j < len(g))
+                for k in range(len(ints) + len(g) - 1)]
+    degrees, modular = modp.degree_patterns(ints)
+    found = modp.factor_zz(ints, degrees, modular) if degrees else [ints]
+    content, theirs = sympy.factor_list(
+        sympy.Poly(list(reversed(ints)), X, domain="ZZ"))
+    assert content == 1 and all(e == 1 for _, e in theirs)
+    want = sorted(tuple(int(c) for c in reversed(h.all_coeffs()))
+                  for h, _ in theirs)
+    # factors come back primitive, of either sign
+    assert sorted(tuple(c if g[-1] > 0 else -c for c in g)
+                  for g in found) == want
+    assert want == sorted(map(tuple, factors))
+
+
 def _swinnerton_dyer(n):
     poly = sympy.Poly(swinnerton_dyer_poly(n, X), X)
     return UniPoly(QQ, [Fraction(int(c)) for c in reversed(poly.all_coeffs())])
@@ -594,7 +641,7 @@ def test_binomials_match_sympy(n, c):
 def test_recombination_cap_raises(monkeypatch):
     # degree 8 with four quadratic factors modulo every prime: ten subsets
     # of degree 2 or 4 to try
-    monkeypatch.setattr(fields, "_RECOMBINATION_CAP", 3)
+    monkeypatch.setattr(modp, "_RECOMBINATION_CAP", 3)
     with pytest.raises(SearchCapExceededError):
         is_irreducible(_swinnerton_dyer(3))
 
