@@ -25,6 +25,18 @@ comparison.  The engine packs with the fixed bound _MAX_DEGREE and
 checks every degree it reaches against it: past the bound it raises
 PairBudgetExceededError, so no field wraps.
 
+Every reduction step and both halves of each S-polynomial are one call
+of the term kernel `_add_multiple`: work += c * x^shift * tail, where
+the tail is a basis element without its leading term, whose product
+cancels by construction.  A reduction step reduces the largest term of
+the work by the first basis element whose leading monomial divides it.
+One `buchberger` call keeps one reducer memo for all its reductions:
+it maps a packed monomial to the index of that first divisor, or to ~n
+when none of the first n leading monomials divides it.  The basis of
+the call only grows by appending, so a first divisor stays the first
+and a later lookup scans only the elements added since: the memo
+picks the reducer the full scan would pick, and it ends with the call.
+
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
 requested order unchanged: each ideal's basis is computed once.  The
@@ -34,9 +46,8 @@ elements of degree <= 1, `dimension` its leading monomials.
 """
 
 from math import gcd
-from operator import itemgetter
 
-from .mpoly import GREVLEX, LEX, MultiPoly, Packing, addmul, block_order
+from .mpoly import GREVLEX, LEX, MultiPoly, Packing, block_order
 from .numtheory import clear_denominators
 from .upoly import UniPoly
 
@@ -79,50 +90,93 @@ def _packed(pk, terms):
     return pk.terms(terms)
 
 
-def _reduce_full(terms, basis, lms, tops, pk):
+def _add_multiple(work, c, shift, tail):
+    """In place work += c * x^shift * tail on packed terms, dropping
+    cancelled terms: the one term kernel of reduction steps and
+    S-polynomials.  `tail` is a polynomial's term list without its
+    leading term, whose product the caller cancels itself."""
+    get = work.get
+    for f, d in tail:
+        k = shift + f
+        v = get(k)
+        if v is None:
+            work[k] = c * d
+        else:
+            v += c * d
+            if v:
+                work[k] = v
+            else:
+                del work[k]
+
+
+def _tail(terms, lm):
+    """The term list of a packed polynomial without its leading term."""
+    return [(f, d) for f, d in terms.items() if f != lm]
+
+
+def _reduce_full(terms, basis, lms, tails, spans, pk, memo):
     """Remainder of packed terms modulo a monic basis, fully
-    tail-reduced.  tops[i] is the largest degree of basis[i]."""
-    guard = pk.guard
+    tail-reduced.  tails[i] is _tail(basis[i], lms[i]); spans[i] is how
+    far the largest degree of a term of basis[i] exceeds the degree of
+    lms[i]; memo is the reducer memo of the module docstring."""
+    guard, degree, bound = pk.guard, pk.degree, pk.bound
     work = dict(terms)
     rem = {}
     while work:
         e = max(work)
-        for i, m in enumerate(lms):
-            if not (e - m) & guard:
-                break
-        else:
-            rem[e] = work.pop(e)
-            continue
-        shift = e - m
-        _check(pk, pk.degree(shift) + tops[i])
-        addmul(work, {shift: -work[e]}, basis[i])
+        i = memo.get(e)
+        if i is None or i < 0:
+            n = len(lms)
+            for i in range(0 if i is None else ~i, n):
+                if not (e - lms[i]) & guard:
+                    break
+            else:
+                i = ~n
+            memo[e] = i
+            if i < 0:
+                rem[e] = work.pop(e)
+                continue
+        # x^shift basis[i] reaches degree deg e + spans[i]
+        span = spans[i]
+        if span and degree(e) + span > bound:
+            _check(pk, degree(e) + span)
+        _add_multiple(work, -work.pop(e), e - lms[i], tails[i])
     return rem
 
 
-def _pseudo_reduce(terms, basis, lms, tops, pk):
+def _pseudo_reduce(terms, basis, lms, tails, spans, pk, memo):
     """A positive integer multiple of the remainder of packed integer
     terms modulo a basis of integer polynomials with positive leading
-    coefficients, fully tail-reduced without fractions."""
-    guard = pk.guard
+    coefficients, fully tail-reduced without fractions.  The other
+    arguments are those of _reduce_full."""
+    guard, degree, bound = pk.guard, pk.degree, pk.bound
     work = dict(terms)
     rem = {}
     while work:
         e = max(work)
-        for i, m in enumerate(lms):
-            if not (e - m) & guard:
-                break
-        else:
-            rem[e] = work.pop(e)
-            continue
-        shift = e - m
-        _check(pk, pk.degree(shift) + tops[i])
-        c, lc = work[e], basis[i][m]
+        i = memo.get(e)
+        if i is None or i < 0:
+            n = len(lms)
+            for i in range(0 if i is None else ~i, n):
+                if not (e - lms[i]) & guard:
+                    break
+            else:
+                i = ~n
+            memo[e] = i
+            if i < 0:
+                rem[e] = work.pop(e)
+                continue
+        m = lms[i]
+        span = spans[i]
+        if span and degree(e) + span > bound:
+            _check(pk, degree(e) + span)
+        c, lc = work.pop(e), basis[i][m]
         g = gcd(c, lc)
         if g != lc:
             s = lc // g
             work = {k: s * v for k, v in work.items()}
             rem = {k: s * v for k, v in rem.items()}
-        addmul(work, {shift: -(c // g)}, basis[i])
+        _add_multiple(work, -(c // g), e - m, tails[i])
     return rem
 
 
@@ -145,8 +199,11 @@ def normal_form(f: MultiPoly, basis, order=GREVLEX):
     pk = Packing(f.arity, _MAX_DEGREE, order)
     bs = [g.monic(order) for g in basis if not g.is_zero()]
     bt = [_packed(pk, g.terms) for g in bs]
-    rem = _reduce_full(_packed(pk, f.terms), bt, [max(t) for t in bt],
-                       [g.total_degree() for g in bs], pk)
+    lms = [max(t) for t in bt]
+    rem = _reduce_full(_packed(pk, f.terms), bt, lms,
+                       [_tail(t, m) for t, m in zip(bt, lms)],
+                       [g.total_degree() - pk.degree(m)
+                        for g, m in zip(bs, lms)], pk, {})
     return MultiPoly(f.field, f.arity,
                      {pk.unpack(e): c for e, c in rem.items()}, _clean=True)
 
@@ -170,7 +227,7 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
 
     field, arity = gens[0].field, gens[0].arity
     pk = Packing(arity, _MAX_DEGREE, order)
-    guard, degree = pk.guard, pk.degree
+    guard, bound = pk.guard, pk.bound
     qq = field.height == 0  # QQ is the only field of height 0
     if qq:
         # primitive integer polynomials with positive leading coefficients
@@ -187,7 +244,14 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
                 return terms
             inv = field.one / c
             return {k: inv * v for k, v in terms.items()}
-    basis, lms, raws, tops, sugars = [], [], [], [], []
+    # per basis element: terms, leading monomial packed and raw, its
+    # degree, the tail, the span (see _reduce_full), the sugar
+    basis, lms, raws, degs, tails, spans, sugars = [], [], [], [], [], [], []
+    # the basis only grows, so every reduction of this call shares one
+    # reducer memo (see the module docstring)
+    memo = {}
+    # a graded order puts a largest degree on the leading monomial
+    graded = order.kind == "grevlex"
     active = []  # indices that still take part in new pairs
     pairs = {}  # pending pair (i, j) -> lcm of its leading monomials
     queue = []  # heap of (sugar, deg lcm, lcm, i, j); an entry whose pair
@@ -201,17 +265,23 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         h = len(basis)
         rh = pk.unpack(lh)
         dh = sum(rh)
+        lcms, lcm_degs = {}, {}  # g -> lcm(lm g, lm h) packed, its degree
 
         def lcm_h(g):
-            lcm = tuple(map(max, raws[g], rh))
-            _check(pk, sum(lcm))
-            return pk.pack(lcm)
+            lcm = lcms.get(g)
+            if lcm is None:
+                raw = [x if x > y else y for x, y in zip(raws[g], rh)]
+                d = lcm_degs[g] = sum(raw)
+                if d > bound:
+                    _check(pk, d)
+                lcm = lcms[g] = pk.pack(raw)
+            return lcm
 
         # a pending pair whose lcm lm(h) divides, and which shares its lcm
         # with neither pair (i, h) nor (j, h), is redundant
-        for (i, j), lcm in list(pairs.items()):
-            if (not (lcm - lh) & guard and lcm_h(i) != lcm
-                    and lcm_h(j) != lcm):
+        for (i, j), lcm in [item for item in pairs.items()
+                            if not (item[1] - lh) & guard]:
+            if lcm_h(i) != lcm and lcm_h(j) != lcm:
                 del pairs[i, j]
         # one new pair per lcm; none for an lcm shared by a coprime pair
         new = {}
@@ -221,12 +291,19 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
                 new[lcm] = None
             else:
                 new.setdefault(lcm, g)
+        # every divisor of lcm comes before it in the order, so the first
+        # divisor in ascending order is lcm itself unless lcm has another
+        ordered = sorted(new)
         for lcm, g in new.items():
-            if g is None or any(m != lcm and not (lcm - m) & guard
-                                for m in new):
+            if g is None:
                 continue
-            d = degree(lcm)
-            s = max(sugars[g] + d - degree(lms[g]), sugar + d - dh)
+            for m in ordered:
+                if not (lcm - m) & guard:
+                    break
+            if m != lcm:
+                continue
+            d = lcm_degs[g]
+            s = max(sugars[g] + d - degs[g], sugar + d - dh)
             pairs[g, h] = lcm
             heappush(queue, (s, d, lcm, g, h))
         active[:] = [g for g in active if (lms[g] - lh) & guard]
@@ -234,39 +311,38 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         basis.append(terms)
         lms.append(lh)
         raws.append(rh)
-        tops.append(max(map(degree, terms)))
+        degs.append(dh)
+        tails.append(_tail(terms, lh))
+        spans.append(0 if graded else pk.max_degree(terms) - dh)
         sugars.append(sugar)
 
     for g, terms in zip(gens, inputs):
         add(_packed(pk, terms), g.total_degree())
     count = 0
     while queue:
-        sugar, _, _, i, j = heappop(queue)
-        lcm = pairs.pop((i, j), None)
-        if lcm is None:
+        sugar, d, lcm, i, j = heappop(queue)
+        if pairs.pop((i, j), None) is None:
             continue
         count += 1
         if count > budget:
             raise PairBudgetExceededError(
                 f"S-pair budget of {budget} exceeded with {len(basis)} "
                 f"polynomials in the basis")
-        # (c_j / g) m_i f_i - (c_i / g) m_j f_j; over a field c_i = c_j = 1
+        # (c_j / g) m_i f_i - (c_i / g) m_j f_j; over a field c_i = c_j = 1.
+        # The leading terms cancel, so only the tails are multiplied.
         ci, cj = basis[i][lms[i]], basis[j][lms[j]]
         if qq:
             g = gcd(ci, cj)
             ci, cj = ci // g, cj // g
-        d = degree(lcm)
-        _check(pk, d - degree(lms[i]) + tops[i])
-        _check(pk, d - degree(lms[j]) + tops[j])
+        _check(pk, d + spans[i])
+        _check(pk, d + spans[j])
         s = {}
-        addmul(s, {lcm - lms[i]: cj}, basis[i])
-        addmul(s, {lcm - lms[j]: -ci}, basis[j])
-        rem = reduce(s, basis, lms, tops, pk)
+        _add_multiple(s, cj, lcm - lms[i], tails[i])
+        _add_multiple(s, -ci, lcm - lms[j], tails[j])
+        rem = reduce(s, basis, lms, tails, spans, pk, memo)
         if rem:
             add(rem, sugar)
-    reduced = _interreduce([basis[g] for g in active],
-                           [lms[g] for g in active],
-                           [tops[g] for g in active], pk, reduce)
+    reduced = _interreduce(basis, lms, tails, spans, active, pk, reduce)
     unpack = pk.unpack
     if qq:
         from fractions import Fraction
@@ -279,28 +355,30 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
                           for terms in reduced], order)
 
 
-def _interreduce(polys, leads, tops, pk, reduce):
-    """(terms, leading monomial) of the reduced basis of the ideal that a
-    Groebner basis spans, ascending.  Tails are reduced with `reduce`,
-    which leaves each element monic over a field and a positive integer
-    multiple of monic over QQ."""
+def _interreduce(basis, lms, tails, spans, active, pk, reduce):
+    """(terms, leading monomial) of the reduced basis of the ideal
+    generated by the Groebner basis basis[g], g in active, ascending.
+    Tails are reduced with `reduce`, which leaves each element monic over
+    a field and a positive integer multiple of monic over QQ."""
     guard = pk.guard
     # minimalize: drop polynomials whose lead is divisible by another lead
-    keep, kept_leads, kept_tops = [], [], []
-    for lm, p, top in sorted(zip(leads, polys, tops), key=itemgetter(0)):
-        if any(not (lm - l) & guard for l in kept_leads):
+    keep = []
+    for g in sorted(active, key=lms.__getitem__):
+        if any(not (lms[g] - lms[k]) & guard for k in keep):
             continue
-        keep.append(p)
-        kept_leads.append(lm)
-        kept_tops.append(top)
+        keep.append(g)
     # tail-reduce each against the others; no lead divides another, so
-    # every remainder keeps its leading monomial
+    # every remainder keeps its leading monomial.  A term below lm(g) is
+    # not divisible by lm(g), so reducing g by all kept elements is
+    # reducing it by the others once its own lead is marked irreducible,
+    # and all of them share one reducer memo.
+    kept = [[seq[g] for g in keep] for seq in (basis, lms, tails, spans)]
+    memo = {}
     out = []
-    for idx, (p, lm) in enumerate(zip(keep, kept_leads)):
-        rem = reduce(p, keep[:idx] + keep[idx + 1:],
-                     kept_leads[:idx] + kept_leads[idx + 1:],
-                     kept_tops[:idx] + kept_tops[idx + 1:], pk)
-        out.append((rem, lm))
+    for idx, g in enumerate(keep):
+        memo[lms[g]] = ~len(keep)
+        out.append((reduce(basis[g], *kept, pk, memo), lms[g]))
+        memo[lms[g]] = idx
     return out
 
 
@@ -315,15 +393,18 @@ def ideal_equal(gens1, gens2, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
 
 def eliminate(gens, k, budget=DEFAULT_PAIR_BUDGET):
     """Reduced grevlex basis of the elimination ideal without the first k
-    variables: the k-free part of the reduced block-order basis."""
+    variables: the k-free part of the reduced block-order basis.
+
+    In the block order every monomial free of the first k variables lies
+    below every other, and among those it is grevlex.  So the elements
+    free of them are a prefix of the ascending block basis, already in
+    ascending grevlex order."""
     gb = buchberger(gens, block_order(k), budget)
     out = []
     for g in gb:
-        lm = g.leading(block_order(k))[0]
-        if any(lm[:k]):
-            continue
+        if any(any(e[:k]) for e in g.terms):
+            break
         out.append(g.drop_vars(range(k)))
-    out.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]))
     return GroebnerBasis(out, GREVLEX)
 
 

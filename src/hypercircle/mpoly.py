@@ -9,8 +9,9 @@ Exponent arithmetic runs on packed monomials (Packing): each exponent
 vector is one int, so the product of monomials is an int sum and, with
 an order, the monomial order is int comparison.  A product, an exact
 division and a leading term pack once per call with a bound read off
-their inputs; the Groebner engine and the descent use the same Packing
-and the same packed product, `addmul`.
+their inputs; the Groebner engine and the descent use the same Packing.
+The descent uses the same packed product, `addmul`; the Groebner
+engine reduces with its own term kernel (groebner._add_multiple).
 """
 
 from functools import lru_cache
@@ -126,6 +127,12 @@ class Packing:
 
     def degree(self, p):
         return (p & self.raw) * self.ones >> self.deg_shift & self.field
+
+    def max_degree(self, monomials):
+        """The largest degree of some packed monomials."""
+        raw, ones, shift, field = (self.raw, self.ones, self.deg_shift,
+                                   self.field)
+        return max([(p & raw) * ones >> shift & field for p in monomials])
 
 
 # MultiPoly packs per call; building a Packing costs more than a small

@@ -3,16 +3,20 @@ generators, and reference algebra that only tests use."""
 
 from fractions import Fraction
 from math import comb, gcd
+from operator import itemgetter
 from pathlib import Path
 
 from hypercircle.exprparse import parse_fraction
 from hypercircle.fields import QQ
-from hypercircle.groebner import (PositiveDimensionalError, buchberger,
-                                  is_groebner_unit, triangular_solve)
+from hypercircle.groebner import (_MAX_DEGREE, DEFAULT_PAIR_BUDGET,
+                                  GroebnerBasis, PairBudgetExceededError,
+                                  PositiveDimensionalError, _check, _packed,
+                                  _primitive, buchberger, is_groebner_unit,
+                                  triangular_solve)
 from hypercircle.hypercircles import (InternalInconsistencyError,
                                       ProjectivePoint)
-from hypercircle.mpoly import GREVLEX, MultiPoly
-from hypercircle.numtheory import factorize, is_prime
+from hypercircle.mpoly import GREVLEX, MultiPoly, Packing, addmul
+from hypercircle.numtheory import clear_denominators, factorize, is_prime
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
@@ -357,3 +361,208 @@ def points_at_infinity_by_charts(gens, tower):
                       for sol in sols]
             return sorted(points, key=ProjectivePoint.sort_key)
     return []
+
+
+# The Buchberger engine as it was before the reducer memo and the term
+# kernel, kept verbatim as the reference that tests/test_groebner.py
+# compares `groebner.buchberger` with: the same bases, and the same
+# S-pairs reduced (the same smallest sufficient budget).
+
+def _reduce_full(terms, basis, lms, tops, pk):
+    """Remainder of packed terms modulo a monic basis, fully
+    tail-reduced.  tops[i] is the largest degree of basis[i]."""
+    guard = pk.guard
+    work = dict(terms)
+    rem = {}
+    while work:
+        e = max(work)
+        for i, m in enumerate(lms):
+            if not (e - m) & guard:
+                break
+        else:
+            rem[e] = work.pop(e)
+            continue
+        shift = e - m
+        _check(pk, pk.degree(shift) + tops[i])
+        addmul(work, {shift: -work[e]}, basis[i])
+    return rem
+
+
+def _pseudo_reduce(terms, basis, lms, tops, pk):
+    """A positive integer multiple of the remainder of packed integer
+    terms modulo a basis of integer polynomials with positive leading
+    coefficients, fully tail-reduced without fractions."""
+    guard = pk.guard
+    work = dict(terms)
+    rem = {}
+    while work:
+        e = max(work)
+        for i, m in enumerate(lms):
+            if not (e - m) & guard:
+                break
+        else:
+            rem[e] = work.pop(e)
+            continue
+        shift = e - m
+        _check(pk, pk.degree(shift) + tops[i])
+        c, lc = work[e], basis[i][m]
+        g = gcd(c, lc)
+        if g != lc:
+            s = lc // g
+            work = {k: s * v for k, v in work.items()}
+            rem = {k: s * v for k, v in rem.items()}
+        addmul(work, {shift: -(c // g)}, basis[i])
+    return rem
+
+
+def reference_buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
+    """Reduced Groebner basis, monic, sorted ascending by leading monomial.
+
+    A GroebnerBasis already reduced in `order` is returned as it is.
+    `budget` bounds the S-pairs actually reduced; pairs that the
+    Gebauer-Moeller criteria discard cost nothing.  Raises
+    PairBudgetExceededError when one more reduction would exceed it, or
+    when a monomial's degree would exceed the packed exponent bound.
+    """
+    if isinstance(gens, GroebnerBasis) and gens.order == order:
+        return gens
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis((), order)
+    # imported here, so that commands without Groebner work do not load it
+    from heapq import heappop, heappush
+
+    field, arity = gens[0].field, gens[0].arity
+    pk = Packing(arity, _MAX_DEGREE, order)
+    guard, degree = pk.guard, pk.degree
+    qq = field.height == 0  # QQ is the only field of height 0
+    if qq:
+        # primitive integer polynomials with positive leading coefficients
+        reduce, normalize = _pseudo_reduce, _primitive
+        inputs = [dict(zip(g.terms, clear_denominators(g.terms.values())[0]))
+                  for g in gens]
+    else:
+        # monic polynomials over the field
+        reduce, inputs = _reduce_full, [g.terms for g in gens]
+
+        def normalize(terms, e):
+            c = terms[e]
+            if c == field.one:
+                return terms
+            inv = field.one / c
+            return {k: inv * v for k, v in terms.items()}
+    basis, lms, raws, tops, sugars = [], [], [], [], []
+    active = []  # indices that still take part in new pairs
+    pairs = {}  # pending pair (i, j) -> lcm of its leading monomials
+    queue = []  # heap of (sugar, deg lcm, lcm, i, j); an entry whose pair
+    # has left `pairs` is skipped
+
+    def add(terms, sugar):
+        """Normalize `terms` and join it to the basis: the
+        Gebauer-Moeller update of the pending pairs."""
+        lh = max(terms)
+        terms = normalize(terms, lh)
+        h = len(basis)
+        rh = pk.unpack(lh)
+        dh = sum(rh)
+
+        def lcm_h(g):
+            lcm = tuple(map(max, raws[g], rh))
+            _check(pk, sum(lcm))
+            return pk.pack(lcm)
+
+        # a pending pair whose lcm lm(h) divides, and which shares its lcm
+        # with neither pair (i, h) nor (j, h), is redundant
+        for (i, j), lcm in list(pairs.items()):
+            if (not (lcm - lh) & guard and lcm_h(i) != lcm
+                    and lcm_h(j) != lcm):
+                del pairs[i, j]
+        # one new pair per lcm; none for an lcm shared by a coprime pair
+        new = {}
+        for g in active:
+            lcm = lcm_h(g)
+            if lcm == lms[g] + lh:
+                new[lcm] = None
+            else:
+                new.setdefault(lcm, g)
+        for lcm, g in new.items():
+            if g is None or any(m != lcm and not (lcm - m) & guard
+                                for m in new):
+                continue
+            d = degree(lcm)
+            s = max(sugars[g] + d - degree(lms[g]), sugar + d - dh)
+            pairs[g, h] = lcm
+            heappush(queue, (s, d, lcm, g, h))
+        active[:] = [g for g in active if (lms[g] - lh) & guard]
+        active.append(h)
+        basis.append(terms)
+        lms.append(lh)
+        raws.append(rh)
+        tops.append(max(map(degree, terms)))
+        sugars.append(sugar)
+
+    for g, terms in zip(gens, inputs):
+        add(_packed(pk, terms), g.total_degree())
+    count = 0
+    while queue:
+        sugar, _, _, i, j = heappop(queue)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue
+        count += 1
+        if count > budget:
+            raise PairBudgetExceededError(
+                f"S-pair budget of {budget} exceeded with {len(basis)} "
+                f"polynomials in the basis")
+        # (c_j / g) m_i f_i - (c_i / g) m_j f_j; over a field c_i = c_j = 1
+        ci, cj = basis[i][lms[i]], basis[j][lms[j]]
+        if qq:
+            g = gcd(ci, cj)
+            ci, cj = ci // g, cj // g
+        d = degree(lcm)
+        _check(pk, d - degree(lms[i]) + tops[i])
+        _check(pk, d - degree(lms[j]) + tops[j])
+        s = {}
+        addmul(s, {lcm - lms[i]: cj}, basis[i])
+        addmul(s, {lcm - lms[j]: -ci}, basis[j])
+        rem = reduce(s, basis, lms, tops, pk)
+        if rem:
+            add(rem, sugar)
+    reduced = _interreduce([basis[g] for g in active],
+                           [lms[g] for g in active],
+                           [tops[g] for g in active], pk, reduce)
+    unpack = pk.unpack
+    if qq:
+        from fractions import Fraction
+        reduced = [{unpack(e): Fraction(v, terms[lm])
+                    for e, v in terms.items()} for terms, lm in reduced]
+    else:
+        reduced = [{unpack(e): v for e, v in terms.items()}
+                   for terms, _ in reduced]
+    return GroebnerBasis([MultiPoly(field, arity, terms, _clean=True)
+                          for terms in reduced], order)
+
+
+def _interreduce(polys, leads, tops, pk, reduce):
+    """(terms, leading monomial) of the reduced basis of the ideal that a
+    Groebner basis spans, ascending.  Tails are reduced with `reduce`,
+    which leaves each element monic over a field and a positive integer
+    multiple of monic over QQ."""
+    guard = pk.guard
+    # minimalize: drop polynomials whose lead is divisible by another lead
+    keep, kept_leads, kept_tops = [], [], []
+    for lm, p, top in sorted(zip(leads, polys, tops), key=itemgetter(0)):
+        if any(not (lm - l) & guard for l in kept_leads):
+            continue
+        keep.append(p)
+        kept_leads.append(lm)
+        kept_tops.append(top)
+    # tail-reduce each against the others; no lead divides another, so
+    # every remainder keeps its leading monomial
+    out = []
+    for idx, (p, lm) in enumerate(zip(keep, kept_leads)):
+        rem = reduce(p, keep[:idx] + keep[idx + 1:],
+                     kept_leads[:idx] + kept_leads[idx + 1:],
+                     kept_tops[:idx] + kept_tops[idx + 1:], pk)
+        out.append((rem, lm))
+    return out

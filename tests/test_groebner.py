@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (input_path, mp_vars, parse_gens, random_field_element,
-                     spoly)
+                     reference_buchberger, spoly)
 
 from hypercircle import groebner
 from hypercircle.descent import witness_ideal
 from hypercircle.exprparse import build_problem, parse_curve_file
-from hypercircle.fields import QQ, canonical_key, make_extension
+from hypercircle.fields import QQ, TowerContext, canonical_key, make_extension
 from hypercircle.groebner import (
     GroebnerBasis,
     PairBudgetExceededError,
@@ -425,6 +425,138 @@ def test_smallest_sufficient_budget_is_pinned(system, order, budget):
     buchberger(gens, order, budget=budget)
     with pytest.raises(PairBudgetExceededError):
         buchberger(gens, order, budget=budget - 1)
+
+
+def _quintic_curve():
+    """An n = 5 polynomial curve like those of the shift-r1 benchmark
+    workload: a QQ pair of degrees (2, 3) composed with t + b, b a sum
+    of +-a^k, over QQ(a) with a^5 = 3."""
+    s = "(t + 1 - a + a^2 + a^3 - a^4)"
+    return build_problem(parse_curve_file(
+        f"minpoly = x^5 - 3\nx1 = 2*{s}^2 - {s} + 1/3\n"
+        f"x2 = -{s}^3 + 3*{s}^2 + 2*{s} - 1\n"))
+
+
+@pytest.mark.parametrize("curve, budget", [
+    ("quartic", 32),
+    ("quartic over QQ(g)", 7),
+    ("quintic", 70),
+])
+def test_smallest_sufficient_witness_budget_is_pinned(
+        quartic, quartic_report, curve, budget):
+    # the witness ideals of the benchmark's curves: the quartic's block
+    # elimination over QQ, its second descent over QQ(g), and the grevlex
+    # basis of an n = 5 polynomial curve; each is one Buchberger call
+    if curve == "quartic":
+        phi = quartic
+    elif curve == "quintic":
+        phi = _quintic_curve()
+    else:
+        ctx = TowerContext(quartic_report[0].embedding)
+        phi = quartic.map_coefficients(ctx.to_tower, ctx.tower)
+    witness_ideal(phi, budget=budget)
+    with pytest.raises(PairBudgetExceededError):
+        witness_ideal(phi, budget=budget - 1)
+
+
+def _reference_system(seed, qi):
+    """Three random generators of 2-5 terms, with the field, the number
+    of variables and the order read off the seed."""
+    rng = random.Random(f"reference engine:{seed}")
+    field = (QQ, qi)[seed % 2]
+    n = 2 + seed // 2 % 3
+    order = (GREVLEX, LEX, block_order(1 + seed % (n - 1)))[seed // 6 % 3]
+    gens = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            e = [0] * n
+            for _ in range(rng.randint(0, 3 if n < 4 else 2)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = random_field_element(rng, field)
+        gens.append(MultiPoly(field, n, terms))
+    return gens, order
+
+
+def _smallest_budget(engine, gens, order):
+    lo, hi = -1, 1
+    while True:
+        try:
+            engine(gens, order, hi)
+            break
+        except PairBudgetExceededError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            engine(gens, order, mid)
+            hi = mid
+        except PairBudgetExceededError:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_buchberger_matches_the_reference_engine(seed, qi):
+    # the engine reduces the same S-pairs as the reference kept in
+    # helpers, so it needs the same smallest budget, and it returns the
+    # same basis, term for term and in the same term order
+    gens, order = _reference_system(seed, qi)
+    gb, ref = buchberger(gens, order), reference_buchberger(gens, order)
+    assert gb == ref and gb.order == ref.order
+    assert ([list(g.terms.items()) for g in gb]
+            == [list(g.terms.items()) for g in ref])
+    budget = _smallest_budget(reference_buchberger, gens, order)
+    assert buchberger(gens, order, budget) == ref
+    if budget:
+        with pytest.raises(PairBudgetExceededError):
+            buchberger(gens, order, budget - 1)
+
+
+def test_the_reducer_memo_picks_the_first_divisor(monkeypatch):
+    # in lex, the generators leave t0^2 irreducible, and the third basis
+    # element reduces it later, then the fourth reduces t0: the memo's
+    # one non-trivial case, where a lookup scans only the elements added
+    # since.  Every entry names the reducer a full scan would pick, but
+    # for the lead of a basis element whose tail the interreduction
+    # reduces by all kept elements: it is marked irreducible meanwhile.
+    gens = parse_gens(["t0^3 - t1", "t0*t1^2 - t0 - 1"], 2)
+    rescanned = []
+    pseudo_reduce = groebner._pseudo_reduce
+
+    def spy(terms, basis, lms, tails, spans, pk, memo):
+        own = max(terms) if any(terms is g for g in basis) else None
+        stale = [e for e, i in memo.items() if i < 0 and ~i < len(lms)]
+        rem = pseudo_reduce(terms, basis, lms, tails, spans, pk, memo)
+        rescanned.extend((pk.unpack(e), memo[e]) for e in stale
+                         if memo[e] >= 0)
+        assert own is None or memo[own] == ~len(lms)
+        for e, i in memo.items():
+            if e == own:
+                continue
+            divides = [not (e - m) & pk.guard for m in lms]
+            if i >= 0:
+                assert divides.index(True) == i
+            else:
+                assert not any(divides[:~i])
+        return rem
+
+    monkeypatch.setattr(groebner, "_pseudo_reduce", spy)
+    assert buchberger(gens, LEX) == reference_buchberger(gens, LEX)
+    assert rescanned == [((2, 0), 2), ((1, 0), 3)]
+
+
+def test_eliminate_keeps_the_variable_free_prefix_of_the_block_basis():
+    # the image of t -> (t^2 + t, t^3, t^3 + t^2 - 1): three
+    # quadrics free of t, then the one element with a term in t
+    gens = parse_gens(["t1 - t0^2 - t0", "t2 - t0^3", "t3 - t0*t1 + 1"], 4)
+    gb = buchberger(gens, block_order(1))
+    free = [g for g in gb if g.degree_in(0) == 0]
+    assert len(free) == 3 and gb[:3] == free
+    out = eliminate(gens, 1)
+    assert out.order == GREVLEX
+    assert out == [g.drop_vars([0]) for g in free]
+    assert out == sorted(out, key=lambda p: GREVLEX.key(p.leading()[0]))
 
 
 def _tower_system(qi):
