@@ -102,6 +102,30 @@ def primitive_infinity_point(tower):
     return ProjectivePoint(tower, q + [tower.zero])
 
 
+def _top_form(g):
+    """The terms of g of its total degree: g homogenized, at h = 0."""
+    d = g.total_degree()
+    return MultiPoly(g.field, g.arity,
+                     {e: c for e, c in g.terms.items() if sum(e) == d},
+                     _clean=True)
+
+
+def _chart(form, k):
+    """A homogeneous form in x_0..x_k at x_k = 1, without x_k.  Two of
+    its monomials that agree off x_k have one degree, so they agree on
+    it too: no terms merge and no coefficient changes."""
+    return MultiPoly(form.field, k,
+                     {e[:k]: c for e, c in form.terms.items()}, _clean=True)
+
+
+def _restrict(form, k):
+    """A form in x_0..x_k at x_k = 0, without x_k: its terms free of
+    x_k, again a homogeneous form."""
+    return MultiPoly(form.field, k,
+                     {e[:k]: c for e, c in form.terms.items() if not e[k]},
+                     _clean=True)
+
+
 def points_at_infinity(gens, tower, budget=DEFAULT_PAIR_BUDGET):
     """Infinity points of the ideal with coordinates in the tower.
 
@@ -117,6 +141,11 @@ def points_at_infinity(gens, tower, budget=DEFAULT_PAIR_BUDGET):
     point: one with x_j != 0 for some j > k, scaled by 1/x_j, lies over
     the tower in chart j, which came first.  The first chart with points
     over the tower is solved exactly and its points returned.
+
+    The top-degree forms are homogeneous, and so is each restriction to
+    x_k = 0, which keeps the terms free of x_k.  So a chart drops the
+    coordinate x_k of every exponent with no terms merging: every slice
+    is a filter of the basis terms, with no coefficient arithmetic.
     """
     gb = buchberger(gens, GREVLEX, budget)
     if not gb:
@@ -126,11 +155,10 @@ def points_at_infinity(gens, tower, budget=DEFAULT_PAIR_BUDGET):
         return []
     base = tower.base
     m = gb[0].arity
-    # the basis of J in x_0..x_k, for k = m - 1 first: the top-degree
-    # forms, the homogenized basis at h = 0
-    top = [g.homogenize().assign_value(m, base.zero) for g in gb]
+    # the basis of J in x_0..x_k, for k = m - 1 first
+    top = [_top_form(g) for g in gb]
     for k in range(m - 1, -1, -1):
-        chart = [g.assign_value(k, base.one) for g in top]
+        chart = [_chart(g, k) for g in top]
         if not any(g.is_constant() for g in chart):
             try:
                 sols = triangular_solve(chart, k, tower, budget)
@@ -143,7 +171,7 @@ def points_at_infinity(gens, tower, budget=DEFAULT_PAIR_BUDGET):
                           for sol in sols]
                 points.sort(key=ProjectivePoint.sort_key)
                 return points
-        top = [h for h in (g.assign_value(k, base.zero) for g in top)
+        top = [h for h in (_restrict(g, k) for g in top)
                if not h.is_zero()]
     return []
 

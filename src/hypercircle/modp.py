@@ -25,8 +25,7 @@ roots of `upoly` all come from this one search.
 import math
 from itertools import chain
 
-# clear_denominators is re-exported for upoly, which imports no numtheory
-from .numtheory import SearchCapExceededError, clear_denominators, is_prime
+from .numtheory import SearchCapExceededError, is_prime
 
 # The 32 largest primes below 2^15.  Every certificate holds for any
 # prime; a small one keeps residues and their products in one or two

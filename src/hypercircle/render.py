@@ -4,41 +4,62 @@ Multivariate terms print in graded-lex descending order, univariate
 polynomials by falling degree, field elements by ascending generator
 powers.  Multiplication and powers are always explicit so every rendered
 string parses back through exprparse.
+
+Coefficients are read, never computed with, and no Fraction is built:
+a rational prints from its numerator and denominator, an element of a
+height-one tower QQ(a) from its integer numerators `vec` over `den`,
+each coordinate reduced by one gcd, and an element of QQ(g)(a) from its
+coordinates in QQ(g).
 """
 
-from fractions import Fraction
+from math import gcd
 
-from .fields import FieldElement
+from .fields import FieldElement, TowerElement
+
+
+def _ratio(n, d):
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _power(name, k):
+    return "" if k == 0 else (name if k == 1 else f"{name}^{k}")
 
 
 def render_fraction(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """An int or a Fraction as n or n/d."""
+    return _ratio(q.numerator, q.denominator)
 
 
 def _rational_of(c):
-    """Fraction value when the coefficient is rational, else None."""
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    if isinstance(c, FieldElement) and c.is_rational():
-        return c.rational_value()
-    return None
+    """(numerator, denominator) in lowest terms, denominator positive,
+    when the coefficient is rational, else None."""
+    while isinstance(c, TowerElement):
+        if any(c.vec[1:]):
+            return None
+        c = c.vec[0]
+    if isinstance(c, FieldElement):
+        # gcd(vec, den) = 1, so a rational vec[0] / den is reduced
+        return None if any(c.vec[1:]) else (c.vec[0], c.den)
+    return c.numerator, c.denominator
 
 
 def render_field_element(x) -> str:
     """Ascending powers of the top generator, e.g. 3/2 + 2*a - 1/2*a^3."""
     q = _rational_of(x)
     if q is not None:
-        return render_fraction(q)
+        return _ratio(*q)
     name = x.field.name
     parts = []
-    for k, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        mon = "" if k == 0 else (name if k == 1 else f"{name}^{k}")
-        parts.append(_signed_term(c, mon))
+    if isinstance(x, TowerElement):
+        for k, c in enumerate(x.vec):
+            if c:
+                parts.append(_signed_term(c, _power(name, k)))
+        return _join_terms(parts)
+    den = x.den
+    for k, v in enumerate(x.vec):
+        if v:
+            g = gcd(v, den)
+            parts.append(_signed_rational(v // g, den // g, _power(name, k)))
     return _join_terms(parts)
 
 
@@ -50,13 +71,18 @@ def _signed_term(c, mon):
         if mon:
             body = f"{body}*{mon}"
         return 1, body
-    sign = -1 if q < 0 else 1
-    aq = abs(q)
+    return _signed_rational(q[0], q[1], mon)
+
+
+def _signed_rational(n, d, mon):
+    """(sign, body) for the term n/d * mon, d > 0 and n/d reduced."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
     if not mon:
-        return sign, render_fraction(aq)
-    if aq == 1:
+        return sign, _ratio(n, d)
+    if n == 1 and d == 1:
         return sign, mon
-    return sign, f"{render_fraction(aq)}*{mon}"
+    return sign, f"{_ratio(n, d)}*{mon}"
 
 
 def _join_terms(parts):
@@ -69,15 +95,6 @@ def _join_terms(parts):
         else:
             out.append(f" - {body}" if sign < 0 else f" + {body}")
     return "".join(out)
-
-
-def _monomial_str(e, names):
-    pieces = []
-    for i, k in enumerate(e):
-        if not k:
-            continue
-        pieces.append(names[i] if k == 1 else f"{names[i]}^{k}")
-    return "*".join(pieces)
 
 
 def default_names(arity):
@@ -93,7 +110,9 @@ def render_mpoly(p, names=None) -> str:
                    reverse=True)
     parts = []
     for e, c in items:
-        parts.append(_signed_term(c, _monomial_str(e, names)))
+        mon = "*".join([names[i] if k == 1 else f"{names[i]}^{k}"
+                        for i, k in enumerate(e) if k])
+        parts.append(_signed_term(c, mon))
     return _join_terms(parts)
 
 
@@ -103,10 +122,8 @@ def render_unipoly(f, var="t") -> str:
     parts = []
     for k in range(f.degree(), -1, -1):
         c = f[k]
-        if not c:
-            continue
-        mon = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        parts.append(_signed_term(c, mon))
+        if c:
+            parts.append(_signed_term(c, _power(var, k)))
     return _join_terms(parts)
 
 

@@ -21,6 +21,7 @@ Rational roots are the linear factors over ZZ that `modp` lifts.
 from fractions import Fraction
 
 from . import modp
+from .numtheory import clear_denominators
 
 
 class UniPoly:
@@ -390,7 +391,7 @@ def rational_roots(f: UniPoly):
         common = f.gcd(df)
     f = (f // common).monic()
     roots = [] if f[0] else [Fraction(0)]
-    ints = modp.clear_denominators(f.coeffs[len(roots):])[0]
+    ints = clear_denominators(f.coeffs[len(roots):])[0]
     factors = modp.factor_zz(ints, [1]) if len(ints) > 2 else [ints]
     return sorted(roots + [Fraction(-g[0], g[1])
                            for g in factors if len(g) == 2])

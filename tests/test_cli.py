@@ -8,12 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import input_path, mp_vars
+from helpers import input_path, mp_vars, repo_root
 
 from hypercircle import cli
 from hypercircle.cli import main
 from hypercircle.fields import QQ
 from hypercircle.groebner import rational_solutions
+
+
+def _goldens():
+    path = repo_root() / "hcbench" / "goldens.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -519,3 +524,14 @@ def test_import_builds_no_parser():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("name", sorted(_goldens()))
+def test_golden_reports_are_reproduced_byte_for_byte(capsys, monkeypatch,
+                                                     name):
+    # the bundled curves under reparam, witness and infinity, and the
+    # fixed conic-fields lists, whose reports the benchmark pins too
+    golden = _goldens()[name]
+    monkeypatch.chdir(repo_root())
+    code, out, _ = run_cli(capsys, *golden["argv"])
+    assert (code, out) == (golden["code"], golden["stdout"])

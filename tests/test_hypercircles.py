@@ -10,7 +10,8 @@ from helpers import parse_gens, points_at_infinity_by_charts
 from hypercircle import hypercircles
 from hypercircle.descent import Parametrization, witness_ideal
 from hypercircle.fields import QQ, TowerContext, make_extension
-from hypercircle.groebner import PositiveDimensionalError, triangular_solve
+from hypercircle.groebner import (GREVLEX, PositiveDimensionalError,
+                                  buchberger, triangular_solve)
 from hypercircle.hypercircles import (
     InternalInconsistencyError,
     LinearFraction,
@@ -20,6 +21,7 @@ from hypercircle.hypercircles import (
     primitive_infinity_point,
     unit_to_hypercircle,
 )
+from hypercircle.mpoly import MultiPoly
 from hypercircle.upoly import RationalFunction, UniPoly
 
 
@@ -184,10 +186,11 @@ def test_hypercircle_degree_field(quartic):
         hypercircle_degree_field([])
 
 
-def _known_answer_curve(rng, n):
+def _known_answer_curve(rng, n, with_den=False):
     """A QQ curve with polynomial components of coprime degrees (2, 3),
     hence proper, pushed into QQ(a), a^n = +-p, by t -> t + b: its
-    witness variety holds a line and junk points."""
+    witness variety holds a line and junk points.  With a denominator
+    both components are divided by t - 7 first."""
     p = rng.choice((2, 3, 5)) * rng.choice((-1, 1))
     tower = make_extension(QQ, UniPoly(QQ, [p] + [0] * (n - 1) + [1]), "a")
     nums = []
@@ -195,7 +198,12 @@ def _known_answer_curve(rng, n):
         coeffs = [rng.randint(-3, 3) for _ in range(deg)]
         coeffs.append(rng.choice((-2, -1, 1, 2)))
         nums.append(UniPoly(tower, [tower.coerce(c) for c in coeffs]))
-    phi = Parametrization(tower, nums, UniPoly.const(tower, tower.one))
+    if with_den:
+        den = UniPoly(tower, (-7, 1))
+        phi = Parametrization.from_components([RationalFunction(f, den)
+                                               for f in nums])
+    else:
+        phi = Parametrization(tower, nums, UniPoly.const(tower, tower.one))
     b = tower.element(tuple(Fraction(rng.choice((-1, 1)))
                             for _ in range(n)))
     return phi.compose_affine(tower.one, b)
@@ -272,3 +280,57 @@ def test_points_at_infinity_solves_no_chart_holding_a_constant(
     monkeypatch.setattr(hypercircles, "triangular_solve", counting)
     points_at_infinity(parse_gens(gens, 2), qi)
     assert len(seen) == calls
+
+
+def _assert_slices_match_substitution(gens):
+    """The top forms, charts and restrictions of points_at_infinity
+    equal the homogenized basis at h = 0 and its substitutions
+    x_k = 1 and x_k = 0, at every k."""
+    gb = buchberger(gens, GREVLEX)
+    field = gb[0].field
+    m = gb[0].arity
+    top = [hypercircles._top_form(g) for g in gb]
+    assert top == [g.homogenize().assign_value(m, field.zero) for g in gb]
+    for k in range(m - 1, -1, -1):
+        assert ([hypercircles._chart(g, k) for g in top]
+                == [g.assign_value(k, field.one) for g in top])
+        restricted = [hypercircles._restrict(g, k) for g in top]
+        assert restricted == [g.assign_value(k, field.zero) for g in top]
+        top = [h for h in restricted if not h.is_zero()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("with_den", [False, True])
+def test_charts_are_the_substituted_top_forms(n, with_den):
+    rng = random.Random(f"charts:{n}:{with_den}")
+    gb, _ = witness_ideal(_known_answer_curve(rng, n, with_den))
+    assert max(g.total_degree() for g in gb) > 1
+    _assert_slices_match_substitution(gb)
+
+
+def test_charts_of_the_second_witness_are_the_substituted_top_forms(
+        quartic_report):
+    report, _ = quartic_report
+    assert report.second_witness[0].field.height == 1  # over QQ(g)
+    _assert_slices_match_substitution(report.second_witness)
+
+
+def test_points_at_infinity_substitutes_nothing(monkeypatch, quartic_report):
+    report, _ = quartic_report
+    tower = TowerContext(report.embedding).tower
+    rng = random.Random("charts:spy")
+    cases = [(report.witness, report.embedding.ambient),
+             (report.second_witness, tower)]
+    for n in (2, 3):
+        phi = _known_answer_curve(rng, n, with_den=n == 3)
+        cases.append((witness_ideal(phi)[0], phi.field))
+    expected = [points_at_infinity_by_charts(gens, field)
+                for gens, field in cases]
+
+    def refuse(*args):
+        raise AssertionError("points_at_infinity substituted a value")
+
+    monkeypatch.setattr(MultiPoly, "assign_value", refuse)
+    monkeypatch.setattr(MultiPoly, "homogenize", refuse)
+    assert [points_at_infinity(gens, field)
+            for gens, field in cases] == expected

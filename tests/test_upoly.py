@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import random_unipoly, reference_rational_roots, repo_root
 
+from hypercircle import modp, numtheory
 from hypercircle.fields import QQ, make_extension
 from hypercircle.upoly import (
     RationalFunction,
@@ -177,16 +178,42 @@ def test_many_or_large_rational_roots_are_found_quickly(roots, cofactor):
     assert time.perf_counter() - start < 1
 
 
-def test_upoly_imports_nothing_from_numtheory():
+def test_rational_roots_factor_no_integers(monkeypatch):
     # rational roots come from linear factors lifted modulo a prime, not
-    # from the divisors of factored integers
+    # from the divisors of factored integers: upoly names neither
+    # factorize nor is_prime, and rational_roots reaches neither
     source = repo_root() / "src" / "hypercircle" / "upoly.py"
+    names = set()
     for node in ast.walk(ast.parse(source.read_text())):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
-            if isinstance(node, ast.ImportFrom):
-                names.append(node.module or "")
-            assert not any("numtheory" in name for name in names)
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"factorize", "is_prime"}
+    rng = random.Random("rational-roots:spy")
+    cases = []
+    for _ in range(20):
+        # large roots over a cofactor x^2 + b*x + c, b^2 < 4c, with none
+        f = _P(rng.randint(2, 9), rng.randint(-2, 2), 1)
+        f = f.scale(Fraction(rng.randint(1, 10 ** 12),
+                             rng.randint(1, 10 ** 12)))
+        roots = [Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                          rng.randint(1, 10 ** 9))
+                 for _ in range(rng.randint(0, 4))]
+        for r in roots:
+            f = f * _P(-r, 1)
+        cases.append((f, sorted(set(roots))))
+
+    def refuse(*args, **kw):
+        raise AssertionError("rational_roots factored an integer")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    monkeypatch.setattr(numtheory, "is_prime", refuse)
+    monkeypatch.setattr(modp, "is_prime", refuse)
+    for f, roots in cases:
+        assert rational_roots(f) == roots
 
 
 def test_rational_function_reduces_and_normalizes():
