@@ -101,8 +101,10 @@ _ROOT_TRIES = 24
 
 
 def _tower_reduction(tower):
-    """(p, image) with image the map a -> r into GF(p), r a simple root
-    of the minimal polynomial modulo p; None when no tried prime has one.
+    """(p, image) with image the map a -> r into GF(p), r the least root
+    of the minimal polynomial modulo p (`modp.root` of the product of
+    its linear factors), at the first tried prime where that root is
+    simple; None when no tried prime has one.
 
     On elements whose denominator p does not divide, image is a ring
     map, since the minimal polynomial vanishes at r."""

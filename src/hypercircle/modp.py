@@ -3,14 +3,17 @@
 A polynomial is a list of ints in [0, p), ascending, with no trailing
 zero; the zero polynomial is the empty list.  Only what the modular
 certificates of `upoly` and `fields` use is here: products, remainders,
-monic gcds, powers modulo a polynomial, and one factoring path for a
-squarefree polynomial (von zur Gathen and Gerhard, *Modern Computer
-Algebra*, ch. 14): `linear_part` is the product of its linear factors,
-`distinct_degree` splits it into the products of its irreducible
-factors of each degree, and `equal_degree` splits each product by
-Cantor-Zassenhaus; `root` (a root of a polynomial with distinct linear
-factors) is a thin use of it.  `mul`, `add`, `sub` and `divrem` work
-modulo a power of p as they do modulo p.
+monic gcds, powers modulo a polynomial, square roots modulo p
+(Tonelli-Shanks), and one factoring path for a squarefree polynomial
+(von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14):
+`linear_part` is the product of its linear factors, `distinct_degree`
+splits it into the products of its irreducible factors of each degree,
+and `equal_degree` splits each product through the trace map into
+Berlekamp's split subalgebra, whose minimal polynomials it solves by
+the quadratic formula or by quadratic-character splits (`root`, the
+least root of a polynomial with distinct linear factors, is that
+solver).  `mul`, `add`, `sub` and `divrem` work modulo a power of p as
+they do modulo p.
 
 Over ZZ a polynomial is a primitive squarefree list of ints, ascending;
 `clear_denominators` (from `numtheory`) gives it for a monic one over
@@ -23,6 +26,8 @@ roots of `upoly` all come from this one search.
 """
 
 import math
+import random
+from functools import lru_cache
 from itertools import chain
 
 from .numtheory import SearchCapExceededError, is_prime
@@ -54,9 +59,10 @@ def primes():
             yield p
 
 
-# Shifts x + c, c < _SPLIT_TRIES, that equal_degree tries before it
-# gives up; each one splits a product of two or more distinct factors
-# with probability about one half.
+# Pseudo-random tries that `equal_degree` and `_roots` make before they
+# give up.  A trace try gives two distinct factors distinct values with
+# probability 1 - 1/p, and a quadratic-character try puts two distinct
+# roots on different sides with probability about one half.
 _SPLIT_TRIES = 40
 
 
@@ -158,11 +164,100 @@ def _minus_x(f, p):
 
 
 def root(f, p):
-    """A root of the monic nonconstant f, a product of distinct linear
-    factors over GF(p), p odd; None when no split is found within the
-    tries."""
-    factors = equal_degree(f, 1, p)
-    return None if factors is None else -factors[0][0] % p
+    """The least root of the monic nonconstant f, a product of distinct
+    linear factors over GF(p), p odd; None when no split is found
+    within the tries."""
+    roots = _roots(f, p)
+    return None if roots is None else min(roots)
+
+
+@lru_cache(maxsize=64)
+def _two_adic(p):
+    """(s, q, c) with p - 1 = 2^s * q, q odd, and c = z^q for the least
+    quadratic non-residue z modulo p."""
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return s, q, pow(z, q, p)
+
+
+def sqrt(a, p):
+    """A square root of a modulo the odd prime p; None when a is not a
+    square.
+
+    Tonelli-Shanks with one power: with p - 1 = 2^s * q, x =
+    a^((q-1)/2) gives r = a*x and t = r*x = a^q, so r^2 = a*t, and when
+    a is a square t has order 2^i with i < m = s.  With c of order 2^m,
+    multiplying r by b = c^(2^(m-i-1)) and t by b^2 keeps r^2 = a*t and
+    leaves t of order below 2^i; then m = i and c = b^2, until t = 1."""
+    a %= p
+    if not a:
+        return 0
+    m, q, c = _two_adic(p)
+    x = pow(a, (q - 1) // 2, p)
+    r = a * x % p
+    t = r * x % p
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+            if i == m:
+                return None
+        b = c
+        for _ in range(m - i - 1):
+            b = b * b % p
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _pseudo_random(i, n, p):
+    """n residues modulo p, the same for the same try i in every run."""
+    rng = random.Random(i)
+    return [rng.randrange(p) for _ in range(n)]
+
+
+def _roots(f, p):
+    """The roots of the monic nonconstant f, a product of distinct
+    linear factors over GF(p), p odd; None when the tries do not split
+    it completely.
+
+    A piece of degree 1 or 2 is solved by the quadratic formula
+    (`sqrt`).  A larger one is split by gcd(g, (z + c)^((p-1)/2) - 1),
+    which collects the roots r with r + c a nonzero square, for a
+    pseudo-random c per try; every piece not yet solved takes each
+    try."""
+    out = []
+    pieces = [f]
+    half = (p + 1) // 2
+    for i in range(_SPLIT_TRIES):
+        todo = []
+        for g in pieces:
+            if len(g) == 2:
+                out.append(-g[0] % p)
+            elif len(g) == 3:
+                b = g[1]
+                s = sqrt(b * b - 4 * g[0], p)
+                if s is None:
+                    return None
+                out += [(s - b) * half % p, (-s - b) * half % p]
+            else:
+                c = _pseudo_random(i, 1, p)[0]
+                u = powmod([c, 1], (p - 1) // 2, g, p) or [0]
+                w = gcd(g, trim([(u[0] - 1) % p] + u[1:]), p)
+                if 1 < len(w) < len(g):
+                    todo += [w, quo(g, w, p)]
+                else:
+                    todo.append(g)
+        pieces = todo
+        if not pieces:
+            return out
+    return None
 
 
 def linear_part(f, p):
@@ -225,41 +320,78 @@ def distinct_degree(f, p, xp=None, top=None):
 
 def equal_degree(f, d, p, xp=None):
     """The monic irreducible factors of f, a monic product of distinct
-    irreducible factors of degree d over GF(p), p odd; None when the
-    tries do not split it completely.  xp, when given, is x^p modulo a
-    multiple of f.
+    irreducible factors of degree d over GF(p), p odd, in ascending
+    order; None when the tries do not split it completely.  xp, when
+    given, is x^p modulo a multiple of f.
 
-    Cantor-Zassenhaus: gcd(b - 1, g) with b = (x + c)^((p^d-1)/2)
-    collects the factors of g modulo which x + c is a nonzero square;
-    each try, with its own shift c, is applied to every piece not yet
-    split.  Since (p^d-1)/2 = (p-1)/2 * (1 + p + ... + p^(d-1)), b is the
-    product of the Frobenius images of u = (x + c)^((p-1)/2).
+    With k = deg f / d, GF(p)[x]/f is a product of k copies of GF(p^d),
+    one per factor, and the elements that the Frobenius map fixes, whose
+    coordinates all lie in GF(p), form its split subalgebra GF(p)^k
+    (Berlekamp's algebra).  The trace T(v) = v + v^p + ... +
+    v^(p^(d-1)) of any v lies there, so its minimal polynomial mu has
+    distinct roots rho in GF(p), and the gcds of f with T(v) - rho split
+    f by the value of T(v) on each factor (`_split`).  Each try takes
+    one pseudo-random v of degree below deg f, traces it through the
+    Frobenius rows (`_frobenius_rows`), and splits every piece not yet
+    split; a v of degree 1 would not do, as x + c has the trace 2c
+    modulo both x^2 - s and x^2 + s.  The roots of mu, and with d = 1
+    those of f itself, come from `_roots`: for d > 1 no power is taken
+    modulo f, and a piece of at most two factors takes none at all.
     """
-    e = (p - 1) // 2
+    if d == 1:
+        roots = _roots(f, p)
+        return None if roots is None else sorted([-r % p, 1] for r in roots)
     done = []
-    pieces = [(f, None)]
+    pieces = [f]
+    rows = None
     for i in range(_SPLIT_TRIES):
-        todo = []
-        for g, rows in pieces:
-            if len(g) - 1 == d:
-                done.append(g)
-                continue
-            b = u = powmod([i, 1], e, g, p)
-            if d > 1:
-                rows = rows or _frobenius_rows(g, p, xp)
-                for _ in range(d - 1):
-                    u = _frobenius(u, rows, p)
-                    b = _mulmod(b, u, g, p)
-            b = b or [0]
-            w = gcd(g, trim([(b[0] - 1) % p] + b[1:]), p)
-            if 1 < len(w) < len(g):
-                todo += [(w, None), (quo(g, w, p), None)]
-            else:
-                todo.append((g, rows))
-        pieces = todo
+        done += [g for g in pieces if len(g) - 1 == d]
+        pieces = [g for g in pieces if len(g) - 1 > d]
         if not pieces:
-            return done
+            return sorted(done)
+        rows = rows or _frobenius_rows(f, p, xp)
+        t = v = trim(_pseudo_random(i, len(f) - 1, p))
+        for _ in range(d - 1):
+            v = _frobenius(v, rows, p)
+            t = add(t, v, p)
+        pieces = [w for g in pieces for w in _split(g, rem(t, g, p), p)]
     return None
+
+
+def _split(g, t, p):
+    """The pieces gcd(g, t - rho) of the monic g, rho the roots of the
+    minimal polynomial of t, an element of the split subalgebra modulo
+    g; [g] when t is constant there or its roots are not found."""
+    mu = _min_poly(t, g, p)
+    roots = _roots(mu, p) if len(mu) > 2 else None
+    if roots is None:
+        return [g]
+    return [gcd(g, sub(t, [r], p), p) for r in roots]
+
+
+def _min_poly(t, g, p):
+    """The monic minimal polynomial of t modulo the monic g over GF(p):
+    one elimination on the powers 1, t, t^2, ... stops at the first
+    that the lower ones span, and its combination is the polynomial."""
+    n = len(g) - 1
+    rows = []
+    power = [1]
+    while True:
+        vec = power + [0] * (n - len(power))
+        comb = [0] * len(rows) + [1]
+        for pivot, row, lower in rows:
+            c = vec[pivot]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                for j, b in enumerate(lower):
+                    comb[j] = (comb[j] - c * b) % p
+        pivot = next((j for j, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return comb
+        inv = pow(vec[pivot], -1, p)
+        rows.append((pivot, [a * inv % p for a in vec],
+                     [a * inv % p for a in comb]))
+        power = _mulmod(power, t, g, p)
 
 
 def irreducible_factors(parts, p, xp=None):

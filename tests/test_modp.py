@@ -116,7 +116,7 @@ def test_root_finds_a_root_of_a_split_polynomial(roots):
     f = [1]
     for r in roots:
         f = modp.mul(f, [-r % P, 1], P)
-    assert modp.root(f, P) in roots
+    assert modp.root(f, P) == min(roots)
     # times x^2 - n, n a non-square, which has no root modulo P
     n = next(n for n in range(2, P) if pow(n, (P - 1) // 2, P) == P - 1)
     assert modp.linear_part(modp.mul(f, [P - n, 0, 1], P), P) == f
@@ -178,11 +178,60 @@ def _product_of(factors, p):
     return out
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_equal_degree_splits_the_distinct_degree_parts(seed):
-    rng = random.Random(f"factor:{seed}")
-    p = modp.PRIMES[seed % 3]
-    f = _random_squarefree(rng, p, rng.randint(1, 10))
+def _irreducibles(rng, p, d, k):
+    """k distinct monic irreducible polynomials of degree d over GF(p),
+    or all of them when there are fewer."""
+    # Gauss's count of the monic irreducibles of degree d <= 4
+    count = (p ** d - p ** (2 if d == 4 else 1)) // d if d > 1 else p
+    out = []
+    while len(out) < min(k, count):
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if g not in out and _factor_degrees(g, p) == [d]:
+            out.append(g)
+    return out
+
+
+def _split_cases():
+    """(f, p), monic squarefree f: seeded random polynomials; even ones
+    h(x^2), x^4 - q and planted (x^2 - s)(x^2 + s), whose factors
+    come in pairs r, -r; and planted products of k = 1..8 irreducible
+    factors of degree d = 1..4 modulo small primes of both residue
+    classes mod 4, k above p included."""
+    cases = []
+    for seed in range(30):
+        rng = random.Random(f"factor:{seed}")
+        p = modp.PRIMES[seed % 3]
+        cases.append((_random_squarefree(rng, p, rng.randint(1, 10)), p))
+    for i, q in enumerate((3, 6, 7, 11, 14, 15, 22, 35, 55)):
+        p = modp.PRIMES[i % 3]
+        cases.append(([-q % p, 0, 0, 0, 1], p))
+    rng = random.Random("factor:even")
+    for p in modp.PRIMES[:3] + (3, 5, 7, 13):
+        s = rng.randrange(1, p)
+        cases.append((_product_of([[-s % p, 0, 1], [s, 0, 1]], p), p))
+        while True:
+            h = _random_squarefree(rng, p, rng.randint(2, 4))
+            f = [0] * (2 * len(h) - 1)
+            f[::2] = h
+            if len(modp.gcd(f, modp.derivative(f, p), p)) == 1:
+                cases.append((f, p))
+                break
+    for p in (3, 5, 7, 11):
+        for d in range(1, 5):
+            for k in range(1, 9):
+                rng = random.Random(f"factor:{p}:{d}:{k}")
+                factors = _irreducibles(rng, p, d, k)
+                if len(factors) == k:
+                    cases.append((_product_of(factors, p), p))
+    return cases
+
+
+SPLIT_CASES = _split_cases()
+
+
+@pytest.mark.parametrize("case", range(len(SPLIT_CASES)))
+def test_equal_degree_splits_the_distinct_degree_parts(case):
+    f, p = SPLIT_CASES[case]
     parts = modp.distinct_degree(f, p)
     assert _product_of([g for _, g in parts], p) == f
     factors = modp.irreducible_factors(parts, p)
@@ -191,6 +240,49 @@ def test_equal_degree_splits_the_distinct_degree_parts(seed):
     for g in factors:
         assert g[-1] == 1
         assert _factor_degrees(g, p) == [len(g) - 1]
+    # each part's factors come back in ascending order
+    split = [modp.equal_degree(g, d, p) for d, g in parts]
+    assert all(u == sorted(u) for u in split)
+    assert [g for u in split for g in u] == factors
+
+
+def test_a_part_of_two_factors_takes_no_power(monkeypatch):
+    # modulo 32749 = 1 (mod 4), x^4 - 15 = (x^2 - s)(x^2 + s), s^2 = 15,
+    # and every x + c with c^4 - 15 a square, c = 0 among them, has the
+    # same quadratic character modulo both factors; the trace splits
+    # that part, and any part of one or two factors, taking no power
+    # modulo it
+    powers = []
+    splits = []
+
+    def counting_powmod(*args):
+        powers.append(args)
+        return powmod(*args)
+
+    def counting_equal_degree(f, d, p, xp=None):
+        before = len(powers)
+        out = equal_degree(f, d, p, xp)
+        splits.append((f, d, p, len(powers) - before))
+        return out
+
+    powmod = modp.powmod
+    equal_degree = modp.equal_degree
+    monkeypatch.setattr(modp, "powmod", counting_powmod)
+    monkeypatch.setattr(modp, "equal_degree", counting_equal_degree)
+    _field((-15, 0, 0, 0, 1))
+    p = modp.PRIMES[0]
+    assert ([-15 % p, 0, 0, 0, 1], 2, p, 0) in splits
+    assert all(calls == 0 for f, d, _, calls in splits if len(f) <= 2 * d + 1)
+    for seed in range(40):
+        rng = random.Random(f"two-factors:{seed}")
+        p = rng.choice(modp.PRIMES[:4] + (3, 5, 7, 11, 13))
+        d = rng.randint(1, 4)
+        factors = _irreducibles(rng, p, d, rng.randint(1, 2))
+        f = _product_of(factors, p)
+        xp = powmod([0, 1], p, f, p)
+        before = len(powers)
+        assert equal_degree(f, d, p, xp) == sorted(factors)
+        assert len(powers) == before
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -11,11 +11,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.ntheory.residue_ntheory import sqrt_mod  # noqa: E402
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 from sympy.polys.specialpolys import swinnerton_dyer_poly  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from helpers import random_composite, random_ecm_composite  # noqa: E402
+from helpers import (random_composite, random_ecm_composite,  # noqa: E402
+                     swinnerton_dyer)
 
 from hypercircle import fields, modp  # noqa: E402
 from hypercircle.descent import alpha_decompose  # noqa: E402
@@ -580,6 +582,47 @@ def test_integer_factor_search_matches_sympy_factor_list(seed):
     assert sorted(tuple(c if g[-1] > 0 else -c for c in g)
                   for g in found) == want
     assert want == sorted(map(tuple, factors))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_factors_modulo_p_match_sympy(seed):
+    # the distinct-degree parts split through their traces give the
+    # monic irreducible factors sympy finds modulo p, on squarefree
+    # inputs of degree up to 16; the first four seeds take the degree-16
+    # Swinnerton-Dyer polynomial, which has 8 quadratic factors modulo
+    # each of the first four primes
+    rng = random.Random(f"factor-mod-p:{seed}")
+    primes = modp.PRIMES[:4] + (5, 7)
+    if seed < 4:
+        p = primes[seed]
+        f = [c % p for c in swinnerton_dyer([2, 3, 5, 7])]
+    else:
+        p = primes[seed % len(primes)]
+        while True:
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 16))] + [1]
+            if len(modp.gcd(f, modp.derivative(f, p), p)) == 1:
+                break
+    ours = modp.irreducible_factors(modp.distinct_degree(f, p), p)
+    _, theirs = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
+    assert sorted(ours) == sorted(
+        [int(c) % p for c in reversed(g.all_coeffs())] for g, _ in theirs)
+    if seed < 4:
+        assert [len(g) - 1 for g in ours] == [2] * 8
+
+
+@pytest.mark.parametrize("p", modp.PRIMES + (3, 5, 7, 13, 17))
+def test_square_roots_modulo_p_match_sympy(p):
+    # Tonelli-Shanks on seeded squares and non-squares, modulo primes
+    # p - 1 = 2^s q, q odd, for every s from 1 to 5
+    rng = random.Random(f"sqrt:{p}")
+    for _ in range(20):
+        a = rng.randrange(p) ** 2 % p
+        r = modp.sqrt(a, p)
+        assert r * r % p == a
+        assert r in sqrt_mod(a, p, all_roots=True)
+        n = rng.randrange(1, p)
+        if sqrt_mod(n, p) is None:
+            assert modp.sqrt(n, p) is None
 
 
 def _swinnerton_dyer(n):
