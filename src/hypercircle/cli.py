@@ -41,7 +41,7 @@ def _read_problem(path, cli_budget):
     if cli_budget is not None and cli_budget < 1:
         raise ValueError("budget must be positive")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read '{path}': {exc.strerror}") from exc

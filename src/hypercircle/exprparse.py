@@ -1,14 +1,32 @@
 """Expression and input-file parsing.
 
 Grammar: integers, names, + - * / ^ with the usual precedence, and
-parentheses.  Multiplication is always explicit.  An expression
-evaluates into an exact numerator/denominator pair of polynomials: a
-curve component or a minimal polynomial straight into univariate
-polynomials over its field, where the generator is the constant `a`
-and is reduced as it is read; `parse_fraction` into multivariate
-polynomials over QQ.  Every error carries a line and column.
+parentheses.  Multiplication is always explicit.  Digits and names are
+ASCII: a name is [A-Za-z_][A-Za-z0-9_]*, and any other character is an
+error.  Parentheses nest at most MAX_NESTING deep; a run of unary minus
+signs is read in a loop, so no input can exhaust the interpreter's
+stack.  Every error carries a line and column.
+
+One recursive-descent parser evaluates an expression into an exact
+numerator/denominator pair; the denominator is None, read as one,
+until a non-constant divisor appears, and a nonzero constant divisor
+is folded into the numerator where it appears.  The values come from
+one of two rings:
+
+- a curve component or a minimal polynomial is read over its field
+  into sparse maps {degree in the parameter: coefficient}.  A
+  coefficient stays an int or a Fraction while it is rational and
+  becomes a field element only when the generator `a` enters; `a^k`
+  is the unit coordinate vector for k below the degree of the field,
+  so the generator is reduced as it is read.  The polynomials over
+  the field are built once, from the final pair.
+- `parse_fraction` reads into multivariate polynomials over QQ.  A
+  divisor that is zero in a field QQ(a) is re-read this way, over
+  QQ[t, a]: only a divisor that is zero there too is a division by
+  zero, since one zero only modulo the minimal polynomial can cancel.
 """
 
+import operator
 from fractions import Fraction
 
 from .descent import Parametrization
@@ -40,13 +58,19 @@ MAX_POWER_DEGREE = 64
 # of a constant is that of its largest numerator or denominator.
 MAX_POWER_BITS = 1 << 14
 
+# Cap on the depth of nested parentheses.  Each level costs the parser
+# three stack frames, so the cap keeps every input, a formal re-read of
+# a divisor included, far below the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 def tokenize(s):
     out = []
     line = 1
     col = 1
     i = 0
-    while i < len(s):
+    n = len(s)
+    while i < n:
         ch = s[i]
         if ch == "\n":
             line += 1
@@ -57,184 +81,183 @@ def tokenize(s):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            out.append(("INT", s[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            out.append(("NAME", s[i:j], line, col))
-            col += j - i
-            i = j
-            continue
         if ch in _OPS:
             out.append(("OP", ch, line, col))
             col += 1
             i += 1
             continue
+        if ch.isascii():
+            if ch.isdigit():
+                j = i + 1
+                while j < n and s[j].isdigit() and s[j].isascii():
+                    j += 1
+                out.append(("INT", s[i:j], line, col))
+                col += j - i
+                i = j
+                continue
+            if ch.isalpha() or ch == "_":
+                j = i + 1
+                while j < n and s[j].isascii() and (s[j].isalnum()
+                                                    or s[j] == "_"):
+                    j += 1
+                out.append(("NAME", s[i:j], line, col))
+                col += j - i
+                i = j
+                continue
         raise ExpressionError(f"unexpected character '{ch}'", line, col)
     out.append(("END", "", line, col))
     return out
 
 
-class _Parser:
-    """Recursive descent over num/den pairs of polynomials.
+def _fail(reason, tok):
+    raise ExpressionError(reason, tok[2], tok[3])
 
-    atoms maps each variable name to its polynomial, const lifts an
-    integer into the same ring, and degree is the degree the `^` cap
-    reads.  formal names the variables of the ring QQ[t, a] that a
-    parse over a field QQ(a) is the image of; a divisor that is zero
-    only modulo the minimal polynomial is not a division by zero there.
+
+class _Parser:
+    """Recursive descent over num/den pairs of a ring's values.
+
+    A value pair is (num, den) with den None for one.  The ring names
+    its atoms, lifts integers (const), and gives the arithmetic, the
+    degree the `^` cap reads and, as formal, the variables of the ring
+    QQ[t, a] that a parse over a field QQ(a) is the image of.
     """
 
-    def __init__(self, tokens, atoms, const, degree, formal=None):
+    def __init__(self, tokens, ring):
         self.tokens = tokens
         self.pos = 0
-        self.atoms = atoms
-        self.const = const
-        self.degree = degree
-        self.formal = formal
-        self.one = const(1)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, reason, tok=None):
-        tok = tok or self.peek()
-        raise ExpressionError(reason, tok[2], tok[3])
+        self.ring = ring
+        self.depth = 0
 
     def parse(self):
         value = self.expr()
-        kind, text, _, _ = self.peek()
-        if kind != "END":
-            self.fail(f"unexpected token '{text}'")
+        tok = self.tokens[self.pos]
+        if tok[0] != "END":
+            _fail(f"unexpected token '{tok[1]}'", tok)
         return value
 
     def expr(self):
+        tokens = self.tokens
+        ring = self.ring
+        add, mul = ring.add, ring.mul
         num, den = self.term()
         while True:
-            kind, text, _, _ = self.peek()
-            if kind == "OP" and text in "+-":
-                self.advance()
-                n2, d2 = self.term()
-                if text == "-":
-                    n2 = -n2
-                num, den = self._sum(num, den, n2, d2)
-            else:
+            kind, text, _, _ = tokens[self.pos]
+            if kind != "OP" or text not in "+-":
                 return num, den
-
-    def _sum(self, num, den, n2, d2):
-        # products by the constant-one denominator are skipped; other
-        # equal denominators are multiplied, so that a power's degree
-        # check sees the same denominators as ever
-        if d2 == self.one:
-            return num + (n2 if den == self.one else n2 * den), den
-        if den == self.one:
-            return num * d2 + n2, d2
-        return num * d2 + n2 * den, den * d2
+            self.pos += 1
+            n2, d2 = self.term()
+            if text == "-":
+                n2 = ring.neg(n2)
+            if d2 is None:
+                num = add(num, n2 if den is None else mul(n2, den))
+            elif den is None:
+                num, den = add(mul(num, d2), n2), d2
+            else:
+                num, den = add(mul(num, d2), mul(n2, den)), mul(den, d2)
 
     def term(self):
+        tokens = self.tokens
+        ring = self.ring
+        mul = ring.mul
         num, den = self.factor()
         while True:
-            kind, text, line, col = self.peek()
-            if kind == "OP" and text in "*/":
-                self.advance()
-                start = self.pos
-                n2, d2 = self.factor()
-                if text == "/":
-                    if self._zero_divisor(n2, start):
-                        raise ExpressionError("division by zero", line, col)
-                    n2, d2 = d2, n2
-                num = num if n2 == self.one else num * n2
-                den = den if d2 == self.one else (
-                    d2 if den == self.one else den * d2)
-                if den.is_constant() and not den.is_zero() and (
-                        den != self.one):
-                    # a nonzero constant denominator is a unit
-                    num, den = num.scale(1 / den.constant_value()), self.one
-            else:
+            tok = tokens[self.pos]
+            kind, text = tok[0], tok[1]
+            if kind != "OP" or text not in "*/":
                 return num, den
+            self.pos += 1
+            start = self.pos
+            n2, d2 = self.factor()
+            if text == "/":
+                if ring.is_zero(n2) and self._formally_zero(start):
+                    _fail("division by zero", tok)
+                n2, d2 = d2, n2
+            if n2 is not None:
+                num = mul(num, n2)
+            if d2 is not None:
+                den = d2 if den is None else mul(den, d2)
+                c = ring.unit_constant(den)
+                if c is not None:
+                    # a nonzero constant denominator is a unit
+                    num, den = ring.divide(num, c), None
 
-    def _zero_divisor(self, num, start):
-        """Whether the numerator num of the factor read from token start
-        on is zero as a polynomial in the formal variables."""
-        if not num.is_zero():
-            return False
-        if self.formal is None:
+    def _formally_zero(self, start):
+        """Whether the factor read from token start on, whose numerator
+        is zero, is zero as a polynomial in the formal variables."""
+        formal = self.ring.formal
+        if formal is None:
             return True
         span = self.tokens[start:self.pos] + [("END", "", 0, 0)]
-        return _fraction_parser(span, self.formal).parse()[0].is_zero()
+        return _Parser(span, _Formal(formal)).parse()[0].is_zero()
 
     def factor(self):
-        kind, text, _, _ = self.peek()
-        if kind == "OP" and text == "-":
-            self.advance()
-            num, den = self.factor()
-            return -num, den
-        return self.power()
-
-    def power(self):
-        num, den = self.atom()
-        kind, text, _, _ = self.peek()
-        if kind == "OP" and text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok[0] != "INT":
-                self.fail("expected an integer exponent")
-            self.advance()
-            k = int(etok[1])
-            degree = max(self.degree(num), self.degree(den))
-            if max(degree, 1) * k > MAX_POWER_DEGREE:
-                self.fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
-            if degree <= 0:
-                bits = max(_bits(num.constant_value()),
-                           _bits(den.constant_value()))
-                if bits * k > MAX_POWER_BITS:
-                    self.fail(f"constant power above {MAX_POWER_BITS} bits",
-                              etok)
-            return num ** k, (den if den == self.one else den ** k)
-        return num, den
-
-    def atom(self):
-        kind, text, _, _ = self.advance()
+        """A run of unary minus signs, then an atom and an optional
+        `^` with an integer exponent."""
+        tokens = self.tokens
+        ring = self.ring
+        tok = tokens[self.pos]
+        negate = False
+        while tok[1] == "-" and tok[0] == "OP":
+            negate = not negate
+            self.pos += 1
+            tok = tokens[self.pos]
+        self.pos += 1
+        kind, text = tok[0], tok[1]
+        den = None
         if kind == "INT":
-            return self.const(int(text)), self.one
-        if kind == "NAME":
-            value = self.atoms.get(text)
-            if value is None:
-                tok = self.tokens[self.pos - 1]
-                raise ExpressionError(f"unknown variable '{text}'",
-                                      tok[2], tok[3])
-            return value, self.one
-        if kind == "OP" and text == "(":
-            value = self.expr()
-            closing = self.peek()
+            num = ring.const(int(text))
+        elif kind == "NAME":
+            num = ring.atoms.get(text)
+            if num is None:
+                _fail(f"unknown variable '{text}'", tok)
+        elif kind == "OP" and text == "(":
+            if self.depth == MAX_NESTING:
+                _fail(f"nesting deeper than {MAX_NESTING}", tok)
+            self.depth += 1
+            num, den = self.expr()
+            closing = tokens[self.pos]
             if not (closing[0] == "OP" and closing[1] == ")"):
-                self.fail("expected ')'")
-            self.advance()
-            return value
-        tok = self.tokens[self.pos - 1]
-        if kind == "END":
-            raise ExpressionError("unexpected end of expression",
-                                  tok[2], tok[3])
-        raise ExpressionError(f"unexpected token '{text}'", tok[2], tok[3])
+                _fail("expected ')'", closing)
+            self.pos += 1
+            self.depth -= 1
+        elif kind == "END":
+            _fail("unexpected end of expression", tok)
+        else:
+            _fail(f"unexpected token '{text}'", tok)
+        tok = tokens[self.pos]
+        if tok[1] == "^" and tok[0] == "OP":
+            num, den = self.power(num, den)
+        return (ring.neg(num) if negate else num), den
+
+    def power(self, num, den):
+        ring = self.ring
+        self.pos += 1
+        etok = self.tokens[self.pos]
+        if etok[0] != "INT":
+            _fail("expected an integer exponent", etok)
+        self.pos += 1
+        k = int(etok[1])
+        degree = ring.degree(num)
+        if den is not None:
+            degree = max(degree, ring.degree(den))
+        if max(degree, 1) * k > MAX_POWER_DEGREE:
+            _fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
+        if degree <= 0:
+            bits = _bits(ring.constant(num))
+            if den is not None:
+                bits = max(bits, _bits(ring.constant(den)))
+            if bits * k > MAX_POWER_BITS:
+                _fail(f"constant power above {MAX_POWER_BITS} bits", etok)
+        if not k:
+            return ring.const(1), None
+        return ring.power(num, k), (None if den is None
+                                    else ring.power(den, k))
 
 
 def _bits(c):
     """The bit size of the largest numerator or denominator of a
     rational or of a field element's coordinates."""
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return max(abs(c.numerator), c.denominator).bit_length()
     if c.field.height == 1:
         # integer numerators over one denominator
@@ -242,35 +265,172 @@ def _bits(c):
     return max(map(_bits, c.vec))
 
 
-def _fraction_parser(tokens, var_names):
-    """A parser into multivariate polynomials over QQ."""
-    arity = len(var_names)
-    atoms = {name: MultiPoly.var(QQ, arity, i)
-             for i, name in enumerate(var_names)}
-    return _Parser(tokens, atoms, lambda k: MultiPoly.const(QQ, arity, k),
-                   MultiPoly.total_degree)
+class _Formal:
+    """MultiPoly values over QQ in the given variables."""
 
-
-def _field_parser(tokens, field, var):
-    """A parser into polynomials in var over field; the name of a tower
-    field's generator reads as that constant."""
-    atoms = {var: UniPoly.x(field)}
     formal = None
-    if field is not QQ:
-        atoms[field.name] = UniPoly.const(field, field.gen())
-        formal = (var, field.name)
-    return _Parser(tokens, atoms, lambda k: UniPoly.const(field, k),
-                   UniPoly.degree, formal)
+
+    def __init__(self, var_names):
+        arity = self.arity = len(var_names)
+        self.atoms = {name: MultiPoly.var(QQ, arity, i)
+                      for i, name in enumerate(var_names)}
+
+    def const(self, k):
+        return MultiPoly.const(QQ, self.arity, k)
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    power = staticmethod(operator.pow)
+    is_zero = staticmethod(MultiPoly.is_zero)
+    degree = staticmethod(MultiPoly.total_degree)
+    constant = staticmethod(MultiPoly.constant_value)
+
+    @staticmethod
+    def unit_constant(p):
+        if p.is_constant() and not p.is_zero():
+            return p.constant_value()
+        return None
+
+    @staticmethod
+    def divide(p, c):
+        return p.scale(1 / c)
+
+
+class _Lean:
+    """Polynomials in one variable over QQ or a tower QQ(a), as sparse
+    maps {degree: coefficient} holding no zero coefficient.
+
+    A coefficient is an int or a Fraction while it is rational, and a
+    field element once the generator, the constant named field.name,
+    has entered it.
+    """
+
+    def __init__(self, field, var):
+        self.field = field
+        self.atoms = {var: {1: 1}}
+        self.gen = self.formal = None
+        if field is not QQ:
+            self.gen = field.gen()
+            self.atoms[field.name] = {0: self.gen}
+            self.formal = (var, field.name)
+
+    @staticmethod
+    def const(k):
+        return {0: k} if k else {}
+
+    @staticmethod
+    def add(p, q):
+        if len(p) < len(q):
+            p, q = q, p
+        out = dict(p)
+        for k, c in q.items():
+            v = out.get(k)
+            if v is None:
+                out[k] = c
+            else:
+                v = v + c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return out
+
+    @staticmethod
+    def neg(p):
+        return {k: -c for k, c in p.items()}
+
+    @staticmethod
+    def mul(p, q):
+        if len(p) == 1:
+            p, q = q, p
+        if len(q) == 1:
+            # a monomial factor: a shift and a scale, skipped for one
+            (m, c), = q.items()
+            if c.__class__ is int and c == 1:
+                return {k + m: v for k, v in p.items()} if m else p
+            return {k + m: v * c for k, v in p.items()}
+        out = {}
+        for i, a in p.items():
+            for j, b in q.items():
+                v = out.get(i + j)
+                out[i + j] = a * b if v is None else v + a * b
+        return {k: v for k, v in out.items() if v}
+
+    def power(self, p, k):
+        if len(p) == 1:
+            (m, c), = p.items()
+            return {m * k: self._gen_power(k) if c is self.gen else c ** k}
+        out = None
+        while k:
+            if k & 1:
+                out = p if out is None else self.mul(out, p)
+            k >>= 1
+            if k:
+                p = self.mul(p, p)
+        return out
+
+    def _gen_power(self, k):
+        """a^k: a unit coordinate vector below the degree d, folded once
+        through the power table up to 2d - 2."""
+        f = self.field
+        d = f.degree
+        one = 1 if f.height == 1 else f.base.one
+        if k < d:
+            return f._unit(k, one)
+        if k <= 2 * d - 2:
+            return f._unit(d - 1, one) * f._unit(k - d + 1, one)
+        return self.gen ** k
+
+    @staticmethod
+    def is_zero(p):
+        return not p
+
+    @staticmethod
+    def degree(p):
+        return max(p) if p else -1
+
+    @staticmethod
+    def constant(p):
+        return p.get(0, 0)
+
+    @staticmethod
+    def unit_constant(p):
+        if len(p) == 1 and 0 in p:
+            return p[0]
+        return None
+
+    def divide(self, p, c):
+        if isinstance(c, (int, Fraction)):
+            return self.mul(p, {0: Fraction(1, c)})
+        return self.mul(p, {0: c.inverse()})
+
+    def unipoly(self, p):
+        """The UniPoly over the field of a sparse map."""
+        field = self.field
+        coeffs = [field.zero] * (max(p) + 1 if p else 0)
+        for k, c in p.items():
+            coeffs[k] = c
+        return UniPoly(field, coeffs)
+
+
+def _field_pair(s, field, var):
+    """(num, den) of s over field as UniPolys, den None for one."""
+    ring = _Lean(field, var)
+    num, den = _Parser(tokenize(s), ring).parse()
+    return ring.unipoly(num), None if den is None else ring.unipoly(den)
 
 
 def parse_fraction(s, var_names):
     """(numerator, denominator) over QQ in the given variables."""
-    return _fraction_parser(tokenize(s), var_names).parse()
+    ring = _Formal(var_names)
+    num, den = _Parser(tokenize(s), ring).parse()
+    return num, ring.const(1) if den is None else den
 
 
 def parse_polynomial(s, var_name="x"):
     """Univariate polynomial over QQ; division must cancel."""
-    rf = RationalFunction(*_field_parser(tokenize(s), QQ, var_name).parse())
+    rf = RationalFunction(*_field_pair(s, QQ, var_name))
     if rf.den.degree() > 0:
         raise ValueError(f"'{s}' is not a polynomial in {var_name}")
     return rf.num
@@ -278,8 +438,8 @@ def parse_polynomial(s, var_name="x"):
 
 def parse_component(s, field, var="t"):
     """Rational function in the parameter over QQ or an extension."""
-    num, den = _field_parser(tokenize(s), field, var).parse()
-    if den.is_zero():
+    num, den = _field_pair(s, field, var)
+    if den is not None and den.is_zero():
         raise ValueError(f"zero denominator in component '{s}'")
     return RationalFunction(num, den)
 

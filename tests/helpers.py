@@ -6,7 +6,8 @@ from math import comb, gcd
 from operator import itemgetter
 from pathlib import Path
 
-from hypercircle.exprparse import parse_fraction
+from hypercircle.exprparse import (MAX_POWER_BITS, MAX_POWER_DEGREE,
+                                   ExpressionError, parse_fraction, tokenize)
 from hypercircle.fields import QQ, FieldElement
 from hypercircle.groebner import (_MAX_DEGREE, DEFAULT_PAIR_BUDGET,
                                   GroebnerBasis, PairBudgetExceededError,
@@ -678,3 +679,209 @@ def reference_render_rational(rf, var="t") -> str:
         return num
     den = reference_render_unipoly(rf.den, var)
     return f"({num})/({den})"
+
+
+# ---------------------------------------------------------------------------
+# reference expression parser: the UniPoly-valued field parser that
+# exprparse ran before its values became sparse maps, kept verbatim as
+# the oracle of the differential test
+
+
+class _ReferenceParser:
+    """Recursive descent over num/den pairs of polynomials.
+
+    atoms maps each variable name to its polynomial, const lifts an
+    integer into the same ring, and degree is the degree the `^` cap
+    reads.  formal names the variables of the ring QQ[t, a] that a
+    parse over a field QQ(a) is the image of; a divisor that is zero
+    only modulo the minimal polynomial is not a division by zero there.
+    """
+
+    def __init__(self, tokens, atoms, const, degree, formal=None):
+        self.tokens = tokens
+        self.pos = 0
+        self.atoms = atoms
+        self.const = const
+        self.degree = degree
+        self.formal = formal
+        self.one = const(1)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, reason, tok=None):
+        tok = tok or self.peek()
+        raise ExpressionError(reason, tok[2], tok[3])
+
+    def parse(self):
+        value = self.expr()
+        kind, text, _, _ = self.peek()
+        if kind != "END":
+            self.fail(f"unexpected token '{text}'")
+        return value
+
+    def expr(self):
+        num, den = self.term()
+        while True:
+            kind, text, _, _ = self.peek()
+            if kind == "OP" and text in "+-":
+                self.advance()
+                n2, d2 = self.term()
+                if text == "-":
+                    n2 = -n2
+                num, den = self._sum(num, den, n2, d2)
+            else:
+                return num, den
+
+    def _sum(self, num, den, n2, d2):
+        # products by the constant-one denominator are skipped; other
+        # equal denominators are multiplied, so that a power's degree
+        # check sees the same denominators as ever
+        if d2 == self.one:
+            return num + (n2 if den == self.one else n2 * den), den
+        if den == self.one:
+            return num * d2 + n2, d2
+        return num * d2 + n2 * den, den * d2
+
+    def term(self):
+        num, den = self.factor()
+        while True:
+            kind, text, line, col = self.peek()
+            if kind == "OP" and text in "*/":
+                self.advance()
+                start = self.pos
+                n2, d2 = self.factor()
+                if text == "/":
+                    if self._zero_divisor(n2, start):
+                        raise ExpressionError("division by zero", line, col)
+                    n2, d2 = d2, n2
+                num = num if n2 == self.one else num * n2
+                den = den if d2 == self.one else (
+                    d2 if den == self.one else den * d2)
+                if den.is_constant() and not den.is_zero() and (
+                        den != self.one):
+                    # a nonzero constant denominator is a unit
+                    num, den = num.scale(1 / den.constant_value()), self.one
+            else:
+                return num, den
+
+    def _zero_divisor(self, num, start):
+        """Whether the numerator num of the factor read from token start
+        on is zero as a polynomial in the formal variables."""
+        if not num.is_zero():
+            return False
+        if self.formal is None:
+            return True
+        span = self.tokens[start:self.pos] + [("END", "", 0, 0)]
+        return _reference_fraction_parser(
+            span, self.formal).parse()[0].is_zero()
+
+    def factor(self):
+        kind, text, _, _ = self.peek()
+        if kind == "OP" and text == "-":
+            self.advance()
+            num, den = self.factor()
+            return -num, den
+        return self.power()
+
+    def power(self):
+        num, den = self.atom()
+        kind, text, _, _ = self.peek()
+        if kind == "OP" and text == "^":
+            self.advance()
+            etok = self.peek()
+            if etok[0] != "INT":
+                self.fail("expected an integer exponent")
+            self.advance()
+            k = int(etok[1])
+            degree = max(self.degree(num), self.degree(den))
+            if max(degree, 1) * k > MAX_POWER_DEGREE:
+                self.fail(f"power of degree above {MAX_POWER_DEGREE}", etok)
+            if degree <= 0:
+                bits = max(_reference_bits(num.constant_value()),
+                           _reference_bits(den.constant_value()))
+                if bits * k > MAX_POWER_BITS:
+                    self.fail(f"constant power above {MAX_POWER_BITS} bits",
+                              etok)
+            return num ** k, (den if den == self.one else den ** k)
+        return num, den
+
+    def atom(self):
+        kind, text, _, _ = self.advance()
+        if kind == "INT":
+            return self.const(int(text)), self.one
+        if kind == "NAME":
+            value = self.atoms.get(text)
+            if value is None:
+                tok = self.tokens[self.pos - 1]
+                raise ExpressionError(f"unknown variable '{text}'",
+                                      tok[2], tok[3])
+            return value, self.one
+        if kind == "OP" and text == "(":
+            value = self.expr()
+            closing = self.peek()
+            if not (closing[0] == "OP" and closing[1] == ")"):
+                self.fail("expected ')'")
+            self.advance()
+            return value
+        tok = self.tokens[self.pos - 1]
+        if kind == "END":
+            raise ExpressionError("unexpected end of expression",
+                                  tok[2], tok[3])
+        raise ExpressionError(f"unexpected token '{text}'", tok[2], tok[3])
+
+
+def _reference_bits(c):
+    """The bit size of the largest numerator or denominator of a
+    rational or of a field element's coordinates."""
+    if isinstance(c, Fraction):
+        return max(abs(c.numerator), c.denominator).bit_length()
+    if c.field.height == 1:
+        # integer numerators over one denominator
+        return max(c.den, *map(abs, c.vec)).bit_length()
+    return max(map(_reference_bits, c.vec))
+
+
+def _reference_fraction_parser(tokens, var_names):
+    """A parser into multivariate polynomials over QQ."""
+    arity = len(var_names)
+    atoms = {name: MultiPoly.var(QQ, arity, i)
+             for i, name in enumerate(var_names)}
+    return _ReferenceParser(tokens, atoms,
+                            lambda k: MultiPoly.const(QQ, arity, k),
+                            MultiPoly.total_degree)
+
+
+def _reference_field_parser(tokens, field, var):
+    """A parser into polynomials in var over field; the name of a tower
+    field's generator reads as that constant."""
+    atoms = {var: UniPoly.x(field)}
+    formal = None
+    if field is not QQ:
+        atoms[field.name] = UniPoly.const(field, field.gen())
+        formal = (var, field.name)
+    return _ReferenceParser(tokens, atoms,
+                            lambda k: UniPoly.const(field, k),
+                            UniPoly.degree, formal)
+
+
+def reference_parse_polynomial(s, var_name="x"):
+    """Univariate polynomial over QQ; division must cancel."""
+    rf = RationalFunction(
+        *_reference_field_parser(tokenize(s), QQ, var_name).parse())
+    if rf.den.degree() > 0:
+        raise ValueError(f"'{s}' is not a polynomial in {var_name}")
+    return rf.num
+
+
+def reference_parse_component(s, field, var="t"):
+    """Rational function in the parameter over QQ or an extension."""
+    num, den = _reference_field_parser(tokenize(s), field, var).parse()
+    if den.is_zero():
+        raise ValueError(f"zero denominator in component '{s}'")
+    return RationalFunction(num, den)

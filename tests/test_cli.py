@@ -535,3 +535,15 @@ def test_golden_reports_are_reproduced_byte_for_byte(capsys, monkeypatch,
     monkeypatch.chdir(repo_root())
     code, out, _ = run_cli(capsys, *golden["argv"])
     assert (code, out) == (golden["code"], golden["stdout"])
+
+
+def test_curve_file_with_a_byte_order_mark_reads_the_same(capsys,
+                                                          tmp_path):
+    text = input_path("quartic.curve").read_bytes()
+    marked = tmp_path / "quartic.curve"
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    want = run_cli(capsys, "reparam", str(input_path("quartic.curve")),
+                   "--json")
+    got = run_cli(capsys, "reparam", str(marked), "--json")
+    assert want[0] == 0
+    assert got == want

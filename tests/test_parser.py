@@ -1,11 +1,19 @@
 """Expression parsing, curve files, and canonical rendering."""
 
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import parse_field_element, parse_gens
+from helpers import (input_path, parse_field_element, parse_gens,
+                     reference_parse_component, reference_parse_polynomial,
+                     repo_root)
 
+from hypercircle.cli import main as cli_main
 from hypercircle.exprparse import (
     ExpressionError,
     build_problem,
@@ -15,7 +23,8 @@ from hypercircle.exprparse import (
     parse_polynomial,
     tokenize,
 )
-from hypercircle.fields import QQ, ReduciblePolynomialError, TowerContext
+from hypercircle.fields import (QQ, ReduciblePolynomialError, TowerContext,
+                               make_extension)
 from hypercircle.render import (
     render_field_element,
     render_fraction,
@@ -278,3 +287,316 @@ def test_render_second_descent_elements_parse_back(quartic,
         for (i, j), q in num.terms.items():
             value = value + g ** i * a ** j * q
         assert value / den.constant_value() == c
+
+
+# ---------------------------------------------------------------------------
+# nesting, signs and characters: every input is an error with a position
+# or a value, never a RecursionError
+
+
+def _nested(depth, inner="t"):
+    return "(" * depth + inner + ")" * depth
+
+
+def _cli(capsys, *argv):
+    code = cli_main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _curve(tmp_path, component, name="c.curve"):
+    path = tmp_path / name
+    path.write_text(f"minpoly = x^2 + 1\nx1 = {component}\nx2 = t^2 + a\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("component,same_as", [
+    (_nested(100), "t"),
+    ("-" * 3000 + "t", "t"),
+    ("-" * 3001 + "t", "-t"),
+    ("t^2 - " + "-" * 999 + "a", "t^2 + a"),
+], ids=["parens-100", "signs-3000", "signs-3001", "signs-inside"])
+def test_deep_but_bounded_components_parse(capsys, tmp_path, component,
+                                           same_as):
+    want = _cli(capsys, "witness", _curve(tmp_path, same_as, "want.curve"),
+                "--json")
+    got = _cli(capsys, "witness", _curve(tmp_path, component), "--json")
+    assert want[0] == 0
+    assert got == want
+
+
+@pytest.mark.parametrize("depth", [101, 3000])
+def test_nesting_past_the_cap_is_input_error(capsys, tmp_path, depth):
+    code, out, err = _cli(capsys, "witness",
+                          _curve(tmp_path, _nested(depth)), "--json")
+    assert (code, out) == (2, "")
+    assert err == ("input error: x1 (line 2): nesting deeper than 100 at "
+                   "column 101\n")
+
+
+@pytest.mark.parametrize("minpoly,unit,same_as", [
+    (_nested(100, "x^2 + 1"), "t", ("x^2 + 1", "t")),
+    ("x^2 + 1", _nested(100, "a*t + 1"), ("x^2 + 1", "a*t + 1")),
+    ("x^2 + 1", "-" * 3000 + "t", ("x^2 + 1", "t")),
+    ("x^2 + 1", "-" * 3001 + "t", ("x^2 + 1", "-t")),
+], ids=["minpoly-100", "unit-100", "signs-3000", "signs-3001"])
+def test_hypercircle_reads_deep_but_bounded_input(capsys, minpoly, unit,
+                                                  same_as):
+    # "--" ends the options, so a unit may start with a sign
+    want = _cli(capsys, "hypercircle", "--json", "--", *same_as)
+    got = _cli(capsys, "hypercircle", "--json", "--", minpoly, unit)
+    assert want[0] == 0
+    assert got == want
+
+
+@pytest.mark.parametrize("depth", [101, 250, 3000])
+@pytest.mark.parametrize("which", ["minpoly", "unit"])
+def test_hypercircle_nesting_past_the_cap_is_input_error(capsys, depth,
+                                                         which):
+    minpoly, unit = "x^2 + 1", "a*t + 1"
+    if which == "minpoly":
+        minpoly = _nested(depth, minpoly)
+    else:
+        unit = _nested(depth, unit)
+    code, out, err = _cli(capsys, "hypercircle", minpoly, unit, "--json")
+    assert (code, out) == (2, "")
+    assert err == ("input error: nesting deeper than 100 at line 1, "
+                   "column 101\n")
+
+
+def test_nesting_cap_covers_every_parser(qi):
+    for parse in (lambda s: parse_fraction(s, ("t",)),
+                  lambda s: parse_polynomial(s, "t"),
+                  lambda s: parse_component(s, qi)):
+        parse(_nested(100))
+        with pytest.raises(ExpressionError) as exc:
+            parse("t + " + _nested(101))
+        assert exc.value.reason == "nesting deeper than 100"
+        assert (exc.value.line, exc.value.column) == (1, 105)
+
+
+@pytest.mark.parametrize("src,char,column", [
+    ("t^٣ + ٢", "٣", 3),
+    ("t^²", "²", 3),
+    ("t٣", "٣", 2),
+    ("é + t", "é", 1),
+    ("t + xé", "é", 6),
+])
+def test_only_ascii_digits_and_names_are_tokens(src, char, column):
+    with pytest.raises(ExpressionError) as exc:
+        parse_component(src, QQ)
+    assert exc.value.reason == f"unexpected character '{char}'"
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_non_ascii_digit_in_a_curve_file_is_input_error(capsys, tmp_path):
+    code, out, err = _cli(capsys, "witness",
+                          _curve(tmp_path, "t^٣"), "--json")
+    assert (code, out) == (2, "")
+    assert err == ("input error: x1 (line 2): unexpected character "
+                   "'٣' at column 3\n")
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the parser against the UniPoly-valued reference
+
+
+def _field(minpoly):
+    return make_extension(QQ, parse_polynomial(minpoly), "a")
+
+
+def _fields():
+    quartic = parse_curve_file(input_path("quartic.curve").read_text())
+    return {
+        "QQ": QQ,
+        "QQ(i)": _field("x^2 + 1"),
+        # 2a^4 = 3: a minimal polynomial with a denominator, T = 2
+        "2a^4=3": _field("x^4 - 3/2"),
+        "quartic": _field(quartic.minpoly),
+        "quintic": _field("x^5 + 2*x^3 - 4*x + 2"),
+    }
+
+
+FIELDS = _fields()
+
+
+def _outcome(parse, *args):
+    """What a parse gives: the reduced (num, den) coefficients, or the
+    error's type, reason and position."""
+    try:
+        value = parse(*args)
+    except ExpressionError as exc:
+        return ("ExpressionError", exc.reason, exc.line, exc.column)
+    except (ValueError, ZeroDivisionError) as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(value, RationalFunction):
+        return ("ok", value.num.coeffs, value.den.coeffs)
+    return ("ok", value.coeffs)
+
+
+def _same_component(s, field):
+    got = _outcome(parse_component, s, field)
+    assert got == _outcome(reference_parse_component, s, field), s
+    return got
+
+
+def _same_polynomial(s, var="t"):
+    got = _outcome(parse_polynomial, s, var)
+    assert got == _outcome(reference_parse_polynomial, s, var), s
+    return got
+
+
+def _field_zero(field):
+    """Divisors that are zero in the field but not in QQ[t, a]."""
+    m = render_unipoly(field.minpoly, "a")
+    return [f"({m})", f"(t*({m}))", f"(({m})^2 - t + t)"]
+
+
+_FORMAL_ZERO = ["(t - t)", "(a*t - t*a)", "(0*a)", "(a - a)", "(2 - 2)"]
+
+
+def _leaf(rng, field):
+    n = field.degree
+    roll = rng.random()
+    if roll < 0.25:
+        return "t"
+    if roll < 0.45:
+        return str(rng.randint(0, 12))
+    if roll < 0.6:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    if field is QQ and rng.random() < 0.9:
+        return f"t^{rng.randint(0, 4)}"
+    if roll < 0.8:
+        return "a"
+    # powers of the generator past its degree fold through the table
+    return f"a^{rng.randint(0, 2 * n + 3)}"
+
+
+def _divisor(rng, field):
+    roll = rng.random()
+    if roll < 0.3:
+        d = rng.choice(["3", "(2/5)", "(-7)", "(a + 1)", "(2*a)"])
+    elif roll < 0.65:
+        d = rng.choice(["(t + 1)", "(t^2 - a)", "(a*t - 1/2)", "t",
+                        "(t - 1)^2"])
+    elif roll < 0.85 and field is not QQ:
+        return rng.choice(_field_zero(field))
+    else:
+        d = rng.choice(_FORMAL_ZERO)
+    return d.replace("a", "5") if field is QQ else d
+
+
+def _expression(rng, field, depth=0):
+    if depth >= 4 or rng.random() < 0.2:
+        return _leaf(rng, field)
+    roll = rng.random()
+    sub = lambda: _expression(rng, field, depth + 1)  # noqa: E731
+    if roll < 0.3:
+        return " + ".join(sub() for _ in range(rng.randint(2, 3)))
+    if roll < 0.45:
+        return f"{sub()} - {sub()}"
+    if roll < 0.65:
+        return f"{sub()}*{sub()}"
+    if roll < 0.8:
+        return f"{sub()}/{_divisor(rng, field)}"
+    if roll < 0.88:
+        return "-" * rng.randint(1, 3) + sub()
+    if roll < 0.95:
+        return f"({sub()})^{rng.randint(0, 3)}"
+    return f"(({sub()}))"
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_random_expressions_match_the_reference(name):
+    field = FIELDS[name]
+    rng = random.Random(f"parse:{name}")
+    outcomes = set()
+    for _ in range(80):
+        s = _expression(rng, field)
+        if field is not QQ and rng.random() < 0.1:
+            s = f"({s}) / {_divisor(rng, field)}"
+        outcomes.add(_same_component(s, field)[0])
+        if field is QQ:
+            _same_polynomial(s)
+    # the corpus reaches values and errors alike
+    assert "ok" in outcomes and "ExpressionError" in outcomes
+
+
+def _cap_edge(template, field, limit=300):
+    """The least exponent k at which template.format(k) fails the
+    reference parse, or None below limit."""
+    for k in range(limit):
+        if _outcome(reference_parse_component, template.format(k),
+                    field)[0] != "ok":
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("template", [
+    "t^{}", "(t + 1)^{}", "(t^2 - 1/3)^{}", "1/(t^3 + 2)^{}", "(2^64)^{}",
+    "((3/7)^20)^{}", "(a*t)^{}", "(a + 2)^{}", "((a + 2)^16)^{}",
+    "((a^2 - 3/5)^9)^{}", "(t - a)^{}",
+    # 256-bit constants: 256 * 64 is exactly the bit cap
+    "((2^51)^5)^{}", "((1/2^51)^5)^{}", "((-3/2^51)^5)^{}",
+])
+def test_powers_up_to_each_cap_match_the_reference(name, template):
+    field = FIELDS[name]
+    if "a" in template and field is QQ:
+        template = template.replace("a", "5")
+    k = _cap_edge(template, field)
+    assert k is not None and k > 1, template
+    for e in (k - 1, k):
+        _same_component(template.format(e), field)
+        if field is QQ:
+            _same_polynomial(template.format(e))
+    assert _same_component(template.format(k), field)[0] == "ExpressionError"
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_divisions_by_zero_match_the_reference(name):
+    field = FIELDS[name]
+    divisors = _FORMAL_ZERO + ([] if field is QQ else _field_zero(field))
+    for d in divisors:
+        for s in (f"1/{d}", f"t + 1/{d}", f"1/(1/{d})", f"(t/{d})*{d}",
+                  f"t^2/({d}^2)", f"1/{d}^0"):
+            _same_component(s, field)
+
+
+def _workload_curves(tmp_path):
+    """(minpoly, components) of every generated curve of shift-r1 and
+    tower-r2 at seeds 1, 3 and 21, built by the benchmark's generators
+    in a child process."""
+    script = (
+        "import json, os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import workloads\n"
+        "out = []\n"
+        "for w in ('shift-r1', 'tower-r2'):\n"
+        "    for seed in (1, 3, 21):\n"
+        "        d = os.path.join(sys.argv[2], f'{w}-{seed}')\n"
+        "        workloads.build(w, seed, d)\n"
+        "        for f in sorted(os.listdir(d)):\n"
+        "            if f.endswith('.curve'):\n"
+        "                out.append(open(os.path.join(d, f)).read())\n"
+        "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(repo_root() / "hcbench"),
+         str(tmp_path)], capture_output=True, text=True, env=env,
+        check=True)
+    return [parse_curve_file(text) for text in json.loads(done.stdout)]
+
+
+def test_workload_components_match_the_reference(tmp_path):
+    curves = _workload_curves(tmp_path)
+    assert len(curves) == 3 * (34 + 6)
+    fields = {}
+    for curve in curves:
+        got = _same_polynomial(curve.minpoly, "x")
+        if curve.minpoly not in fields:
+            fields[curve.minpoly] = make_extension(
+                QQ, UniPoly(QQ, got[1]), "a")
+        for s in curve.components:
+            assert _same_component(s, fields[curve.minpoly])[0] == "ok"
