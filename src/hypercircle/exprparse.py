@@ -371,15 +371,11 @@ class _Lean:
         return out
 
     def _gen_power(self, k):
-        """a^k: a unit coordinate vector below the degree d, folded once
-        through the power table up to 2d - 2."""
+        """a^k: a unit coordinate vector below the degree of the field,
+        a power of the generator from there on."""
         f = self.field
-        d = f.degree
-        one = 1 if f.height == 1 else f.base.one
-        if k < d:
-            return f._unit(k, one)
-        if k <= 2 * d - 2:
-            return f._unit(d - 1, one) * f._unit(k - d + 1, one)
+        if k < f.degree:
+            return f._unit(k, 1 if f.height == 1 else f.base.one)
         return self.gen ** k
 
     @staticmethod

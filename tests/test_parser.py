@@ -565,9 +565,9 @@ def test_divisions_by_zero_match_the_reference(name):
 
 
 def _workload_curves(tmp_path):
-    """(minpoly, components) of every generated curve of shift-r1 and
-    tower-r2 at seeds 1, 3 and 21, built by the benchmark's generators
-    in a child process."""
+    """{(workload, seed): parsed curves} for every generated curve of
+    shift-r1 and tower-r2 at seeds 1, 3 and 21, built by the benchmark's
+    generators in a child process."""
     script = (
         "import json, os, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -579,21 +579,26 @@ def _workload_curves(tmp_path):
         "        workloads.build(w, seed, d)\n"
         "        for f in sorted(os.listdir(d)):\n"
         "            if f.endswith('.curve'):\n"
-        "                out.append(open(os.path.join(d, f)).read())\n"
+        "                out.append([w, seed,\n"
+        "                            open(os.path.join(d, f)).read()])\n"
         "print(json.dumps(out))\n")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "-c", script, str(repo_root() / "hcbench"),
          str(tmp_path)], capture_output=True, text=True, env=env,
         check=True)
-    return [parse_curve_file(text) for text in json.loads(done.stdout)]
+    curves = {}
+    for w, seed, text in json.loads(done.stdout):
+        curves.setdefault((w, seed), []).append(parse_curve_file(text))
+    return curves
 
 
 def test_workload_components_match_the_reference(tmp_path):
     curves = _workload_curves(tmp_path)
-    assert len(curves) == 3 * (34 + 6)
+    assert set(curves) == {(w, seed) for w in ("shift-r1", "tower-r2")
+                           for seed in (1, 3, 21)}
     fields = {}
-    for curve in curves:
+    for curve in (c for batch in curves.values() for c in batch):
         got = _same_polynomial(curve.minpoly, "x")
         if curve.minpoly not in fields:
             fields[curve.minpoly] = make_extension(
