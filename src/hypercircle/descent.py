@@ -53,7 +53,7 @@ from functools import lru_cache
 
 from .fields import QQ
 from .groebner import DEFAULT_PAIR_BUDGET, buchberger, eliminate
-from .mpoly import GREVLEX, MultiPoly, Packing, addmul
+from .mpoly import GREVLEX, MultiPoly, Packing, add_multiple, addmul
 from .numtheory import clear_denominators
 from .upoly import RationalFunction, UniPoly
 
@@ -174,12 +174,12 @@ def _times_gen(layers, fold):
     The list shifts up one power and its old top layer is folded back
     through fold, the coordinates of a^n.
     """
-    top = layers.pop()
+    top = layers.pop().items()
     layers.insert(0, {})
     if top:
         for i, m in enumerate(fold):
             if m:
-                addmul(layers[i], {0: m}, top)
+                add_multiple(layers[i], m, 0, top)
 
 
 def _substitute(f, tower, pk):
@@ -194,19 +194,18 @@ def _substitute(f, tower, pk):
     L, coeffs = _clear([dict(enumerate(c.coeffs)) for c in f.coeffs], base)
     fold = _fold(tower)
     one = 1 if base is QQ else base.one
-    units = [{u: one} for u in pk.units]
     acc = [{} for _ in range(n)]
     for ck in reversed(coeffs):
         prod = [{} for _ in range(n)]
-        for unit in reversed(units):
+        for unit in reversed(pk.units):
             _times_gen(prod, fold)
             for j, lay in enumerate(acc):
-                addmul(prod[j], unit, lay)
+                add_multiple(prod[j], one, unit, lay.items())
         acc = prod
         for j, c in ck.items():
             if c:
                 # the constant term
-                addmul(acc[j], {0: c}, {0: one})
+                add_multiple(acc[j], c, 0, ((0, one),))
     # a minimal polynomial with denominators leaves Fractions behind
     L2, acc = _clear(acc, base)
     return acc, L * L2
@@ -319,7 +318,7 @@ def _descend(tower, pk, den, nums):
             if conv[k]:
                 for i, t in table[k - n].items():
                     if t:
-                        addmul(res[i], {0: t}, conv[k])
+                        add_multiple(res[i], t, 0, conv[k].items())
         out.append(_unscale(res, base, arity, unpack, L_t * L_p * rest))
     delta = _unscale([delta], base, arity, unpack, scales[0] * rest)[0]
     return delta, out

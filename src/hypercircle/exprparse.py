@@ -24,6 +24,7 @@ one of two rings:
   divisor that is zero in a field QQ(a) is re-read this way, over
   QQ[t, a]: only a divisor that is zero there too is a division by
   zero, since one zero only modulo the minimal polynomial can cancel.
+  A re-read that meets a `^` cap reports a division by zero as well.
 """
 
 import operator
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .descent import Parametrization
 from .fields import QQ, make_extension
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, add_terms, addmul
 from .upoly import RationalFunction, UniPoly
 
 
@@ -188,7 +189,11 @@ class _Parser:
         if formal is None:
             return True
         span = self.tokens[start:self.pos] + [("END", "", 0, 0)]
-        return _Parser(span, _Formal(formal)).parse()[0].is_zero()
+        try:
+            return _Parser(span, _Formal(formal)).parse()[0].is_zero()
+        except ExpressionError:
+            # a `^` cap bounds the re-read; the divisor is zero in the field
+            return True
 
     def factor(self):
         """A run of unary minus signs, then an atom and an optional
@@ -319,22 +324,7 @@ class _Lean:
     def const(k):
         return {0: k} if k else {}
 
-    @staticmethod
-    def add(p, q):
-        if len(p) < len(q):
-            p, q = q, p
-        out = dict(p)
-        for k, c in q.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            else:
-                v = v + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return out
+    add = staticmethod(add_terms)
 
     @staticmethod
     def neg(p):
@@ -351,11 +341,8 @@ class _Lean:
                 return {k + m: v for k, v in p.items()} if m else p
             return {k + m: v * c for k, v in p.items()}
         out = {}
-        for i, a in p.items():
-            for j, b in q.items():
-                v = out.get(i + j)
-                out[i + j] = a * b if v is None else v + a * b
-        return {k: v for k, v in out.items() if v}
+        addmul(out, p, q)
+        return out
 
     def power(self, p, k):
         if len(p) == 1:

@@ -26,16 +26,18 @@ checks every degree it reaches against it: past the bound it raises
 PairBudgetExceededError, so no field wraps.
 
 Every reduction step and both halves of each S-polynomial are one call
-of the term kernel `_add_multiple`: work += c * x^shift * tail, where
+of the term kernel mpoly.add_multiple: work += c * x^shift * tail, where
 the tail is a basis element without its leading term, whose product
-cancels by construction.  A reduction step reduces the largest term of
-the work by the first basis element whose leading monomial divides it.
-One `buchberger` call keeps one reducer memo for all its reductions:
-it maps a packed monomial to the index of that first divisor, or to ~n
-when none of the first n leading monomials divides it.  The basis of
-the call only grows by appending, so a first divisor stays the first
-and a later lookup scans only the elements added since: the memo
-picks the reducer the full scan would pick, and it ends with the call.
+cancels by construction.  One reducer, `_reduce`, serves `buchberger`,
+the interreduction and `normal_form`; over QQ it adds a content step.  A
+reduction step reduces the largest term of the work by the first basis
+element whose leading monomial divides it.  One `buchberger` call keeps
+one reducer memo for all its reductions: it maps a packed monomial to
+the index of that first divisor, or to ~n when none of the first n
+leading monomials divides it.  The basis of the call only grows by
+appending, so a first divisor stays the first and a later lookup scans
+only the elements added since: the memo picks the reducer the full scan
+would pick, and it ends with the call.
 
 Every basis computed here is a GroebnerBasis, which records its order.
 Reduced bases are unique, so `buchberger` returns a GroebnerBasis in the
@@ -47,7 +49,8 @@ elements of degree <= 1, `dimension` its leading monomials.
 
 from math import gcd
 
-from .mpoly import GREVLEX, LEX, MultiPoly, Packing, block_order
+from .mpoly import (GREVLEX, LEX, MultiPoly, Packing, add_multiple,
+                    block_order)
 from .numtheory import clear_denominators
 from .upoly import UniPoly
 
@@ -90,65 +93,19 @@ def _packed(pk, terms):
     return pk.terms(terms)
 
 
-def _add_multiple(work, c, shift, tail):
-    """In place work += c * x^shift * tail on packed terms, dropping
-    cancelled terms: the one term kernel of reduction steps and
-    S-polynomials.  `tail` is a polynomial's term list without its
-    leading term, whose product the caller cancels itself."""
-    get = work.get
-    for f, d in tail:
-        k = shift + f
-        v = get(k)
-        if v is None:
-            work[k] = c * d
-        else:
-            v += c * d
-            if v:
-                work[k] = v
-            else:
-                del work[k]
-
-
 def _tail(terms, lm):
     """The term list of a packed polynomial without its leading term."""
     return [(f, d) for f, d in terms.items() if f != lm]
 
 
-def _reduce_full(terms, basis, lms, tails, spans, pk, memo):
-    """Remainder of packed terms modulo a monic basis, fully
-    tail-reduced.  tails[i] is _tail(basis[i], lms[i]); spans[i] is how
-    far the largest degree of a term of basis[i] exceeds the degree of
-    lms[i]; memo is the reducer memo of the module docstring."""
-    guard, degree, bound = pk.guard, pk.degree, pk.bound
-    work = dict(terms)
-    rem = {}
-    while work:
-        e = max(work)
-        i = memo.get(e)
-        if i is None or i < 0:
-            n = len(lms)
-            for i in range(0 if i is None else ~i, n):
-                if not (e - lms[i]) & guard:
-                    break
-            else:
-                i = ~n
-            memo[e] = i
-            if i < 0:
-                rem[e] = work.pop(e)
-                continue
-        # x^shift basis[i] reaches degree deg e + spans[i]
-        span = spans[i]
-        if span and degree(e) + span > bound:
-            _check(pk, degree(e) + span)
-        _add_multiple(work, -work.pop(e), e - lms[i], tails[i])
-    return rem
-
-
-def _pseudo_reduce(terms, basis, lms, tails, spans, pk, memo):
-    """A positive integer multiple of the remainder of packed integer
-    terms modulo a basis of integer polynomials with positive leading
-    coefficients, fully tail-reduced without fractions.  The other
-    arguments are those of _reduce_full."""
+def _reduce(terms, basis, lms, tails, spans, pk, memo, qq):
+    """Remainder of packed terms modulo a basis, fully tail-reduced.
+    Over a field the basis is monic.  With qq, terms and basis are
+    integer polynomials, the basis with positive leading coefficients,
+    and the result is a positive integer multiple of the remainder.
+    tails[i] is _tail(basis[i], lms[i]); spans[i] is how far the largest
+    degree of a term of basis[i] exceeds the degree of lms[i]; memo is
+    the reducer memo of the module docstring."""
     guard, degree, bound = pk.guard, pk.degree, pk.bound
     work = dict(terms)
     rem = {}
@@ -167,16 +124,20 @@ def _pseudo_reduce(terms, basis, lms, tails, spans, pk, memo):
                 rem[e] = work.pop(e)
                 continue
         m = lms[i]
+        # x^shift basis[i] reaches degree deg e + spans[i]
         span = spans[i]
         if span and degree(e) + span > bound:
             _check(pk, degree(e) + span)
-        c, lc = work.pop(e), basis[i][m]
-        g = gcd(c, lc)
-        if g != lc:
-            s = lc // g
-            work = {k: s * v for k, v in work.items()}
-            rem = {k: s * v for k, v in rem.items()}
-        _add_multiple(work, -(c // g), e - m, tails[i])
+        c = work.pop(e)
+        if qq:
+            lc = basis[i][m]
+            g = gcd(c, lc)
+            if g != lc:
+                s = lc // g
+                work = {k: s * v for k, v in work.items()}
+                rem = {k: s * v for k, v in rem.items()}
+            c //= g
+        add_multiple(work, -c, e - m, tails[i])
     return rem
 
 
@@ -200,10 +161,10 @@ def normal_form(f: MultiPoly, basis, order=GREVLEX):
     bs = [g.monic(order) for g in basis if not g.is_zero()]
     bt = [_packed(pk, g.terms) for g in bs]
     lms = [max(t) for t in bt]
-    rem = _reduce_full(_packed(pk, f.terms), bt, lms,
-                       [_tail(t, m) for t, m in zip(bt, lms)],
-                       [g.total_degree() - pk.degree(m)
-                        for g, m in zip(bs, lms)], pk, {})
+    rem = _reduce(_packed(pk, f.terms), bt, lms,
+                  [_tail(t, m) for t, m in zip(bt, lms)],
+                  [g.total_degree() - pk.degree(m)
+                   for g, m in zip(bs, lms)], pk, {}, False)
     return MultiPoly(f.field, f.arity,
                      {pk.unpack(e): c for e, c in rem.items()}, _clean=True)
 
@@ -231,12 +192,12 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
     qq = field.height == 0  # QQ is the only field of height 0
     if qq:
         # primitive integer polynomials with positive leading coefficients
-        reduce, normalize = _pseudo_reduce, _primitive
+        normalize = _primitive
         inputs = [dict(zip(g.terms, clear_denominators(g.terms.values())[0]))
                   for g in gens]
     else:
         # monic polynomials over the field
-        reduce, inputs = _reduce_full, [g.terms for g in gens]
+        inputs = [g.terms for g in gens]
 
         def normalize(terms, e):
             c = terms[e]
@@ -245,7 +206,7 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
             inv = field.one / c
             return {k: inv * v for k, v in terms.items()}
     # per basis element: terms, leading monomial packed and raw, its
-    # degree, the tail, the span (see _reduce_full), the sugar
+    # degree, the tail, the span (see _reduce), the sugar
     basis, lms, raws, degs, tails, spans, sugars = [], [], [], [], [], [], []
     # the basis only grows, so every reduction of this call shares one
     # reducer memo (see the module docstring)
@@ -337,12 +298,12 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
         _check(pk, d + spans[i])
         _check(pk, d + spans[j])
         s = {}
-        _add_multiple(s, cj, lcm - lms[i], tails[i])
-        _add_multiple(s, -ci, lcm - lms[j], tails[j])
-        rem = reduce(s, basis, lms, tails, spans, pk, memo)
+        add_multiple(s, cj, lcm - lms[i], tails[i])
+        add_multiple(s, -ci, lcm - lms[j], tails[j])
+        rem = _reduce(s, basis, lms, tails, spans, pk, memo, qq)
         if rem:
             add(rem, sugar)
-    reduced = _interreduce(basis, lms, tails, spans, active, pk, reduce)
+    reduced = _interreduce(basis, lms, tails, spans, active, pk, qq)
     unpack = pk.unpack
     if qq:
         from fractions import Fraction
@@ -355,11 +316,11 @@ def buchberger(gens, order=GREVLEX, budget=DEFAULT_PAIR_BUDGET):
                           for terms in reduced], order)
 
 
-def _interreduce(basis, lms, tails, spans, active, pk, reduce):
+def _interreduce(basis, lms, tails, spans, active, pk, qq):
     """(terms, leading monomial) of the reduced basis of the ideal
     generated by the Groebner basis basis[g], g in active, ascending.
-    Tails are reduced with `reduce`, which leaves each element monic over
-    a field and a positive integer multiple of monic over QQ."""
+    Tails are reduced with `_reduce`, which leaves each element monic
+    over a field and a positive integer multiple of monic over QQ."""
     guard = pk.guard
     # minimalize: drop polynomials whose lead is divisible by another lead
     keep = []
@@ -377,7 +338,7 @@ def _interreduce(basis, lms, tails, spans, active, pk, reduce):
     out = []
     for idx, g in enumerate(keep):
         memo[lms[g]] = ~len(keep)
-        out.append((reduce(basis[g], *kept, pk, memo), lms[g]))
+        out.append((_reduce(basis[g], *kept, pk, memo, qq), lms[g]))
         memo[lms[g]] = idx
     return out
 

@@ -1,7 +1,8 @@
 """The name of the term arithmetic backend, for the benchmark's report.
 
-Polynomial term arithmetic is pure Python (mpoly: Packing and addmul;
-groebner: the term kernel _add_multiple); there is no other backend.
+Polynomial term arithmetic is pure Python: mpoly's Packing and its one
+term kernel, add_multiple, which the product, exact division, the
+descent and the Groebner engine all call; there is no other backend.
 hcbench/worker.py still reports backend_name() as its `env.backend`, so
 this stub stays until the benchmark drops that field.
 """

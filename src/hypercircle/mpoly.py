@@ -10,8 +10,10 @@ vector is one int, so the product of monomials is an int sum and, with
 an order, the monomial order is int comparison.  A product, an exact
 division and a leading term pack once per call with a bound read off
 their inputs; the Groebner engine and the descent use the same Packing.
-The descent uses the same packed product, `addmul`; the Groebner
-engine reduces with its own term kernel (groebner._add_multiple).
+Every multiply-accumulate over sparse term dicts is one term kernel,
+`add_multiple`: the product `addmul`, exact division, the descent's
+layers, the parser's products and the Groebner engine's reductions and
+S-polynomials.
 """
 
 from functools import lru_cache
@@ -140,28 +142,54 @@ class Packing:
 _packing = lru_cache(maxsize=None)(Packing)
 
 
+def add_terms(p, q):
+    """p + q on term dicts with keys of any kind, dropping cancelled
+    terms: the longer is copied and the shorter merged into it."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = dict(p)
+    get = out.get
+    for k, c in q.items():
+        v = get(k)
+        if v is None:
+            out[k] = c
+        else:
+            v += c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+def add_multiple(acc, c, shift, terms):
+    """In place acc += c * x^shift * terms, dropping cancelled terms: the
+    one term kernel.  terms iterates (monomial, coefficient) pairs whose
+    monomials, like shift, are ints that add as monomials multiply:
+    packed monomials, or the parser's degrees.  Coefficients are nonzero
+    and their ring has no zero divisors."""
+    get = acc.get
+    for f, d in terms:
+        k = shift + f
+        v = get(k)
+        if v is None:
+            acc[k] = c * d
+        else:
+            v += c * d
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+
+
 def addmul(acc, a, b, negate=False):
     """In place acc += a * b on packed term dicts, or acc -= a * b when
-    negate is set, dropping cancelled terms.  Coefficients are nonzero
-    and their ring has no zero divisors."""
+    negate is set: one add_multiple per term of the shorter operand."""
     if len(a) > len(b):
         a, b = b, a
     b = b.items()
-    get = acc.get
     for e, c in a.items():
-        if negate:
-            c = -c
-        for f, d in b:
-            k = e + f
-            v = get(k)
-            if v is None:
-                acc[k] = c * d
-            else:
-                v += c * d
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
+        add_multiple(acc, -c if negate else c, e, b)
 
 
 class MultiPoly:
@@ -242,18 +270,8 @@ class MultiPoly:
         return MultiPoly.const(self.field, self.arity, other)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, v in self._coerce_other(other).terms.items():
-            w = out.get(e)
-            if w is None:
-                out[e] = v
-            else:
-                w += v
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return MultiPoly(self.field, self.arity, out, _clean=True)
+        return MultiPoly(self.field, self.arity, add_terms(
+            self.terms, self._coerce_other(other).terms), _clean=True)
 
     __radd__ = __add__
 
@@ -358,7 +376,7 @@ class MultiPoly:
                 raise ValueError("not an exact polynomial division")
             c = rem[e] / lc
             q[s] = c
-            addmul(rem, {s: -c}, div)
+            add_multiple(rem, -c, s, div.items())
         unpack = pk.unpack
         return MultiPoly(self.field, self.arity,
                          {unpack(s): c for s, c in q.items()}, _clean=True)
@@ -381,20 +399,10 @@ class MultiPoly:
             k = e[i]
             if k not in powers:
                 powers[k] = value ** k
-            nc = c * powers[k]
-            if not nc:
-                continue
             ne = e[:i] + e[i + 1:]
-            w = out.get(ne)
-            if w is None:
-                out[ne] = nc
-            else:
-                nv = w + nc
-                if nv:
-                    out[ne] = nv
-                else:
-                    del out[ne]
-        return MultiPoly(field, self.arity - 1, out, _clean=True)
+            out[ne] = out.get(ne, field.zero) + c * powers[k]
+        # the constructor drops the terms that vanish or cancel
+        return MultiPoly(field, self.arity - 1, out)
 
     def insert_vars(self, at, count):
         """Add `count` fresh variables starting at position `at`."""
@@ -414,14 +422,6 @@ class MultiPoly:
         keep = [i for i in range(self.arity) if i not in drop]
         out = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
         return MultiPoly(self.field, len(keep), out, _clean=True)
-
-    def homogenize(self):
-        """Append a homogenizing variable as the new last slot."""
-        d = self.total_degree()
-        if d < 0:
-            return MultiPoly.zero(self.field, self.arity + 1)
-        out = {e + (d - sum(e),): c for e, c in self.terms.items()}
-        return MultiPoly(self.field, self.arity + 1, out, _clean=True)
 
     def evaluate(self, values):
         """Full evaluation at field elements (list or dict by index)."""

@@ -305,6 +305,13 @@ def substitute(p, assignment):
     return out
 
 
+def homogenize(p):
+    """p with a homogenizing variable appended as the new last slot."""
+    d = p.total_degree()
+    return MultiPoly(p.field, p.arity + 1,
+                     {e + (d - sum(e),): c for e, c in p.terms.items()})
+
+
 def lift_to_tower(p, tower):
     """Reinterpret a base-field polynomial over the extension."""
     return p.map_coefficients(tower.coerce, tower)
@@ -348,7 +355,7 @@ def points_at_infinity_by_charts(gens, tower):
         return []
     base = tower.base
     m = gb[0].arity
-    sliced = [g.homogenize().assign_value(m, base.zero) for g in gb]
+    sliced = [homogenize(g).assign_value(m, base.zero) for g in gb]
     for k in range(m - 1, -1, -1):
         system = [g.assign_value(k, base.one) for g in sliced]
         try:
@@ -772,14 +779,18 @@ class _ReferenceParser:
 
     def _zero_divisor(self, num, start):
         """Whether the numerator num of the factor read from token start
-        on is zero as a polynomial in the formal variables."""
+        on is zero as a polynomial in the formal variables; a re-read
+        past a `^` cap counts as zero, since num is zero in the field."""
         if not num.is_zero():
             return False
         if self.formal is None:
             return True
         span = self.tokens[start:self.pos] + [("END", "", 0, 0)]
-        return _reference_fraction_parser(
-            span, self.formal).parse()[0].is_zero()
+        try:
+            return _reference_fraction_parser(
+                span, self.formal).parse()[0].is_zero()
+        except ExpressionError:
+            return True
 
     def factor(self):
         kind, text, _, _ = self.peek()

@@ -513,21 +513,21 @@ def test_buchberger_matches_the_reference_engine(seed, qi):
             buchberger(gens, order, budget - 1)
 
 
-def test_the_reducer_memo_picks_the_first_divisor(monkeypatch):
-    # in lex, the generators leave t0^2 irreducible, and the third basis
-    # element reduces it later, then the fourth reduces t0: the memo's
-    # one non-trivial case, where a lookup scans only the elements added
-    # since.  Every entry names the reducer a full scan would pick, but
-    # for the lead of a basis element whose tail the interreduction
-    # reduces by all kept elements: it is marked irreducible meanwhile.
-    gens = parse_gens(["t0^3 - t1", "t0*t1^2 - t0 - 1"], 2)
-    rescanned = []
-    pseudo_reduce = groebner._pseudo_reduce
+def _spy_on_the_reducer_memo(monkeypatch):
+    """Wrap groebner._reduce to check its memo after every call: each
+    entry names the reducer a full scan would pick, but for the lead of
+    a basis element whose tail the interreduction reduces by all kept
+    elements, which is marked irreducible meanwhile.  Returns the list
+    of (exponents, reducer) of the entries a later lookup rescanned,
+    and the list of the qq argument of every call."""
+    rescanned, fields = [], []
+    reduce = groebner._reduce
 
-    def spy(terms, basis, lms, tails, spans, pk, memo):
+    def spy(terms, basis, lms, tails, spans, pk, memo, qq):
         own = max(terms) if any(terms is g for g in basis) else None
         stale = [e for e, i in memo.items() if i < 0 and ~i < len(lms)]
-        rem = pseudo_reduce(terms, basis, lms, tails, spans, pk, memo)
+        rem = reduce(terms, basis, lms, tails, spans, pk, memo, qq)
+        fields.append(qq)
         rescanned.extend((pk.unpack(e), memo[e]) for e in stale
                          if memo[e] >= 0)
         assert own is None or memo[own] == ~len(lms)
@@ -541,9 +541,31 @@ def test_the_reducer_memo_picks_the_first_divisor(monkeypatch):
                 assert not any(divides[:~i])
         return rem
 
-    monkeypatch.setattr(groebner, "_pseudo_reduce", spy)
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    return rescanned, fields
+
+
+def test_the_reducer_memo_picks_the_first_divisor(monkeypatch):
+    # in lex, the generators leave t0^2 irreducible, and the third basis
+    # element reduces it later, then the fourth reduces t0: the memo's
+    # one non-trivial case, where a lookup scans only the elements added
+    # since
+    gens = parse_gens(["t0^3 - t1", "t0*t1^2 - t0 - 1"], 2)
+    rescanned, fields = _spy_on_the_reducer_memo(monkeypatch)
     assert buchberger(gens, LEX) == reference_buchberger(gens, LEX)
     assert rescanned == [((2, 0), 2), ((1, 0), 3)]
+    assert fields and all(fields)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
+def test_the_reducer_memo_picks_the_first_divisor_over_a_tower(
+        monkeypatch, order, qi):
+    # both orders rescan stale entries, as the QQ case above does
+    gens = _tower_system(qi)
+    rescanned, fields = _spy_on_the_reducer_memo(monkeypatch)
+    assert buchberger(gens, order) == reference_buchberger(gens, order)
+    assert rescanned
+    assert fields and not any(fields)
 
 
 def test_eliminate_keeps_the_variable_free_prefix_of_the_block_basis():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mp_vars, substitute
+from helpers import homogenize, mp_vars, random_field_element, substitute
 
 from hypercircle.fields import QQ, make_extension
-from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, block_order
+from hypercircle.mpoly import (GREVLEX, LEX, MultiPoly, Packing, add_multiple,
+                               add_terms, addmul, block_order)
 from hypercircle.upoly import UniPoly
 
 exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3)
@@ -117,7 +118,7 @@ def test_assign_value_drops_the_assigned_variable():
 def test_homogenize_dehomogenize_roundtrip():
     x, y = mp_vars(QQ, 2)
     f = x * x * y + x - MultiPoly.const(QQ, 2, Fraction(3))
-    h = f.homogenize()
+    h = homogenize(f)
     assert h.arity == 3
     degs = {sum(e) for e in h.terms}
     assert degs == {f.total_degree()}
@@ -127,7 +128,7 @@ def test_homogenize_dehomogenize_roundtrip():
 def test_homogenize_at_infinity_gives_leading_form():
     x, y = mp_vars(QQ, 2)
     f = x * x + y * y - y  # circle through the origin
-    top = f.homogenize().assign_value(2, Fraction(0))
+    top = homogenize(f).assign_value(2, Fraction(0))
     assert top == x * x + y * y
 
 
@@ -175,6 +176,82 @@ def _tuple_quotient(a, b):
             if not rem[k]:
                 del rem[k]
     return q
+
+
+def _tuple_sum(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+# the term kernel's keys: packed arity-3 monomials, with grevlex order
+# fields, and the plain int degrees of the parser's sparse maps, here
+# as 1-tuples; each with the exponents drawn and the packing
+_KERNEL_KEYS = {
+    "packed": ([(i, j, k) for i in range(3) for j in range(3)
+                for k in range(3)], Packing(3, 12, GREVLEX).pack),
+    "int": ([(k,) for k in range(7)], lambda e: e[0]),
+}
+
+
+def _kernel_coefficients(kind, rng, field):
+    if kind == "int":
+        return lambda: rng.randint(-3, 3)
+    if kind == "Fraction":
+        return lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return lambda: random_field_element(rng, field, span=2)
+
+
+@pytest.mark.parametrize("keys", sorted(_KERNEL_KEYS))
+@pytest.mark.parametrize("coeffs", ["int", "Fraction", "QQ(a)"])
+def test_the_term_kernel_matches_a_naive_product(keys, coeffs, qi):
+    # add_multiple, addmul and add_terms against _tuple_product and
+    # _tuple_sum on exponent tuples: equal terms, no zero coefficient
+    # left behind, and a product that cancels what it added leaves
+    # nothing
+    rng = random.Random(f"kernel:{keys}:{coeffs}")
+    exps, pack = _KERNEL_KEYS[keys]
+    draw = _kernel_coefficients(coeffs, rng, qi)
+
+    def nonzero():
+        while True:
+            c = draw()
+            if c:
+                return c
+
+    def terms(size):
+        return {e: nonzero() for e in rng.sample(exps, size)}
+
+    def packed(t):
+        return {pack(e): c for e, c in t.items()}
+
+    for _ in range(150):
+        acc, a, b = (terms(rng.randint(0, 5)) for _ in range(3))
+        negate = rng.random() < 0.5
+        ab = _tuple_product(a, b)
+        got = packed(acc)
+        addmul(got, packed(a), packed(b), negate)
+        assert got == packed(_tuple_sum(acc, {e: -c for e, c in ab.items()}
+                                        if negate else ab))
+        assert all(got.values())
+        addmul(got, packed(a), packed(b), not negate)
+        assert got == packed(acc)
+        got = packed(ab)
+        addmul(got, packed(a), packed(b), True)
+        assert got == {}
+        got = add_terms(packed(acc), packed(ab))
+        assert got == packed(_tuple_sum(acc, ab)) and all(got.values())
+        assert add_terms(packed(ab), {k: -c for k, c in got.items()}) == \
+            {k: -c for k, c in packed(acc).items()}
+        c, shift = nonzero(), rng.choice(exps)
+        cb = _tuple_product({shift: c}, b)
+        got = packed(acc)
+        add_multiple(got, c, pack(shift), packed(b).items())
+        assert got == packed(_tuple_sum(acc, cb))
+        assert all(got.values())
+        add_multiple(got, -c, pack(shift), packed(b).items())
+        assert got == packed(acc)
 
 
 ZERO = MultiPoly.zero(QQ, 3)

@@ -139,6 +139,13 @@ def test_division_by_zero_is_zero_in_t_and_the_generator(qi):
     assert (exc.value.line, exc.value.column) == (1, 2)
     assert parse_component("1/(1/(a^2 + 1))", qi) == RationalFunction(
         UniPoly.zero(qi))
+    # the field parse accepts (a^2)^40, whose re-read over QQ[t, a] is
+    # past the degree cap: the divisor is zero in the field, so the
+    # error is the division at the `/`, not the re-read's cap
+    with pytest.raises(ExpressionError) as exc:
+        parse_component("t + 1/((a^2)^40 - 1)", qi)
+    assert exc.value.reason == "division by zero"
+    assert (exc.value.line, exc.value.column) == (1, 6)
 
 
 def test_parse_component_over_qq_normalizes():
@@ -557,7 +564,12 @@ def test_powers_up_to_each_cap_match_the_reference(name, template):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_divisions_by_zero_match_the_reference(name):
     field = FIELDS[name]
-    divisors = _FORMAL_ZERO + ([] if field is QQ else _field_zero(field))
+    divisors = list(_FORMAL_ZERO)
+    if field is not QQ:
+        # the last one is zero in the field, and its re-read over
+        # QQ[t, a] meets the degree cap
+        m = render_unipoly(field.minpoly, "a")
+        divisors += _field_zero(field) + [f"((({m})^2)^40)"]
     for d in divisors:
         for s in (f"1/{d}", f"t + 1/{d}", f"1/(1/{d})", f"(t/{d})*{d}",
                   f"t^2/({d}^2)", f"1/{d}^0"):
