@@ -200,7 +200,8 @@ def _substitute(f, tower, pk):
         for unit in reversed(pk.units):
             _times_gen(prod, fold)
             for j, lay in enumerate(acc):
-                add_multiple(prod[j], one, unit, lay.items())
+                if lay:
+                    add_multiple(prod[j], one, unit, lay.items())
         acc = prod
         for j, c in ck.items():
             if c:

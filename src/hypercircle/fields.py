@@ -20,10 +20,12 @@ witness of reducibility is chosen here.  Over an extension L(a), f is
 factored by Trager's norm: a shift f(x - s*a) whose norm to L is
 squarefree, that norm factored over L (over QQ as above, over QQ(g)
 by the same norm one level down), and one gcd per factor; the roots
-in the field are the linear factors.  Primitive elements and
-membership are linear algebra over QQ.  A FieldTower is the only model
-of an extension: every routine that works over one reads it from the
-data it is given.
+in the field are the linear factors.  Every linear problem over QQ
+here (inverses at both heights, minimal polynomials over QQ, primitive
+elements and membership) is one fraction-free Gauss-Jordan elimination
+on an integer matrix, `_row_reduce`.  A FieldTower is the only model of
+an extension: every routine that works over one reads it from the data
+it is given.
 
 QQ and every height-one tower also offer a reduction modulo a prime
 (`reduction`), a ring map into GF(p) on the elements whose denominators
@@ -31,15 +33,16 @@ p does not divide; `upoly` proves coprimality with it.
 
 A subfield QQ(g) of degree r inside QQ(a) of degree n is a
 SubfieldEmbedding.  It inverts its QQ-basis g^j * a^k (j < r, k < n/r)
-once; membership and lifting into QQ(g), the minimal polynomial of a
-over QQ(g) and coordinates in the tower QQ(g)(a) are all read from that
-one inverse.
+once, by one `_row_reduce` of the basis beside the identity, and keeps
+that inverse as integer rows over one denominator; membership and
+lifting into QQ(g), the minimal polynomial of a over QQ(g) and
+coordinates in the tower QQ(g)(a) are all read from it.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from . import linalg, modp
+from . import modp
 from .mpoly import MultiPoly
 from .numtheory import clear_denominators
 from .upoly import UniPoly, rational_roots
@@ -85,40 +88,34 @@ def _residue(c, p):
     return c.numerator * pow(d, -1, p) % p
 
 
-def _residues(coeffs, p):
-    """Rational coefficients modulo p as a modp list, or None."""
-    out = [_residue(c, p) for c in coeffs]
-    return None if None in out else modp.trim(out)
-
-
 _QQ_REDUCTION = (modp.PRIMES[0], lambda c, p=modp.PRIMES[0]: _residue(c, p))
 
-# Primes of modp.PRIMES a height-one tower tries for a simple root of its
-# minimal polynomial.  A root exists modulo a positive density of primes,
-# at least 1/n for a field of degree n; a tower with none gets no
-# reduction, and its gcds are taken exactly.
+# Primes of modp.PRIMES a height-one tower tries for a root of its
+# minimal polynomial, which must stay squarefree modulo the prime.  A
+# root exists modulo a positive density of primes, at least 1/n for a
+# field of degree n; a tower with none gets no reduction, and its gcds
+# are taken exactly.
 _ROOT_TRIES = 24
 
 
 def _tower_reduction(tower):
     """(p, image) with image the map a -> r into GF(p), r the least root
-    of the minimal polynomial modulo p (`modp.root` of the product of
-    its linear factors), at the first tried prime where that root is
-    simple; None when no tried prime has one.
+    of the minimal polynomial modulo p, at the first tried prime that
+    keeps the minimal polynomial squarefree and gives it a root; None
+    when no tried prime does.  The primes and the linear factors come
+    from the factor search's own path (`modp._reductions` up to degree
+    1), and `modp.equal_degree` splits them.
 
     On elements whose denominator p does not divide, image is a ring
     map, since the minimal polynomial vanishes at r."""
     n = tower.degree
-    for p in modp.PRIMES[:_ROOT_TRIES]:
-        m = _residues(tower.minpoly.coeffs, p)
-        if m is None:
+    ints = clear_denominators(tower.minpoly.coeffs)[0]
+    for parts, p, _ in modp._reductions(ints, modp.PRIMES[:_ROOT_TRIES], 1):
+        d, part = parts[0]
+        lines = modp.equal_degree(part, 1, p) if d == 1 else None
+        if lines is None:
             continue
-        linear = modp.linear_part(m, p)
-        if len(linear) < 2:
-            continue
-        r = modp.root(linear, p)
-        if r is None or not modp.evaluate(modp.derivative(m, p), r, p):
-            continue
+        r = min(-g[0] % p for g in lines)
         powers = [1]
         for _ in range(n - 1):
             powers.append(powers[-1] * r % p)
@@ -283,36 +280,35 @@ def _reduced(field, vec, den):
     return FieldElement(field, vec, den)
 
 
-def _solve_first_unit(rows):
-    """(Y, D) with rows * Y = D * e_0, for a square integer matrix:
-    fraction-free (Bareiss) elimination on the augmented matrix, then
-    back substitution scaled by the last pivot D, which is the
-    determinant up to sign, so every division is exact.  The matrix of
-    multiplication by a nonzero element is singular only when the
-    defining polynomial factors."""
-    n = len(rows)
-    m = [list(row) + [int(i == 0)] for i, row in enumerate(rows)]
+def _row_reduce(rows):
+    """(rows, pivots, D) for an integer matrix: fraction-free
+    Gauss-Jordan elimination (E. Bareiss, Math. Comp. 22, 1968; Nakos,
+    Turner and Williams, SIGSAM Bull. 31, 1997).  Pivot k in column c
+    with value p_k turns every other row i into
+    (p_k * row_i - a_ic * row_k) // p_(k-1), which is exact.  The nonzero
+    rows come back equal to D times the reduced row echelon form, D the
+    last pivot (1 when there is none), and pivots lists their pivot
+    columns."""
+    m = [list(row) for row in rows]
+    pivots = []
     prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            raise ArithmeticError("defining polynomial is not irreducible")
-        m[k], m[p] = m[p], m[k]
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            f = mi[k]
-            m[i] = [0] * (k + 1) + [(pk * mi[j] - f * m[k][j]) // prev
-                                    for j in range(k + 1, n + 1)]
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        if k == len(m):
+            break
+        sel = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[k], m[sel] = m[sel], m[k]
+        top = m[k]
+        pk = top[col]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[col]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
         prev = pk
-    D = prev
-    Y = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = D * m[i][n]
-        for j in range(i + 1, n):
-            acc -= m[i][j] * Y[j]
-        Y[i] = acc // m[i][i]
-    return Y, D
+        pivots.append(col)
+    return m[:len(pivots)], pivots, prev
 
 
 class FieldElement:
@@ -412,7 +408,9 @@ class FieldElement:
 
     def inverse(self):
         """Solves x * y = 1 as the linear system whose column j holds
-        the numerator of x * gen^j, fraction-free."""
+        the numerator of x * gen^j, fraction-free (`_row_reduce`).  The
+        matrix of multiplication by a nonzero element is singular only
+        when the defining polynomial factors."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
@@ -420,18 +418,20 @@ class FieldElement:
         if not any(a[1:]):
             c = a[0]
             return f._unit(0, self.den if c > 0 else -self.den, abs(c))
+        n = f.degree
         col = FieldElement(f, a, 1)
         gen = f.gen()
         cols = [col]
-        for _ in range(f.degree - 1):
+        for _ in range(n - 1):
             col = col * gen
             cols.append(col)
-        Y, D = _solve_first_unit([[c.vec[i] for c in cols]
-                                  for i in range(f.degree)])
-        if D < 0:
-            Y, D = [-y for y in Y], -D
-        return _reduced(f, tuple(self.den * y * c.den
-                                 for y, c in zip(Y, cols)), D)
+        rows, pivots, D = _row_reduce([[c.vec[i] for c in cols] + [int(not i)]
+                                       for i in range(n)])
+        if pivots != list(range(n)):
+            raise ArithmeticError("defining polynomial is not irreducible")
+        s = -1 if D < 0 else 1
+        return _reduced(f, tuple(s * self.den * row[n] * c.den
+                                 for row, c in zip(rows, cols)), s * D)
 
     def __truediv__(self, other):
         return self * self._other(other).inverse()
@@ -504,44 +504,30 @@ class TowerElement(FieldElement):
                                               zip(self.vec, o.vec)))
 
     def __mul__(self, other):
-        o = self._other(other)
         f = self.field
-        base = f.base
-        d = f.degree
-        a, b = self.vec, o.vec
-        prod = [base.zero] * (2 * d - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] = prod[i + j] + ca * cb
-        out = list(prod[:d])
-        table = f._power_table()
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                row = table[k - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] = out[i] + c * row[i]
-        return TowerElement(f, tuple(out))
+        prod = UniPoly(f.base, self.vec) * UniPoly(f.base,
+                                                    self._other(other).vec)
+        return f.element((prod % f.minpoly).coeffs)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """Solves x * y = 1 over QQ: column i holds the QQ coordinates of
+        x times basis element i, each row cleared of its denominators."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        base = f.base
         if not any(self.vec[1:]):
             return f._unit(0, self.vec[0].inverse())
-        num = UniPoly(base, self.vec)
-        d, s, _ = num.ext_gcd(f.minpoly)
-        if d.degree() != 0:
+        n = f.qq_dim()
+        cols = [f.flatten(self * f.unflatten([int(i == j) for j in range(n)]))
+                for i in range(n)]
+        rows, pivots, D = _row_reduce(
+            [clear_denominators([c[i] for c in cols] + [int(not i)])[0]
+             for i in range(n)])
+        if pivots != list(range(n)):
             raise ArithmeticError("defining polynomial is not irreducible")
-        inv = s.scale(base.one / d.constant_value())
-        return f.element(inv.coeffs)
+        return f.unflatten([Fraction(row[n], D) for row in rows])
 
     def is_rational(self):
         return not any(self.vec[1:]) and self.vec[0].is_rational()
@@ -719,10 +705,11 @@ def _coerce_unipoly(f: UniPoly, field):
 def min_poly_over_q(x: FieldElement) -> UniPoly:
     """Monic minimal polynomial over QQ of an element of QQ(a).
 
-    One RREF of the Krylov matrix with columns 1, x, ..., x^n.  Once x^d
-    depends on the lower powers so does every higher power, so the pivots
-    are the columns 0..d-1 and the entries of column d in the RREF are
-    the coefficients of that dependency.
+    One RREF of the Krylov matrix with columns 1, x, ..., x^n, each row
+    cleared of its denominators (`_row_reduce`).  Once x^d depends on the
+    lower powers so does every higher power, so the pivots are the
+    columns 0..d-1 and the entries of column d in the RREF are the
+    coefficients of that dependency.
     """
     field = x.field
     n = field.qq_dim()
@@ -731,10 +718,11 @@ def min_poly_over_q(x: FieldElement) -> UniPoly:
     for _ in range(n):
         power = power * x
         cols.append(field.flatten(power))
-    rows, pivots = linalg.rref(
-        [[col[i] for col in cols] for i in range(n)], QQ)
+    rows, pivots, D = _row_reduce(
+        [clear_denominators([col[i] for col in cols])[0] for i in range(n)])
     d = len(pivots)
-    return UniPoly(QQ, [-rows[i][d] for i in range(d)] + [Fraction(1)])
+    return UniPoly(QQ, [Fraction(-rows[i][d], D) for i in range(d)]
+                   + [Fraction(1)])
 
 
 class SubfieldEmbedding:
@@ -779,9 +767,11 @@ class SubfieldEmbedding:
         """QQ coordinates of x in the basis gamma^j * a^k, at index
         k*r + j as in a tower's flatten.
 
-        The inverse of the basis is kept as integer rows over one common
-        denominator, so each coordinate is one integer dot product with
-        the numerators of x."""
+        The inverse of the basis is kept as integer rows over one
+        denominator D, the right block of D times the RREF of [B | I],
+        so each coordinate is one integer dot product with the
+        numerators of x.  Clearing the denominators of each row of
+        [B | I] first leaves that RREF as it is."""
         if self._basis_inverse is None:
             ambient = self.ambient
             n = ambient.qq_dim()
@@ -795,19 +785,16 @@ class SubfieldEmbedding:
                 cols.extend(ambient.flatten(apow * g)
                             for g in self.gamma_powers())
                 apow = apow * alpha
-            aug = [[col[i] for col in cols] +
-                   [Fraction(1) if i == c else Fraction(0)
-                    for c in range(n)] for i in range(n)]
-            rows, pivots = linalg.rref(aug, QQ)
+            aug = [[col[i] for col in cols] + [int(i == c) for c in range(n)]
+                   for i in range(n)]
+            rows, pivots, D = _row_reduce(
+                [clear_denominators(row)[0] for row in aug])
             if pivots != list(range(n)):
                 raise ArithmeticError("tower basis is degenerate")
-            nums, E = clear_denominators([c for row in rows
-                                           for c in row[n:]])
-            self._basis_inverse = ([nums[i * n:(i + 1) * n]
-                                    for i in range(n)], E)
-        rows, E = self._basis_inverse
+            self._basis_inverse = ([row[n:] for row in rows], D)
+        rows, D = self._basis_inverse
         x = self.ambient.coerce(x)
-        den = E * x.den
+        den = D * x.den
         return [Fraction(sum(c * v for c, v in zip(row, x.vec)), den)
                 for row in rows]
 

@@ -6,14 +6,13 @@ certificates of `upoly` and `fields` use is here: products, remainders,
 monic gcds, powers modulo a polynomial, square roots modulo p
 (Tonelli-Shanks), and one factoring path for a squarefree polynomial
 (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14):
-`linear_part` is the product of its linear factors, `distinct_degree`
-splits it into the products of its irreducible factors of each degree,
-and `equal_degree` splits each product through the trace map into
-Berlekamp's split subalgebra, whose minimal polynomials it solves by
-the quadratic formula or by quadratic-character splits (`root`, the
-least root of a polynomial with distinct linear factors, is that
-solver).  `mul`, `add`, `sub` and `divrem` work modulo a power of p as
-they do modulo p.
+`distinct_degree` splits it into the products of its irreducible
+factors of each degree, and `equal_degree` splits each product through
+the trace map into Berlekamp's split subalgebra, whose minimal
+polynomials it solves by the quadratic formula or by quadratic-character
+splits; a product of linear factors it solves that way directly.
+`mul`, `add`, `sub` and `divrem` work modulo a power of p as they do
+modulo p.
 
 Over ZZ a polynomial is a primitive squarefree list of ints, ascending;
 `clear_denominators` (from `numtheory`) gives it for a monic one over
@@ -145,13 +144,6 @@ def powmod(f, e, m, p):
     return out
 
 
-def evaluate(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def derivative(f, p):
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
@@ -161,14 +153,6 @@ def _minus_x(f, p):
     out = f + [0] * (2 - len(f))
     out[1] = (out[1] - 1) % p
     return trim(out)
-
-
-def root(f, p):
-    """The least root of the monic nonconstant f, a product of distinct
-    linear factors over GF(p), p odd; None when no split is found
-    within the tries."""
-    roots = _roots(f, p)
-    return None if roots is None else min(roots)
 
 
 @lru_cache(maxsize=64)
@@ -258,12 +242,6 @@ def _roots(f, p):
         if not pieces:
             return out
     return None
-
-
-def linear_part(f, p):
-    """gcd(x^p - x, f) for monic nonconstant f: the product of the
-    distinct linear factors of f."""
-    return gcd(f, _minus_x(powmod([0, 1], p, f, p), p), p)
 
 
 def _frobenius_rows(f, p, xp=None):

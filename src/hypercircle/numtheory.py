@@ -86,28 +86,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def egcd(a: int, b: int):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def modinv(a: int, m: int) -> int:
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return x % m
-
-
 def crt_class(congruences):
     """Combine congruences x = r_i (mod m_i) into (x, M).
 
@@ -126,7 +104,7 @@ def crt_class(congruences):
         if gcd(m, n) != 1:
             raise ValueError("moduli not coprime")
         # x + m*k = r (mod n)
-        k = (r - x) * modinv(m % n, n) % n
+        k = (r - x) * pow(m, -1, n) % n
         x = x + m * k
         m = m * n
         x %= m

@@ -9,7 +9,7 @@ guarantee the resulting fields are pairwise distinct.
 
 from fractions import Fraction
 
-from .numtheory import (crt_class, crt_solve, is_quadratic_residue, modinv,
+from .numtheory import (crt_class, crt_solve, is_quadratic_residue,
                         next_prime_in_class, primes_one_mod_four,
                         rational_is_square, squarefree_part)
 
@@ -71,7 +71,7 @@ def nonsquare_witness(e, p):
 
 def _witness_residue(a, b, p, n):
     """The congruence class forced at p by the slope n already chosen."""
-    e = b * modinv(a + b * n * n, p) % p
+    e = b * pow(a + b * n * n, -1, p) % p
     return nonsquare_witness(e, p)
 
 

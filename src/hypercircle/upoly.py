@@ -199,24 +199,6 @@ class UniPoly:
             a, b = b, a.divrem(b)[1]
         return a.monic()
 
-    def ext_gcd(self, other):
-        """(d, s, t) with s*self + t*other = d, d monic."""
-        field = self.field
-        other = self._coerce_other(other)
-        r0, r1 = self, other
-        s0, s1 = UniPoly.const(field, field.one), UniPoly.zero(field)
-        t0, t1 = UniPoly.zero(field), UniPoly.const(field, field.one)
-        while not r1.is_zero():
-            q, r = r0.divrem(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        lc = r0.leading()
-        inv = field.one / lc
-        return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
     def lcm(self, other):
         """Monic least common multiple."""
         other = self._coerce_other(other)

@@ -170,15 +170,48 @@ def reference_mul(x, y):
 
 
 def reference_inverse(x):
-    """1/x in the Fraction-tuple layout: the extended gcd of x, read as
-    a polynomial over the base, with the minimal polynomial."""
+    """1/x in the Fraction-tuple layout: s with s * x = 1 modulo the
+    minimal polynomial, from the extended Euclidean algorithm on x, read
+    as a polynomial over the base, and that polynomial."""
     if not x:
         raise ZeroDivisionError("inverse of zero field element")
     f = x.field
     base = f.base
-    d, s, _ = UniPoly(base, x.coeffs).ext_gcd(f.minpoly)
-    assert d.degree() == 0, "defining polynomial is not irreducible"
-    return f.element(s.scale(base.one / d.constant_value()).coeffs)
+    # s_i * x = r_i modulo the minimal polynomial throughout
+    r0, r1 = UniPoly(base, x.coeffs), f.minpoly
+    s0, s1 = UniPoly.const(base, base.one), UniPoly.zero(base)
+    while not r1.is_zero():
+        q, r = r0.divrem(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    assert r0.degree() == 0, "defining polynomial is not irreducible"
+    return f.element(s0.scale(base.one / r0.constant_value()).coeffs)
+
+
+def rref(rows, field):
+    """Reduced row echelon form over a field whose elements support +,
+    -, *, / and boolean zero tests: (nonzero rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    pivots = []
+    row = 0
+    for col in range(len(m[0])):
+        if row >= len(m):
+            break
+        sel = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        inv = field.one / m[row][col]
+        m[row] = [inv * v for v in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+    return [r for r in m if any(r)], pivots
 
 
 def parse_field_element(s, field):

@@ -414,6 +414,13 @@ def test_inverse_of_a_zero_divisor_is_arithmetic_error():
         (K.gen() + 1).inverse()
 
 
+def test_inverse_of_a_zero_divisor_over_a_tower_is_arithmetic_error(qi):
+    # x^2 + 1 factors over QQ(i), so b - i has no inverse in QQ(i)(b)
+    T = FieldTower(qi, "b", _P(1, 0, 1).map_coefficients(qi.coerce, qi))
+    with pytest.raises(ArithmeticError, match="not irreducible"):
+        (T.gen() - qi.gen()).inverse()
+
+
 def test_fields_imports_nothing_from_groebner():
     # roots and factors over an extension come from Trager's norm; a
     # restriction-of-scalars solve over QQ would need groebner

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (input_path, mp_vars, parse_gens, random_field_element,
-                     reference_buchberger, spoly)
+                     reference_buchberger, rref, spoly)
 
 from hypercircle import groebner
 from hypercircle.descent import witness_ideal
@@ -29,7 +29,6 @@ from hypercircle.groebner import (
     saturate,
     triangular_solve,
 )
-from hypercircle.linalg import rref
 from hypercircle.mpoly import GREVLEX, LEX, MultiPoly, Packing, block_order
 from hypercircle.upoly import UniPoly
 

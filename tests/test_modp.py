@@ -116,10 +116,13 @@ def test_root_finds_a_root_of_a_split_polynomial(roots):
     f = [1]
     for r in roots:
         f = modp.mul(f, [-r % P, 1], P)
-    assert modp.root(f, P) == min(roots)
+    lines = modp.equal_degree(f, 1, P)
+    assert lines == sorted([-r % P, 1] for r in roots)
+    assert min(-g[0] % P for g in lines) == min(roots)
     # times x^2 - n, n a non-square, which has no root modulo P
     n = next(n for n in range(2, P) if pow(n, (P - 1) // 2, P) == P - 1)
-    assert modp.linear_part(modp.mul(f, [P - n, 0, 1], P), P) == f
+    assert modp.distinct_degree(modp.mul(f, [P - n, 0, 1], P), P,
+                                top=1)[0] == (1, f)
 
 
 def _brute_factor_degrees(f, p):
@@ -691,8 +694,9 @@ def test_a_linear_search_lifts_only_the_linear_factors(monkeypatch, primes,
     assert len(lifts) <= 1
     for ints, count, p in lifts:
         # at most the linear factors modulo p and their cofactor
-        linear = modp.linear_part(modp.monic([c % p for c in ints], p), p)
-        assert count <= len(linear)
+        d, linear = modp.distinct_degree(
+            modp.monic([c % p for c in ints], p), p, top=1)[0]
+        assert count <= (len(linear) if d == 1 else 1)
 
 
 def test_one_function_lifts_modulo_powers_of_p():

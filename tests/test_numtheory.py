@@ -15,11 +15,9 @@ from hypercircle.numtheory import (
     SearchCapExceededError,
     crt_class,
     crt_solve,
-    egcd,
     factorize,
     is_prime,
     is_quadratic_residue,
-    modinv,
     next_prime_in_class,
     primes_one_mod_four,
     rational_is_square,
@@ -68,18 +66,6 @@ def test_is_prime_beyond_the_exact_bound():
     assert not is_prime((10**30 + 57) * 1000003)
     with pytest.raises(SearchCapExceededError):
         is_prime(10**30 + 57)
-
-
-def test_egcd_bezout():
-    g, x, y = egcd(240, 46)
-    assert g == 2 and 240 * x + 46 * y == 2
-
-
-def test_modinv():
-    assert modinv(3, 7) == 5
-    assert (modinv(17, 266381) * 17) % 266381 == 1
-    with pytest.raises(ValueError):
-        modinv(6, 9)
 
 
 def test_crt_solve_and_class():

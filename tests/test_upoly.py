@@ -62,18 +62,6 @@ def test_gcd_known():
     assert _P().gcd(f) == f.monic()
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys, polys)
-def test_ext_gcd_bezout(f, g):
-    if f.is_zero() and g.is_zero():
-        return
-    d, u, v = f.ext_gcd(g)
-    assert u * f + v * g == d
-    assert d.is_zero() or d.is_monic()
-    if not f.is_zero():
-        assert f.divrem(d)[1].is_zero()
-
-
 def test_resultant_known_values():
     # res(x^2+1, x-2) = 2^2+1 evaluated at the root of the linear factor
     assert resultant(_P(1, 0, 1), _P(-2, 1)) == 5
