@@ -8,9 +8,15 @@ why timings never appear in it.
 Exit codes: 0 success, 1 FAIL verdict or internal inconsistency (any
 ArithmeticError a command lets escape counts as one), 2 bad input, 3
 resource budget exhausted.
+
+Each subcommand states its arguments once, as rows of data in
+`_commands()`.  A well-formed command line is read from those rows
+directly; anything else (help, an abbreviation, `--opt=value`, an
+error) goes to an argparse parser built from the same rows, which is
+the only place argparse is imported, so its usage, help, messages and
+exit codes are the ones a user sees.
 """
 
-import argparse
 import json
 import sys
 import time
@@ -24,8 +30,8 @@ from .hypercircles import (InternalInconsistencyError, LinearFraction,
                            hypercircle_degree_field, points_at_infinity,
                            primitive_infinity_point, unit_to_hypercircle)
 from .numtheory import SearchCapExceededError
-from .quadfields import (ConicSpec, crt_set, parametrization_fields,
-                         prime_set, verify_pairwise_distinct)
+from .quadfields import (ConicSpec, crt_slopes, parametrization_fields,
+                         prime_slopes, verify_pairwise_distinct)
 from .render import (render_field_element, render_fraction, render_mpoly,
                      render_point, render_rational, render_unipoly)
 from .reparam import (coefficient_field_degree, optimal_affine_reparametrize,
@@ -181,11 +187,16 @@ def _cmd_conic_fields(args):
     conic = ConicSpec(args.a, args.b, args.c)
     if args.count < 1:
         raise ValueError("count must be positive")
-    if args.method == "prime":
-        slopes = prime_set(conic.a, conic.b, args.count)
-    else:
-        slopes = crt_set(conic.a, conic.b, args.count)
-    fields = parametrization_fields(conic, slopes)
+    source = prime_slopes if args.method == "prime" else crt_slopes
+    slopes, fields = [], []
+    # each slope's field is built before the next slope is drawn, so a
+    # list that the factoring cap stops at slope i costs i slopes and
+    # fields, however long a list was asked for
+    for n in source(conic.a, conic.b):
+        fields += parametrization_fields(conic, [n])
+        slopes.append(n)
+        if len(slopes) == args.count:
+            break
     distinct = verify_pairwise_distinct(conic.a, conic.b, slopes)
     report = {
         "command": "conic-fields",
@@ -202,39 +213,45 @@ def _cmd_conic_fields(args):
     return report, summary, EXIT_OK
 
 
-def _file_arguments(p):
-    p.add_argument("file", help="curve description file")
-    p.add_argument("--budget", type=int, default=None,
-                   help="S-pairs one Groebner basis may reduce")
-
-
-def _hypercircle_arguments(p):
-    p.add_argument("minpoly", help="minimal polynomial in x")
-    p.add_argument("unit", help="(a*t+b)/(c*t+d) over the extension")
-
-
-def _conic_fields_arguments(p):
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--method", choices=("prime", "crt"), default="prime")
-    p.add_argument("--count", type=int, default=4)
+# Each argument of a subcommand as (name, kind, default, help): kind is
+# str, int, bool for a flag, or the tuple of its choices.  The argparse
+# parser and _read_argv both read these rows, so the grammar is stated
+# once.
+_JSON_FLAG = ("--json", bool, False, "suppress the stderr summary")
+_FILE_ARGUMENTS = (
+    ("file", str, None, "curve description file"),
+    ("--budget", int, None, "S-pairs one Groebner basis may reduce"),
+    _JSON_FLAG,
+)
+_HYPERCIRCLE_ARGUMENTS = (
+    ("minpoly", str, None, "minimal polynomial in x"),
+    ("unit", str, None, "(a*t+b)/(c*t+d) over the extension"),
+    _JSON_FLAG,
+)
+_CONIC_FIELDS_ARGUMENTS = (
+    ("a", int, None, None),
+    ("b", int, None, None),
+    ("c", int, None, None),
+    ("--method", ("prime", "crt"), "prime", None),
+    ("--count", int, 4, None),
+    _JSON_FLAG,
+)
 
 
 def _commands():
     """(name, help, arguments, handler) of every subcommand, in help
-    order; handlers are read when a parser is built."""
+    order; handlers are read when an argv is parsed."""
     return (
-        ("reparam", "optimal affine reparametrization", _file_arguments,
+        ("reparam", "optimal affine reparametrization", _FILE_ARGUMENTS,
          _cmd_reparam),
-        ("witness", "witness ideal of the curve", _file_arguments,
+        ("witness", "witness ideal of the curve", _FILE_ARGUMENTS,
          _cmd_witness),
         ("infinity", "points at infinity of the witness variety",
-         _file_arguments, _cmd_infinity),
+         _FILE_ARGUMENTS, _cmd_infinity),
         ("hypercircle", "hypercircle traced by a unit",
-         _hypercircle_arguments, _cmd_hypercircle),
+         _HYPERCIRCLE_ARGUMENTS, _cmd_hypercircle),
         ("conic-fields", "quadratic parametrization fields of "
-                         "a*x^2 + b*y^2 + c", _conic_fields_arguments,
+                         "a*x^2 + b*y^2 + c", _CONIC_FIELDS_ARGUMENTS,
          _cmd_conic_fields),
     )
 
@@ -248,6 +265,7 @@ def _build_argparser(command=None):
     time.  The top-level usage, which an unrecognized argument prints,
     names every subcommand either way.
     """
+    import argparse
     top = argparse.ArgumentParser(
         prog="hypercircle",
         description="Exact reparametrization of rational curves over "
@@ -259,17 +277,89 @@ def _build_argparser(command=None):
                              metavar=metavar if table else None)
     for name, help_text, arguments, handler in table or commands:
         p = sub.add_parser(name, help=help_text)
-        arguments(p)
-        p.add_argument("--json", action="store_true",
-                       help="suppress the stderr summary")
+        for arg, kind, default, arg_help in arguments:
+            if kind is bool:
+                p.add_argument(arg, action="store_true", help=arg_help)
+            else:
+                p.add_argument(arg, default=default, help=arg_help,
+                               type=int if kind is int else None,
+                               choices=kind if kind not in (int, str)
+                               else None)
         p.set_defaults(handler=handler)
     return top
+
+
+class _Arguments:
+    """The parsed arguments of one command, as argparse's Namespace
+    holds them, without importing argparse."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+def _read_argv(argv):
+    """The arguments the parser of `main` gives argv, when argv is well
+    formed; else None, and argparse reads it.
+
+    Well formed is a subcommand, then exactly its positionals and any of
+    its options, each option named in full with its value as the next
+    token.  Values are converted and checked as argparse does them, and
+    a token that starts with "-" is a value only where argparse reads it
+    as a negative number.  Help, "--opt=value", abbreviations, "--" and
+    every error are left to argparse, which words them.
+    """
+    for command, _, arguments, handler in _commands():
+        if argv and argv[0] == command:
+            break
+    else:
+        return None
+    values = {"command": command, "handler": handler}
+    options = {}
+    positionals = []
+    for name, kind, default, _ in arguments:
+        if name[0] == "-":
+            dest = name.lstrip("-").replace("-", "_")
+            options[name] = dest, kind
+            values[dest] = default
+        else:
+            positionals.append((name, kind))
+    positionals.reverse()
+    tokens = argv[:0:-1]
+    while tokens:
+        token = tokens.pop()
+        if token in options:
+            dest, kind = options[token]
+            if kind is bool:
+                values[dest] = True
+                continue
+            if not tokens:
+                return None
+            token = tokens.pop()
+        elif positionals:
+            dest, kind = positionals.pop()
+        else:
+            return None
+        if token[:1] == "-" and not token[1:].isdecimal():
+            return None
+        if kind is int:
+            try:
+                token = int(token)
+            except ValueError:
+                return None
+        elif kind is not str and token not in kind:
+            return None
+        values[dest] = token
+    if positionals:
+        return None
+    return _Arguments(values)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_argparser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_argparser(argv[0] if argv else None).parse_args(argv)
     start = time.monotonic()
     try:
         report, summary, code = args.handler(args)

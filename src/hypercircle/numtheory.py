@@ -8,7 +8,7 @@ plain ``int`` and ``fractions.Fraction`` and never rounds.
 from fractions import Fraction
 from functools import cache
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -129,26 +129,36 @@ def is_quadratic_residue(a: int, p: int) -> bool:
 def factorize(n: int) -> dict:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division by the primes below _TRIAL_BOUND; then each composite
-    cofactor is split as a perfect power, by a short Pollard rho phase or
-    by ECM.  Rho and ECM share one budget of _FACTOR_MULMOD_CAP modular
-    multiplications per call.
+    One gcd with the product of the primes below _TRIAL_BOUND finds the
+    small primes that divide n, and trial division runs over those only;
+    then each composite cofactor is split as a perfect power, by a short
+    Pollard rho phase or by ECM.  Rho and ECM share one budget of
+    _FACTOR_MULMOD_CAP modular multiplications per call.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out = {}
+    # r is the product of the distinct primes below the bound dividing n
+    r = gcd(n, _trial_product(_TRIAL_BOUND))
     for p in _primes_below(_TRIAL_BOUND):
-        if p * p > n:
-            # no prime up to sqrt(n) divides n: it is 1 or a prime
-            if n > 1:
-                out[n] = out.get(n, 0) + 1
-            return out
+        if r == 1:
+            break
+        if p * p > r:
+            # r is squarefree, so what is left of it is one prime
+            p = r
+        elif r % p:
+            continue
+        r //= p
+        e = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
+            e += 1
+        out[p] = e
+    if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        # no prime factor of n lies below the bound: it is 1 or a prime
+        if n > 1:
+            out[n] = 1
         return out
-    # every prime factor of n exceeds the trial bound
     stack = [n]
     budget = _MulmodBudget(_FACTOR_MULMOD_CAP)
     while stack:
@@ -190,6 +200,12 @@ def _primes_below(bound: int):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
     return tuple(compress(range(bound), sieve))
+
+
+@cache
+def _trial_product(bound: int) -> int:
+    """The product of the primes below `bound`, built on first use."""
+    return prod(_primes_below(bound))
 
 
 def _perfect_power_root(m: int):

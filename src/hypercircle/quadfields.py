@@ -2,12 +2,14 @@
 
 A conic without rational points still has parametrizations over
 quadratic fields QQ(sqrt(-c/(a+b*n^2))), one per rational slope n.  Two
-generators of infinite slope sets are provided; both make every choice
-canonical ("smallest"), so the outputs are reproducible, and both
-guarantee the resulting fields are pairwise distinct.
+generators of infinite slope sets are provided, each drawing a slope
+only when it is asked for; both make every choice canonical
+("smallest"), so the outputs are reproducible, and both guarantee the
+resulting fields are pairwise distinct.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .numtheory import (crt_class, crt_solve, is_quadratic_residue,
                         next_prime_in_class, primes_one_mod_four,
@@ -75,8 +77,9 @@ def _witness_residue(a, b, p, n):
     return nonsquare_witness(e, p)
 
 
-def prime_set(a, b, k, cap=10 ** 6):
-    """First k primes of the distinct-field set for a*x^2 + b*y^2 + c.
+def prime_slopes(a, b, cap=10 ** 6):
+    """The distinct-field primes for a*x^2 + b*y^2 + c, in order, as
+    they are asked for.
 
     Every element is a prime p = 1 mod 4 with p not dividing a*b; each
     new prime is the smallest one in the congruence class that makes all
@@ -89,43 +92,41 @@ def prime_set(a, b, k, cap=10 ** 6):
     def degenerate(p):
         return a + b * p * p == 0
 
-    out = []
     congruences = [(1, 4)]
-    while len(out) < k:
+    while True:
         residue, modulus = crt_class(congruences)
         p = next_prime_in_class(residue, modulus, avoid, cap, degenerate)
-        out.append(p)
+        yield p
         congruences.append((_witness_residue(a, b, p, p), p))
-    return out
 
 
-def crt_set(a, b, k):
-    """First k elements of the composite distinct-field set.
+def prime_set(a, b, k, cap=10 ** 6):
+    """The first k elements of prime_slopes(a, b, cap)."""
+    return list(islice(prime_slopes(a, b, cap), k))
+
+
+def crt_slopes(a, b):
+    """The composite distinct-field slopes, in order, as they are asked
+    for.
 
     Element i is divisible by the i-th prime = 1 mod 4 coprime to a*b;
     later elements are the smallest nonnegative solutions of the
-    accumulated witness congruences.
+    accumulated witness congruences.  Each prime is drawn with its slope.
     """
     if a == 0 or b == 0:
         raise ValueError("conic coefficients a, b must be nonzero")
-    moduli = []
-    source = primes_one_mod_four()
-    while len(moduli) < k:
-        p = next(source)
+    congruences = []
+    for p in primes_one_mod_four():
         if (a * b) % p == 0 or a + b * p * p == 0:
             continue
-        moduli.append(p)
-    out = []
-    congruences = []
-    for i in range(k):
-        if i == 0:
-            n = moduli[0]
-        else:
-            n = crt_solve(congruences + [(0, moduli[i])])
-        out.append(n)
-        congruences.append((_witness_residue(a, b, moduli[i], n),
-                            moduli[i]))
-    return out
+        n = crt_solve(congruences + [(0, p)]) if congruences else p
+        yield n
+        congruences.append((_witness_residue(a, b, p, n), p))
+
+
+def crt_set(a, b, k):
+    """The first k elements of crt_slopes(a, b)."""
+    return list(islice(crt_slopes(a, b), k))
 
 
 def parametrization_fields(conic, slopes):

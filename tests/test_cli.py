@@ -1,6 +1,10 @@
 """Exit codes, JSON stability, and stream discipline of the CLI."""
 
+import argparse
 import json
+import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -226,6 +230,26 @@ def test_pollard_rho_cap_is_exit_3():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget exhausted: Pollard rho")
+
+
+def _conic_fields_crt(count):
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercircle", "conic-fields", "1", "1", "-6",
+         "--method", "crt", "--count", str(count)],
+        capture_output=True, text=True, timeout=60)
+    return proc, time.monotonic() - start
+
+
+def test_a_long_crt_list_stops_where_the_factoring_cap_does():
+    # the 11th slope's field is past the factoring cap; a longer list is
+    # drawn slope by slope, so it stops there as soon
+    short, _ = _conic_fields_crt(11)
+    long, elapsed = _conic_fields_crt(100000)
+    assert short.returncode == long.returncode == 3
+    assert long.stderr == short.stderr
+    assert long.stderr.startswith("budget exhausted: ")
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize("n", [
@@ -483,14 +507,16 @@ def test_main_reads_its_command_from_sys_argv(capsys, monkeypatch):
 
 
 def _counting_parsers(monkeypatch):
+    # cli imports argparse only when it builds a parser, so the class is
+    # patched where argparse defines it
     built = []
-    init = cli.argparse.ArgumentParser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     return built
 
 
@@ -524,6 +550,125 @@ def test_import_builds_no_parser():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+# tokens that sit on the edges of the grammar: negative numbers and
+# dashed strings, options with "=" or abbreviated, "--", help, the
+# strings int() reads past the ASCII digits, and a digit that is no \d
+_EDGE_TOKENS = (
+    "-6", "-0", "-1.5", "-.5", "-", "--", "-h", "--help", "--bud",
+    "--count=3", "--json=1", "--js", "-x", "-t + 1", "", " 5", "+5", "1_0",
+    "\u0663", "-\u0663", "-\u00b2", "5\n", "-6\n", "x^2 + 1",
+    "(t + a)/(a*t + 1)", "prime", "crt", "foo", "3", "0", "12",
+    "inputs/quartic.curve",
+)
+
+
+def _random_argv(rng):
+    """A command line near the grammar: a well-formed one, often with a
+    token inserted, dropped or replaced."""
+    tokens = [t for argv in ARGUMENT_CASES for t in argv] + list(_EDGE_TOKENS)
+    commands = cli._commands()
+    if rng.random() < 0.05:
+        return [rng.choice(tokens) for _ in range(rng.randrange(5))]
+    command, _, arguments, _ = rng.choice(commands)
+    words = []
+    for name, kind, _, _ in arguments:
+        if name[0] != "-":
+            words.append([rng.choice(tokens)])
+        elif rng.random() < 0.5:
+            value = [] if kind is bool else [rng.choice(
+                kind if isinstance(kind, tuple) and rng.random() < 0.7
+                else tokens)]
+            words.append([name] + value)
+    rng.shuffle(words)
+    argv = [command] + [t for word in words for t in word]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(1, len(argv) + 1)
+        change = rng.randrange(3)
+        if change == 0:
+            argv.insert(i, rng.choice(tokens))
+        elif i < len(argv):
+            if change == 1:
+                del argv[i]
+            else:
+                argv[i] = rng.choice(tokens)
+    return argv
+
+
+def test_the_command_table_reader_agrees_with_argparse(capsys):
+    # whatever the reader accepts, argparse reads to the same arguments
+    # and handler; whatever it declines, argparse answers in main
+    full = cli._build_argparser()
+    rng = random.Random(33)
+    accepted = 0
+    for _ in range(4000):
+        argv = _random_argv(rng)
+        args = cli._read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(full.parse_args(argv)), argv
+            accepted += 1
+    assert capsys.readouterr() == ("", "")
+    assert accepted > 400
+
+
+def test_isdecimal_is_the_digit_class_of_argparse():
+    # argparse reads "-" + digits as a negative number by r"\d"
+    chars = "".join(map(chr, range(0x110000)))
+    assert "".join(re.findall(r"\d", chars)) == \
+        "".join(c for c in chars if c.isdecimal())
+
+
+def _workload_argvs(tmp_path):
+    script = (
+        "import json, os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import workloads\n"
+        "out = []\n"
+        "for w in sorted(workloads.GENERATORS):\n"
+        "    for seed in (1, 3, 21):\n"
+        "        d = os.path.join(sys.argv[2], f'{w}-{seed}')\n"
+        "        out += [op['argv'] for op in workloads.build(w, seed, d)]\n"
+        "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(repo_root() / "hcbench"),
+         str(tmp_path)], capture_output=True, text=True, env=env,
+        check=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_every_benchmark_and_golden_argv_takes_the_command_table(tmp_path):
+    full = cli._build_argparser()
+    argvs = _workload_argvs(tmp_path)
+    argvs += [golden["argv"] for golden in _goldens().values()]
+    assert len(argvs) > 300
+    for argv in argvs:
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(full.parse_args(argv))
+
+
+def test_well_formed_commands_load_no_argparse(monkeypatch):
+    monkeypatch.chdir(repo_root())
+    code = ("import sys\n"
+            "from hypercircle.cli import main\n"
+            "codes = [main(['conic-fields', '1', '1', '-6', '--method',\n"
+            "               'crt', '--count', '3', '--json']),\n"
+            "         main(['reparam', 'inputs/quartic.curve', '--json'])]\n"
+            "print(codes, 'argparse' in sys.modules,\n"
+            "      'gettext' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == "[0, 0] False False\n"
+
+
+def test_help_is_argparse_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "hypercircle", "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == cli._build_argparser().format_help()
 
 
 @pytest.mark.parametrize("name", sorted(_goldens()))

@@ -81,6 +81,41 @@ def test_crt_solve_agrees_with_search():
     assert n == next(x for x in itertools.count(0) if all(x % m == r for r, m in moduli))
 
 
+def _trial_division_factors(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+# prime powers of primes on both sides of the trial bound 10^4, and
+# cofactors with no prime factor below it on both sides of 10^8: below,
+# such a cofactor is 1 or a prime; above, 10007^2 and 10007 * 10009 are
+# composite
+_ROUGH_PARTS = (
+    1, 9973, 9973**2, 9973**3, 10007, 10007**2, 10007**3, 10009,
+    99999989, 99999931, 10007 * 9967, 100000007, 100140049, 100160063,
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factorize_matches_trial_division(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        smooth = 1
+        for _ in range(rng.randrange(6)):
+            smooth *= rng.choice((2, 3, 5, 7, 9967, 9973)) \
+                ** rng.randrange(1, 4)
+        n = smooth * rng.choice(_ROUGH_PARTS)
+        assert factorize(n) == _trial_division_factors(n), n
+
+
 def test_factorize_known():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}

@@ -1,6 +1,7 @@
 """Infinite families of quadratic parametrization fields for conics."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,9 +14,11 @@ from hypercircle.quadfields import (
     ConicSpec,
     FieldDescriptor,
     crt_set,
+    crt_slopes,
     nonsquare_witness,
     parametrization_fields,
     prime_set,
+    prime_slopes,
     verify_pairwise_distinct,
 )
 
@@ -96,6 +99,13 @@ def test_crt_set_skips_primes_dividing_ab():
     out = crt_set(5, 1, 2)
     assert out[0] == 13
     assert verify_pairwise_distinct(5, 1, out)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 1), (1, -2)])
+def test_slope_generators_begin_with_the_sets(a, b):
+    assert list(islice(prime_slopes(a, b), 3)) == prime_set(a, b, 3)
+    assert list(islice(crt_slopes(a, b), 6)) == crt_set(a, b, 6)
+    assert crt_set(a, b, 4) == crt_set(a, b, 6)[:4]
 
 
 def test_parametrization_fields_circle():
