@@ -101,11 +101,17 @@ def test_crt_set_skips_primes_dividing_ab():
     assert verify_pairwise_distinct(5, 1, out)
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 1), (1, -2)])
-def test_slope_generators_begin_with_the_sets(a, b):
-    assert list(islice(prime_slopes(a, b), 3)) == prime_set(a, b, 3)
-    assert list(islice(crt_slopes(a, b), 6)) == crt_set(a, b, 6)
-    assert crt_set(a, b, 4) == crt_set(a, b, 6)[:4]
+@pytest.mark.parametrize("a, b, primes, crts", [
+    (2, 3, [5, 17, 137], [5, 52, 782, 26912, 37962]),
+    (5, 1, [13, 41, 821], [13, 119, 3538, 49506, 1414623]),
+    (1, -2, [5, 17, 257], [5, 52, 782, 9947, 523772]),
+])
+def test_slopes_drawn_one_at_a_time_are_the_lists(a, b, primes, crts):
+    # the lists as they were when every modulus was drawn up front
+    assert list(islice(prime_slopes(a, b), 3)) == primes
+    assert list(islice(crt_slopes(a, b), 5)) == crts
+    assert [crt_set(a, b, k) for k in range(6)] == \
+        [crts[:k] for k in range(6)]
 
 
 def test_parametrization_fields_circle():
